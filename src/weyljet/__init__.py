@@ -3,11 +3,8 @@ and jet-level Lagrangian analysis.
 
 The package is organized around a sparse truncated power-series kernel
 (:mod:`weyljet.series`, :mod:`weyljet.stationary`), the Moyal/Weyl algebra
-(:mod:`weyljet.weyl`), the formal Weil representation (:mod:`weyljet.weil`),
-exact Maslov cocycle arithmetic (:mod:`weyljet.maslov`), chart/connection
-verification (:mod:`weyljet.geometry`) and Lagrangian jet modules
-(:mod:`weyljet.lagrangian`).  ``weyljet.cli`` exposes batch verification
-suites over JSON configurations.
+(:mod:`weyljet.weyl`), the formal Weil representation (:mod:`weyljet.weil`)
+and exact Maslov cocycle arithmetic (:mod:`weyljet.maslov`).
 """
 
 from .series import (SeriesContext, TruncatedSeries, OscillatoryScalar,

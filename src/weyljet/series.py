@@ -20,7 +20,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 DEFAULT_EPS = 1e-9
+HBAR = "h"  # the deformation parameter, weight 2
 
 
 class SeriesError(ValueError):
@@ -416,20 +419,23 @@ class TruncatedSeries:
     # --- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
+        ctx = self.ctx
         items = sorted(self.terms.items(), key=lambda t: t[0])
         return {
-            "variables": list(self.ctx.variables),
-            "weights": list(self.ctx.weights),
-            "cap": self.ctx.cap,
+            "variables": list(ctx.variables),
+            "weights": list(ctx.weights),
+            "cap": ctx.cap,
+            "eps": ctx.eps,
+            "laurent": sorted(ctx.laurent),
+            "base_cap": ctx.base_cap,
             "terms": [{"exp": list(e), "re": c.real, "im": c.imag}
                       for e, c in items],
         }
 
     @staticmethod
-    def from_json(data: dict, eps: float = DEFAULT_EPS,
-                  laurent: Iterable[str] = (), base_cap: int | None = None) -> "TruncatedSeries":
+    def from_json(data: dict) -> "TruncatedSeries":
         ctx = SeriesContext(data["variables"], data["weights"], data["cap"],
-                            eps=eps, laurent=laurent, base_cap=base_cap)
+                            data["eps"], data["laurent"], data["base_cap"])
         terms = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in data["terms"]}
         return TruncatedSeries(ctx, terms)
 
@@ -442,6 +448,47 @@ class TruncatedSeries:
             bits.append(f"({c:.4g}){('*' + mono) if mono else ''}")
         more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
         return "<series " + " + ".join(bits) + more + ">"
+
+
+def exp_second_order(s: TruncatedSeries,
+                     pairs: Iterable[tuple[str, str, complex]]) -> TruncatedSeries:
+    """``exp(h sum c d_a d_b) s`` over ``(a, b, c)`` in ``pairs``.
+
+    ``a`` and ``b`` are weight-1 variables, so each power lowers their
+    degree by two and raises the power of ``h`` by one, keeping the
+    weighted degree: the sum runs until a power vanishes and is exact up
+    to the cap, inverse powers of ``h`` included.
+    """
+    ctx = s.ctx
+    ih = ctx.index(HBAR)
+    idx = [(ctx.index(a), ctx.index(b), complex(c)) for a, b, c in pairs if c]
+    out = dict(s.terms)
+    term = s.terms
+    k = 0
+    while term:
+        k += 1
+        nxt: dict[tuple[int, ...], complex] = {}
+        for e, c in term.items():
+            for i, j, w in idx:
+                mult = e[i] * (e[j] - (i == j))
+                if mult > 0:
+                    e2 = list(e)
+                    e2[i] -= 1
+                    e2[j] -= 1
+                    e2[ih] += 1
+                    key = tuple(e2)
+                    nxt[key] = nxt.get(key, 0.0) + c * (w * mult / k)
+        term = TruncatedSeries(ctx, nxt).terms
+        for e, c in term.items():
+            out[e] = out.get(e, 0.0) + c
+    return TruncatedSeries(ctx, out)
+
+
+def is_singular(M, eps: float) -> bool:
+    """Scale-free degeneracy test: the smallest singular value of ``M`` is
+    at most ``eps`` times its largest."""
+    sv = np.linalg.svd(np.asarray(M), compute_uv=False)
+    return bool(sv[-1] <= eps * sv[0])
 
 
 # --- composition and map inversion ------------------------------------------
@@ -505,8 +552,6 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
     linear part; the inverse is found by jet iteration, one filtration
     degree per pass.
     """
-    import numpy as np
-
     names = sorted(images.keys())
     if not names:
         return {}
@@ -529,7 +574,7 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
             for e, c in off_block.terms.items())
         if lin_leftover:
             raise SeriesError(f"map image of {v!r} has linear part outside the block")
-    if abs(np.linalg.det(A)) <= ctx.eps:
+    if is_singular(A, ctx.eps):
         raise SeriesError("singular linear part")
     Ainv = np.linalg.inv(A)
 
@@ -637,9 +682,6 @@ class OscillatoryScalar:
     def coefficient(self, k: int) -> complex:
         return self.laurent.get(k, 0.0 + 0.0j) * (1j ** self.i_power)
 
-    def phase_value(self) -> float:
-        return float(self.exponent)
-
     def is_close(self, other: "OscillatoryScalar", tol: float) -> bool:
         if abs(float(self.exponent) - float(other.exponent)) > tol:
             return False
@@ -730,7 +772,6 @@ class SymmetricMatrix:
                                 for i in range(self.n)], mode)
 
     def to_numpy(self):
-        import numpy as np
         return np.array([[complex(x) for x in r] for r in self.rows], dtype=complex)
 
     def to_json(self) -> dict:

@@ -22,9 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .series import SeriesContext, SeriesError, TruncatedSeries, compose
-
-HBAR = "h"
+from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
+                     compose, exp_second_order, is_singular)
 
 
 class DegenerateHessianError(SeriesError):
@@ -34,21 +33,12 @@ class DegenerateHessianError(SeriesError):
 # --- Gaussian moments --------------------------------------------------------
 
 
-def _pairing_sum(indices: tuple[int, ...], P: np.ndarray,
-                 cache: dict) -> complex:
-    if not indices:
-        return 1.0 + 0.0j
-    if indices in cache:
-        return cache[indices]
-    i0 = indices[0]
-    rest = indices[1:]
-    total = 0.0 + 0.0j
-    for pos in range(len(rest)):
-        j = rest[pos]
-        sub = rest[:pos] + rest[pos + 1:]
-        total += P[i0, j] * _pairing_sum(sub, P, cache)
-    cache[indices] = total
-    return total
+def _wick_pairs(z_vars: Sequence[str], Qinv: np.ndarray) -> list:
+    """Pairs of ``exp((ih/2) d_z . Q^{-1} d_z)``, whose value at ``z = 0``
+    is the Gaussian expectation (Isserlis: propagator ``ih Q^{-1}``)."""
+    m = len(z_vars)
+    return [(z_vars[i], z_vars[j], (0.5j if i == j else 1j) * Qinv[i, j])
+            for i in range(m) for j in range(i, m)]
 
 
 def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
@@ -58,22 +48,15 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
     ``coefficient * h**hbar_power``; odd total degree gives zero.  The
     propagator of a single pairing is ``i h (Q^{-1})_{jk}``.
     """
-    alpha = [int(a) for a in alpha]
-    order = sum(alpha)
-    if order % 2 == 1:
-        return 0.0 + 0.0j, 0
-    if order == 0:
-        return 1.0 + 0.0j, 0
     Qm = np.asarray(Q, dtype=complex)
-    n = Qm.shape[0]
-    if abs(np.linalg.det(Qm)) < 1e-300:
+    if is_singular(Qm, DEFAULT_EPS):
         raise DegenerateHessianError("singular quadratic form")
-    P = 1j * np.linalg.inv(Qm)
-    idx = []
-    for j in range(n):
-        idx.extend([j] * alpha[j])
-    coeff = _pairing_sum(tuple(idx), P, {})
-    return coeff, order // 2
+    z = [f"z{j}" for j in range(len(alpha))]
+    order = sum(int(a) for a in alpha)
+    ctx = SeriesContext(z + [HBAR], [1] * len(z) + [2], order, eps=0.0)
+    zalpha = ctx.monomial(dict(zip(z, alpha)))
+    moment = exp_second_order(zalpha, _wick_pairs(z, np.linalg.inv(Qm)))
+    return moment.coefficient({HBAR: order // 2}), order // 2
 
 
 def pairing_count(order: int) -> int:
@@ -137,14 +120,10 @@ def gaussian_prefactor(Q, eps: float = 1e-9) -> complex:
 def quadratic_series(ctx: SeriesContext, Q, variables: Sequence[str]) -> TruncatedSeries:
     """Build ``(1/2) z.Qz`` as a series over the named variables."""
     out = ctx.zero()
-    n = len(variables)
-    for i in range(n):
-        for j in range(i, n):
-            c = Q[i][j] if not isinstance(Q, np.ndarray) else Q[i, j]
-            c = complex(c) if i != j else complex(c) / 2.0
-            if abs(c) > ctx.eps:
-                mono = {variables[i]: 2} if i == j else {variables[i]: 1, variables[j]: 1}
-                out = out + ctx.monomial(mono, c)
+    for i, a in enumerate(variables):
+        out = out + ctx.monomial({a: 2}, complex(Q[i][i]) / 2.0)
+        for j in range(i + 1, len(variables)):
+            out = out + ctx.monomial({a: 1, variables[j]: 1}, Q[i][j])
     return out
 
 
@@ -209,14 +188,7 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     # recenter: R(u) = phase(z* + u) - reduced; interaction = R - (1/2) u.Qu
     shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
     R = compose(phase, shift) - reduced
-    quad = ctx.zero()
-    for i in range(n):
-        for j in range(i, n):
-            c = Q[i, i] / 2.0 if i == j else Q[i, j]
-            if abs(c) > ctx.eps:
-                mono = {z_vars[i]: 2} if i == j else {z_vars[i]: 1, z_vars[j]: 1}
-                quad = quad + ctx.monomial(mono, c)
-    delta = R - quad
+    delta = R - quadratic_series(ctx, Q, z_vars)
     if not delta.is_zero() and delta.min_degree() < 3:
         raise SeriesError("interaction term does not raise the filtration")
 
@@ -229,30 +201,9 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
         interaction = (delta * 1j).shift_exponent(HBAR, -1)
         integrand = a_centered * interaction.exp()
 
-    # Wick contraction of the z-block
-    hidx = ctx.index(HBAR)
-    out_terms: dict[tuple[int, ...], complex] = {}
-    moment_cache: dict[tuple[int, ...], tuple[complex, int]] = {}
-    for e, c in integrand.terms.items():
-        alpha = tuple(e[i] for i in zidx)
-        if sum(alpha) % 2 == 1:
-            continue
-        if alpha in moment_cache:
-            mom, hpow = moment_cache[alpha]
-        else:
-            mom, hpow = gaussian_moment(Q, alpha)
-            moment_cache[alpha] = (mom, hpow)
-        if abs(mom) < ctx.eps and sum(alpha) > 0:
-            continue
-        e2 = list(e)
-        for i in zidx:
-            e2[i] = 0
-        e2[hidx] += hpow
-        e2 = tuple(e2)
-        if not ctx.admits(e2):
-            continue
-        out_terms[e2] = out_terms.get(e2, 0.0) + c * (mom if sum(alpha) else 1.0)
-    out = TruncatedSeries(ctx, out_terms)
+    # Wick contraction of the z-block: the z-free part of the Gaussian operator
+    contracted = exp_second_order(integrand, _wick_pairs(z_vars, Qinv))
+    out = contracted.filter_terms(lambda e: not any(e[i] for i in zidx))
     return reduced, pref, out, zstar
 
 

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import (OscillatoryScalar, SeriesContext, SeriesError,
-                     TruncatedSeries)
-from .stationary import fiber_stationary_phase, gaussian_prefactor, HBAR
+from .series import (DEFAULT_EPS, HBAR, OscillatoryScalar, SeriesContext, SeriesError,
+                     TruncatedSeries, compose, is_singular)
+from .stationary import fiber_stationary_phase, quadratic_series
 
 
 class UndefinedWeilActionError(SeriesError):
@@ -92,10 +92,10 @@ class GaussianJet:
         }
 
     @staticmethod
-    def from_json(data: dict, eps: float = 1e-9) -> "GaussianJet":
-        amp = TruncatedSeries.from_json(data["amplitude"], eps=eps, laurent={HBAR})
+    def from_json(data: dict) -> "GaussianJet":
+        amp = TruncatedSeries.from_json(data["amplitude"])
         T = np.array([[complex(a, b) for a, b in row] for row in data["T"]])
-        scal = OscillatoryScalar.from_json(data["scalar"], cap=amp.ctx.cap, eps=eps)
+        scal = OscillatoryScalar.from_json(data["scalar"], cap=amp.ctx.cap, eps=amp.ctx.eps)
         return GaussianJet(data["mode"], T, amp, scal)
 
     def __repr__(self):
@@ -139,9 +139,6 @@ class Central:
     power: int = 1
 
 
-SpWord = list
-
-
 def word_matrix(word: Sequence, n: int) -> np.ndarray:
     """Projection to Sp of a word; entries act in list order, so the
     matrix is the reversed product."""
@@ -166,8 +163,7 @@ def act_shear(A, jet: GaussianJet) -> GaussianJet:
 
 def act_gl(B, jet: GaussianJet) -> GaussianJet:
     Bm = _mat(B, jet.n)
-    det = np.linalg.det(Bm)
-    if abs(det) <= jet.ctx.eps:
+    if is_singular(Bm, jet.ctx.eps):
         raise SeriesError("singular linear substitution")
     Binv = np.linalg.inv(Bm)
     T2 = Binv.T @ jet.T @ Binv
@@ -180,9 +176,8 @@ def act_gl(B, jet: GaussianJet) -> GaussianJet:
             if abs(Binv[j, i]) > 1e-15:
                 s = s + jet.ctx.variable(vi) * Binv[j, i]
         images[vj] = s
-    from .series import compose
     amp = compose(jet.amplitude, images)
-    scal = jet.scalar * (abs(det) ** -0.5)
+    scal = jet.scalar * (abs(np.linalg.det(Bm)) ** -0.5)
     return jet.with_parts(T=T2, amplitude=amp, scalar=scal)
 
 
@@ -200,7 +195,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     sel = [uvars.index(v) for v in block]
     keep = [i for i in range(jet.n) if i not in sel]
     Tss = jet.T[np.ix_(sel, sel)]
-    if abs(np.linalg.det(Tss)) <= jet.ctx.eps:
+    if is_singular(Tss, jet.ctx.eps):
         if jet.mode == "weil0":
             raise UndefinedWeilActionError(
                 "Fourier block of T is degenerate: action undefined at this element")
@@ -213,18 +208,8 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
                         ctx.cap, ctx.eps, laurent=ctx.laurent,
                         base_cap=ctx.base_cap)
     # phase: (1/2) y^t T y with the integrated block renamed to z, plus z.u_new
-    phase = ext.zero()
-
-    def old_var(i):
-        return zvars[sel.index(i)] if i in sel else uvars[i]
-
-    for i in range(jet.n):
-        for j in range(i, jet.n):
-            c = jet.T[i, i] / 2 if i == j else jet.T[i, j]
-            if abs(c) > 1e-15:
-                mono = {old_var(i): 2} if i == j else {old_var(i): 1, old_var(j): 1}
-                # collapse duplicate keys when i != j but same name (cannot happen)
-                phase = phase + ext.monomial(mono, c)
+    old_vars = [zvars[sel.index(i)] if i in sel else uvars[i] for i in range(jet.n)]
+    phase = quadratic_series(ext, jet.T, old_vars)
     for zi, i in zip(zvars, sel):
         phase = phase + ext.monomial({zi: 1, uvars[i]: 1}, 1.0)
     amp = jet.amplitude.map_vars({uvars[i]: zvars[k] for k, i in enumerate(sel)}, ext)
@@ -237,13 +222,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
                 else reduced.coefficient({uvars[i]: 1, uvars[j]: 1})
             T2[i, j] = c
             T2[j, i] = c
-    quad_check = reduced
-    for i in range(jet.n):
-        for j in range(i, jet.n):
-            c = T2[i, i] / 2 if i == j else T2[i, j]
-            if abs(c) > 1e-15:
-                mono = {uvars[i]: 2} if i == j else {uvars[i]: 1, uvars[j]: 1}
-                quad_check = quad_check - ext.monomial(mono, c)
+    quad_check = reduced - quadratic_series(ext, T2, uvars)
     if quad_check.max_abs() > 1e3 * ctx.eps:
         raise SeriesError("Fourier of a Gaussian jet produced a non-quadratic phase")
     mode = jet.mode
@@ -284,13 +263,13 @@ def act_word(word: Sequence, jet: GaussianJet) -> GaussianJet:
 # --- canonical refactorization -------------------------------------------------
 
 
-def factor_sp(M: np.ndarray) -> SpWord:
+def factor_sp(M: np.ndarray) -> list:
     """Factor a symplectic matrix with invertible lower-left block as
     Shear(A) Linear(B) Fourier Shear(C); entries act in list order."""
     m = M.shape[0] // 2
     P, Q = M[:m, :m], M[:m, m:]
     R, S = M[m:, :m], M[m:, m:]
-    if abs(np.linalg.det(R)) < 1e-9:
+    if is_singular(R, DEFAULT_EPS):
         raise SeriesError("lower-left block not invertible: word not factorable here")
     B = -np.linalg.inv(R).T
     A = P @ np.linalg.inv(R)

@@ -16,9 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .series import SeriesContext, SeriesError, TruncatedSeries, compose, invert_map
-
-HBAR = "h"
+from .series import (HBAR, SeriesContext, SeriesError, TruncatedSeries, compose,
+                     exp_second_order, invert_map, is_singular)
 
 
 class NonTerminatingAdError(SeriesError):
@@ -45,6 +44,12 @@ class WeylAlgebra:
                                  laurent={HBAR}, base_cap=base_cap)
         self.base_vars = tuple(base_vars)
         self._ext: dict[int, "WeylAlgebra"] = {}
+        # a second copy (y, w) of the jets (u, v), for bilinear operations
+        self._y = tuple(f"_y{i+1}" for i in range(n))
+        self._w = tuple(f"_w{i+1}" for i in range(n))
+        self._to_copy = dict(zip(self.x + self.xi, self._y + self._w))
+        self._from_copy = {c: v for v, c in self._to_copy.items()}
+        self._pair_ctx = self.ctx.extended(self._y + self._w, [1] * (2 * n))
 
     @property
     def cap(self):
@@ -77,6 +82,16 @@ class WeylAlgebra:
     def hbar(self, power=1):
         return self.ctx.variable(HBAR, power)
 
+    def _on_diagonal(self, f: TruncatedSeries, g: TruncatedSeries,
+                     pairs) -> TruncatedSeries:
+        """exp(h sum c d_a d_b) f(u, v) g(y, w) at y = u, w = v, with the
+        pairs (a, b, c) naming g's jets by their copies y, w."""
+        if f.ctx != self.ctx or g.ctx != self.ctx:
+            raise SeriesError("cap/context mismatch in bilinear product")
+        D = self._pair_ctx
+        fg = f.map_vars({}, D) * g.map_vars(self._to_copy, D)
+        return exp_second_order(fg, pairs).map_vars(self._from_copy, self.ctx)
+
 
 def _multi_indices(n: int, max_total: int):
     for total in range(max_total + 1):
@@ -100,62 +115,20 @@ def _factorial_multi(alpha):
     return out
 
 
-def _derive(f: TruncatedSeries, variables: Sequence[str], alpha) -> TruncatedSeries:
-    out = f
-    for v, k in zip(variables, alpha):
-        for _ in range(k):
-            out = out.diff(v)
-            if out.is_zero():
-                return out
-    return out
-
-
 def moyal_star(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Moyal product of Weyl symbols, truncated at the cap.
 
     exp((ih/2)(d_xi . d_y - d_eta . d_x)) f(x, xi) g(y, eta) on the
-    diagonal, expanded into the finite bidifferential sum.
+    diagonal; the copies _y, _w of the jets carry (y, eta).  Exact up to
+    the cap, inverse powers of h included.
     """
-    if f.ctx != A.ctx or g.ctx != A.ctx:
-        raise SeriesError("cap/context mismatch in star product")
-    cap = A.cap
-    kmax = cap // 2
-    out = A.zero()
-    # caches keyed by (alpha, beta): d_xi^a d_x^b f  /  d_x^a d_xi^b g
-    for alpha in _multi_indices(A.n, kmax):
-        fa = _derive(f, A.xi, alpha)
-        if fa.is_zero() and sum(alpha) > 0:
-            continue
-        ga = _derive(g, A.x, alpha)
-        if ga.is_zero() and sum(alpha) > 0:
-            continue
-        rem = kmax - sum(alpha)
-        for beta in _multi_indices(A.n, rem):
-            k = sum(alpha) + sum(beta)
-            fab = _derive(fa, A.x, beta)
-            if fab.is_zero():
-                continue
-            gab = _derive(ga, A.xi, beta)
-            if gab.is_zero():
-                continue
-            coeff = ((1j / 2) ** k) * ((-1) ** sum(beta)) \
-                / (_factorial_multi(alpha) * _factorial_multi(beta))
-            term = (fab * gab * coeff).shift_exponent(HBAR, k)
-            out = out + term
-    return out
+    pairs = ([(v, y, 0.5j) for v, y in zip(A.xi, A._y)]
+             + [(u, w, -0.5j) for u, w in zip(A.x, A._w)])
+    return A._on_diagonal(f, g, pairs)
 
 
 def commutator(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return moyal_star(A, f, g) - moyal_star(A, g, f)
-
-
-def poisson_leading(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """(1/ih)[f,g] mod h; leading term of the deformation."""
-    Ax = A.extended(2)
-    c = commutator(Ax, A.lift(f), A.lift(g))
-    s = (c * -1j).shift_exponent(HBAR, -1)
-    i_h = Ax.ctx.index(HBAR)
-    return A.lower(s.filter_terms(lambda e: e[i_h] == 0))
 
 
 def poisson_bracket(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -183,19 +156,7 @@ class NormalOperator:
     @staticmethod
     def _mixing(A: WeylAlgebra, s: TruncatedSeries, direction: complex) -> TruncatedSeries:
         # exp(direction * (ih/2) sum_j d_u d_v) applied to the symbol
-        out = s
-        term = s
-        for k in range(1, A.cap + 1):
-            nxt = A.zero()
-            for xv, kv in zip(A.x, A.xi):
-                nxt = nxt + term.diff(xv).diff(kv)
-            if nxt.is_zero():
-                break
-            term = (nxt * (direction * 0.5j / k)).shift_exponent(HBAR, 1)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        return exp_second_order(s, [(u, v, direction * 0.5j) for u, v in zip(A.x, A.xi)])
 
     @classmethod
     def from_weyl(cls, A: WeylAlgebra, w: TruncatedSeries) -> "NormalOperator":
@@ -205,44 +166,20 @@ class NormalOperator:
         return self._mixing(self.algebra, self.symbol, -1.0)
 
     def compose(self, other: "NormalOperator") -> "NormalOperator":
+        # exp(ih d_v . d_y) a(u, v) b(y, w) on the diagonal
         A = self.algebra
-        out = A.zero()
-        for beta in _multi_indices(A.n, A.cap):
-            left = _derive(self.symbol, A.xi, beta)
-            if left.is_zero():
-                continue
-            right = _derive(other.symbol, A.x, beta)
-            if right.is_zero():
-                continue
-            coeff = (1j ** sum(beta)) / _factorial_multi(beta)
-            out = out + (left * right * coeff).shift_exponent(HBAR, sum(beta))
-        return NormalOperator(A, out)
+        pairs = [(v, y, 1j) for v, y in zip(A.xi, A._y)]
+        return NormalOperator(A, A._on_diagonal(self.symbol, other.symbol, pairs))
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Apply to a series in the position jets (and h)."""
+        """Apply to a series in the position jets (and h): the momentum-free
+        part of the normal symbol of this operator composed with f."""
         A = self.algebra
-        for kv in A.xi:
-            if f.depends_on(kv):
-                raise SeriesError("operator argument depends on momentum jets")
-        out = f.ctx.zero()
-        deriv_cache: dict[tuple, TruncatedSeries] = {}
+        if any(f.depends_on(kv) for kv in A.xi):
+            raise SeriesError("operator argument depends on momentum jets")
         xi_idx = [A.ctx.index(kv) for kv in A.xi]
-        for e, c in self.symbol.terms.items():
-            beta = tuple(e[i] for i in xi_idx)
-            if beta in deriv_cache:
-                df = deriv_cache[beta]
-            else:
-                df = _derive(f, A.x, beta)
-                deriv_cache[beta] = df
-            if df.is_zero():
-                continue
-            rest = list(e)
-            for i in xi_idx:
-                rest[i] = 0
-            mono = TruncatedSeries(A.ctx, {tuple(rest): c})
-            term = (mono * df * (1j ** sum(beta))).shift_exponent(HBAR, sum(beta))
-            out = out + term
-        return out
+        composed = self.compose(NormalOperator(A, f)).symbol
+        return composed.filter_terms(lambda e: not any(e[i] for i in xi_idx))
 
 
 def weyl_quantize(A: WeylAlgebra, w: TruncatedSeries) -> NormalOperator:
@@ -431,7 +368,7 @@ class KGroupElement:
             raise SeriesError("multiplier must involve position jets only")
         a = np.array([[self.images[xv].coefficient({uv: 1}) for uv in A.x]
                       for xv in A.x], dtype=complex)
-        if abs(np.linalg.det(a)) <= ctx.eps:
+        if is_singular(a, ctx.eps):
             raise SeriesError("non-invertible linear part")
         self.linear = a
 
@@ -445,10 +382,8 @@ class KGroupElement:
         cols = [[self.images[A.x[i]].diff(A.x[j]) for j in range(n)] for i in range(n)]
         out = A.zero()
         for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = list(perm)
             # parity by counting inversions
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
+            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
             sign = -1 if inv % 2 else 1
             term = A.one()
             for i in range(n):
@@ -486,10 +421,6 @@ class KGroupElement:
         images = {v: compose(other.images[v], self.images) for v in A.x}
         q = self.q + compose(other.q, self.images)
         return KGroupElement(A, images, q)
-
-
-def k_act(k: KGroupElement, f: TruncatedSeries) -> TruncatedSeries:
-    return k.act(f)
 
 
 def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:

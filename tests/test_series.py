@@ -1,10 +1,12 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
 from weyljet.series import (OscillatoryScalar, SeriesContext, SeriesError,
                             SymmetricMatrix, TruncatedSeries, compose,
-                            invert_map)
+                            invert_map, is_singular)
 
 
 def ctx1(cap=6, **kw):
@@ -149,6 +151,25 @@ def test_invert_singular_rejected():
         invert_map({"u1": c.monomial({"u1": 2})})
 
 
+def test_invert_map_small_scale_accepted():
+    # 1e-5 * id has determinant 1e-10 but is perfectly conditioned
+    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 4)
+    imgs = {v: 1e-5 * c.variable(v) for v in ("u1", "u2")}
+    inv = invert_map(imgs)
+    for v in imgs:
+        assert inv[v].is_close(1e5 * c.variable(v), 1e-6)
+        assert compose(imgs[v], inv).is_close(c.variable(v), 1e-12)
+        assert invert_map(inv)[v].is_close(imgs[v], 1e-15)
+
+
+def test_singularity_is_scale_free():
+    M = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]])
+    for scale in (1e-8, 1.0, 1e8):
+        assert is_singular(scale * M, 1e-9)
+        assert not is_singular(scale * np.eye(2), 1e-9)
+    assert is_singular(np.zeros((2, 2)), 1e-9)
+
+
 def test_laurent_guard_and_shift():
     c = SeriesContext(["u1", "h"], [1, 2], 4, laurent={"h"})
     s = c.monomial({"u1": 3}).shift_exponent("h", -1)
@@ -181,6 +202,26 @@ def test_json_round_trip_canonical():
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == sorted(exps)
     s2 = TruncatedSeries.from_json(data)
+    assert s2.is_close(s, 0)
+
+
+def round_trip(s):
+    return TruncatedSeries.from_json(json.loads(json.dumps(s.to_json())))
+
+
+def test_json_round_trip_inverse_powers_of_h():
+    c = SeriesContext(["u1", "h"], [1, 2], 4, eps=1e-11, laurent={"h"})
+    s = c.monomial({"u1": 3, "h": -1}, 0.5 - 1j) + c.monomial({"h": 1}, 2.0)
+    s2 = round_trip(s)
+    assert s2.ctx == s.ctx
+    assert s2.is_close(s, 0)
+
+
+def test_json_round_trip_base_variables():
+    c = SeriesContext(["u1", "h", "b1"], [1, 2, 0], 4, laurent={"h"}, base_cap=2)
+    s = c.monomial({"u1": 2, "b1": 2}, 1.5) + c.monomial({"u1": 1, "b1": 1, "h": -1}, 1j)
+    s2 = round_trip(s)
+    assert s2.ctx == s.ctx
     assert s2.is_close(s, 0)
 
 
