@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -10,7 +10,6 @@ and the central character as a power of ``i``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -193,7 +192,6 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     if not block:
         return jet
     sel = [uvars.index(v) for v in block]
-    keep = [i for i in range(jet.n) if i not in sel]
     Tss = jet.T[np.ix_(sel, sel)]
     if is_singular(Tss, jet.ctx.eps):
         if jet.mode == "weil0":
