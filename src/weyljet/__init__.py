@@ -8,13 +8,13 @@ and exact Maslov cocycle arithmetic (:mod:`weyljet.maslov`).
 """
 
 from .series import (SeriesContext, TruncatedSeries, OscillatoryScalar,
-                     SymmetricMatrix, SeriesError, compose, invert_map)
+                     SeriesError, compose, invert_map)
 from .stationary import (gaussian_moment, gaussian_prefactor,
                          legendre_transform, stationary_phase,
                          fiber_stationary_phase, DegenerateHessianError)
 
 __all__ = [
-    "SeriesContext", "TruncatedSeries", "OscillatoryScalar", "SymmetricMatrix",
+    "SeriesContext", "TruncatedSeries", "OscillatoryScalar",
     "SeriesError", "compose", "invert_map",
     "gaussian_moment", "gaussian_prefactor", "legendre_transform",
     "stationary_phase", "fiber_stationary_phase", "DegenerateHessianError",

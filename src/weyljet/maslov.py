@@ -3,119 +3,22 @@
 Everything in this module runs over exact rationals: signatures are
 computed by fraction-free symmetric elimination, cocycle values are
 half-integers stored as doubled integers, and phase-difference cocycles
-evaluate to exact fractions.  No tolerance enters any statement here.
+evaluate to exact fractions.  Generating functions are
+:class:`~weyljet.series.TruncatedSeries` with ``Fraction`` coefficients
+in ``eps=0`` contexts.  No tolerance enters any statement here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+from .series import SeriesContext, TruncatedSeries
 
 
 class MaslovError(ValueError):
     pass
-
-
-# --- rational polynomials -----------------------------------------------------
-
-
-class RationalPoly:
-    """Sparse polynomial with Fraction coefficients over named variables."""
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables: Sequence[str],
-                 terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.variables = tuple(variables)
-        clean = {}
-        for e, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                clean[tuple(int(x) for x in e)] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero(variables):
-        return RationalPoly(variables)
-
-    @staticmethod
-    def monomial(variables, exps: Mapping[str, int], coeff) -> "RationalPoly":
-        e = [0] * len(variables)
-        pos = {v: i for i, v in enumerate(variables)}
-        for v, p in exps.items():
-            e[pos[v]] = int(p)
-        return RationalPoly(variables, {tuple(e): Fraction(coeff)})
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise MaslovError("polynomial variable mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return RationalPoly(self.variables, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return RationalPoly(self.variables, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(self.variables,
-                                {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RationalPoly(self.variables, out)
-
-    __rmul__ = __mul__
-
-    def diff(self, var: str) -> "RationalPoly":
-        i = self.variables.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c * e[i]
-        return RationalPoly(self.variables, out)
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        vals = [Fraction(point.get(v, 0)) for v in self.variables]
-        for e, c in self.terms.items():
-            t = c
-            for x, p in zip(vals, e):
-                t *= x ** p
-            total += t
-        return total
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def to_json(self):
-        return {"variables": list(self.variables),
-                "terms": [{"exp": list(e), "num": c.numerator, "den": c.denominator}
-                          for e, c in sorted(self.terms.items())]}
-
-    @staticmethod
-    def from_json(data) -> "RationalPoly":
-        return RationalPoly(data["variables"],
-                            {tuple(t["exp"]): Fraction(t["num"], t["den"])
-                             for t in data["terms"]})
-
-    def __repr__(self):
-        return f"<rpoly {len(self.terms)} terms over {self.variables}>"
 
 
 # --- exact linear algebra -----------------------------------------------------
@@ -143,12 +46,7 @@ def _solve_rational(A: list[list[Fraction]], B: list[list[Fraction]]):
 def signature(S) -> int:
     """Exact signature of a nondegenerate rational symmetric matrix,
     by symmetric elimination with symmetric pivoting."""
-    if hasattr(S, "rows"):
-        if S.mode != "rational":
-            raise MaslovError("signature requires the rational mode")
-        M = [row[:] for row in S.rows]
-    else:
-        M = [[Fraction(x) for x in row] for row in S]
+    M = [[Fraction(x) for x in row] for row in S]
     n = len(M)
     if any(M[i][j] != M[j][i] for i in range(n) for j in range(n)):
         raise MaslovError("matrix is not symmetric")
@@ -267,7 +165,7 @@ def frame_basis(frame: LagrangianFrame) -> list[list[Fraction]]:
     return rows
 
 
-def generating_quadratic(frame: LagrangianFrame) -> RationalPoly:
+def generating_quadratic(frame: LagrangianFrame) -> TruncatedSeries:
     """F_I(x_I, xi_Ibar) = x.Ax/2 + x.B xi + xi.C xi/2 generating the frame."""
     n = frame.n
     Ilist = sorted(frame.I)
@@ -277,8 +175,6 @@ def generating_quadratic(frame: LagrangianFrame) -> RationalPoly:
     terms: dict[tuple, Fraction] = {}
 
     def add(i, j, c):
-        if c == 0:
-            return
         e = [0] * n
         e[i] += 1
         e[j] += 1
@@ -293,17 +189,17 @@ def generating_quadratic(frame: LagrangianFrame) -> RationalPoly:
     for a in range(n - k):
         for b in range(n - k):
             add(k + a, k + b, Fraction(frame.C[a][b], 2))
-    return RationalPoly(names, terms)
+    return SeriesContext(names, [1] * n, 2, eps=0).from_terms(terms)
 
 
 def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:
     """Doubled half-integer cocycle value c_{IJ} for a linear Lagrangian:
     the signature of the exchanged-block Hessian of the U_I generating
-    quadratic.  Requires the subspace to lie in both charts."""
+    quadratic.  Requires the subspace to lie in both charts; it lies in
+    U_J exactly when that Hessian is nondegenerate."""
     I = frozenset(int(i) for i in I)
     J = frozenset(int(j) for j in J)
     frame = chart_parameters(basis, I)
-    chart_parameters(basis, J)  # membership check for U_J
     n = frame.n
     Ilist = sorted(I)
     Ibar = [j for j in range(n) if j not in I]
@@ -323,7 +219,7 @@ def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:
     try:
         return signature(H)
     except MaslovError:
-        raise MaslovError("subspace sits on the chart-overlap boundary") from None
+        raise MaslovError("subspace lies outside the chart U_J") from None
 
 
 # --- submanifold charts ---------------------------------------------------------
@@ -343,7 +239,7 @@ class SubdivisionChart:
     base_chart: str
     n: int
     base_free: tuple
-    F: RationalPoly
+    F: TruncatedSeries
     phase_shift: Fraction = Fraction(0)
 
     @property
@@ -370,9 +266,9 @@ class SubdivisionChart:
         for j in self.fiber_free:
             xi[j] = Fraction(free_vals[f"e{j+1}"])
         for j in self.base_free:
-            xi[j] = self.F.diff(f"x{j+1}").evaluate(free_vals)
+            xi[j] = Fraction(self.F.diff(f"x{j+1}").evaluate(free_vals))
         for j in self.fiber_free:
-            x[j] = -self.F.diff(f"e{j+1}").evaluate(free_vals)
+            x[j] = -Fraction(self.F.diff(f"e{j+1}").evaluate(free_vals))
         return tuple(x), tuple(xi)
 
     def contains_point(self, point) -> bool:
@@ -401,7 +297,7 @@ class SubdivisionChart:
         shift = data.get("phase_shift", [0, 1])
         return SubdivisionChart(data["chart_id"], data["base_chart"], data["n"],
                                 tuple(data["base_free"]),
-                                RationalPoly.from_json(data["F"]),
+                                TruncatedSeries.from_json(data["F"]),
                                 Fraction(shift[0], shift[1]))
 
 

@@ -8,9 +8,10 @@ below the cap.  Variables listed in ``laurent`` may carry negative
 exponents (bounded below through the filtration), which realizes the
 completed coefficient rings with inverse powers of ``h``.
 
-Purely bookkeeping variables of weight 0 (symbolic base-point
-coordinates) are truncated separately by ``base_cap`` on their total
-degree.
+Coefficients are complex floats, or exact rationals (``int`` and
+``Fraction``) that stay exact through construction, ``+``, ``-``, ``*``,
+``diff``, ``evaluate`` and JSON.  An ``eps=0`` context holding exact
+coefficients is a polynomial ring over the rationals.
 """
 
 from __future__ import annotations
@@ -38,23 +39,21 @@ class SeriesContext:
     """
 
     __slots__ = ("variables", "weights", "cap", "eps", "laurent",
-                 "base_cap", "_index", "_key")
+                 "_index", "_key")
 
     def __init__(self, variables: Sequence[str], weights: Sequence[int],
                  cap: int, eps: float = DEFAULT_EPS,
-                 laurent: Iterable[str] = (), base_cap: int | None = None):
+                 laurent: Iterable[str] = ()):
         variables = tuple(variables)
         weights = tuple(int(w) for w in weights)
         if len(variables) != len(weights):
             raise SeriesError("variables and weights length mismatch")
         if len(set(variables)) != len(variables):
             raise SeriesError("duplicate variable names")
-        if any(w < 0 for w in weights):
-            raise SeriesError("weights must be nonnegative")
+        if any(w < 1 for w in weights):
+            raise SeriesError("weights must be positive")
         if cap < 0:
             raise SeriesError("cap must be nonnegative")
-        if any(w == 0 for w in weights) and base_cap is None:
-            raise SeriesError("weight-0 variables require base_cap")
         self.variables = variables
         self.weights = weights
         self.cap = int(cap)
@@ -63,10 +62,8 @@ class SeriesContext:
         unknown = self.laurent - set(variables)
         if unknown:
             raise SeriesError(f"laurent names not in variables: {sorted(unknown)}")
-        self.base_cap = base_cap
         self._index = {v: i for i, v in enumerate(variables)}
-        self._key = (variables, weights, self.cap, self.eps,
-                     self.laurent, base_cap)
+        self._key = (variables, weights, self.cap, self.eps, self.laurent)
 
     def __eq__(self, other):
         return isinstance(other, SeriesContext) and self._key == other._key
@@ -86,33 +83,23 @@ class SeriesContext:
     def weighted_degree(self, exp: tuple[int, ...]) -> int:
         return sum(e * w for e, w in zip(exp, self.weights))
 
-    def base_degree(self, exp: tuple[int, ...]) -> int:
-        return sum(e for e, w in zip(exp, self.weights) if w == 0)
-
-    def admits(self, exp: tuple[int, ...]) -> bool:
-        if self.weighted_degree(exp) > self.cap:
-            return False
-        if self.base_cap is not None and self.base_degree(exp) > self.base_cap:
-            return False
-        return True
-
     # --- constructors -------------------------------------------------
 
     def zero(self) -> "TruncatedSeries":
         return TruncatedSeries(self, {})
 
     def one(self) -> "TruncatedSeries":
-        return self.constant(1.0)
+        return self.constant(1)
 
     def constant(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self, {(0,) * len(self.variables): complex(c)})
+        return TruncatedSeries(self, {(0,) * len(self.variables): c})
 
     def variable(self, name: str, power: int = 1) -> "TruncatedSeries":
         i = self.index(name)
         exp = tuple(power if j == i else 0 for j in range(len(self.variables)))
-        return TruncatedSeries(self, {exp: 1.0 + 0.0j})
+        return TruncatedSeries(self, {exp: 1})
 
-    def monomial(self, exp: Mapping[str, int] | Sequence[int], coeff=1.0) -> "TruncatedSeries":
+    def monomial(self, exp: Mapping[str, int] | Sequence[int], coeff=1) -> "TruncatedSeries":
         if isinstance(exp, Mapping):
             e = [0] * len(self.variables)
             for v, p in exp.items():
@@ -120,29 +107,35 @@ class SeriesContext:
             exp = tuple(e)
         else:
             exp = tuple(int(p) for p in exp)
-        return TruncatedSeries(self, {exp: complex(coeff)})
+        return TruncatedSeries(self, {exp: coeff})
 
     def from_terms(self, terms: Mapping[tuple[int, ...], complex]) -> "TruncatedSeries":
         return TruncatedSeries(self, dict(terms))
 
     def with_cap(self, cap: int) -> "SeriesContext":
         return SeriesContext(self.variables, self.weights, cap, self.eps,
-                             self.laurent, self.base_cap)
+                             self.laurent)
 
     def extended(self, variables: Sequence[str], weights: Sequence[int],
-                 laurent: Iterable[str] = (), base_cap: int | None = None) -> "SeriesContext":
+                 laurent: Iterable[str] = ()) -> "SeriesContext":
         return SeriesContext(self.variables + tuple(variables),
                              self.weights + tuple(weights),
                              self.cap, self.eps,
-                             self.laurent | frozenset(laurent),
-                             base_cap if base_cap is not None else self.base_cap)
+                             self.laurent | frozenset(laurent))
+
+
+# coefficient types stored as given; any other scalar is stored as complex
+_KEPT = frozenset((complex, int, Fraction))
 
 
 class TruncatedSeries:
-    """A finite sparse term map ``exponent tuple -> complex coefficient``.
+    """A finite sparse term map ``exponent tuple -> coefficient``.
 
-    Instances are immutable; arithmetic returns new objects and results
-    never depend on term insertion order.
+    Coefficients are ``complex``, or ``int``/``Fraction`` kept exact: the
+    ring is whatever the coefficients are, and a complex operand makes
+    the result complex.  Zero coefficients and those below ``ctx.eps``
+    are dropped.  Instances are immutable; arithmetic returns new objects
+    and results never depend on term insertion order.
     """
 
     __slots__ = ("ctx", "terms")
@@ -150,15 +143,18 @@ class TruncatedSeries:
     def __init__(self, ctx: SeriesContext, terms: Mapping[tuple[int, ...], complex]):
         self.ctx = ctx
         eps = ctx.eps
+        cap = ctx.cap
+        wd = ctx.weighted_degree
         clean: dict[tuple[int, ...], complex] = {}
         nvars = len(ctx.variables)
         for exp, c in terms.items():
-            c = complex(c)
-            if abs(c) < eps:
+            if c.__class__ not in _KEPT:
+                c = complex(c)
+            if not c or abs(c) < eps:
                 continue
             if len(exp) != nvars:
                 raise SeriesError("exponent arity mismatch")
-            if not ctx.admits(exp):
+            if wd(exp) > cap:
                 continue
             for e, v, w in zip(exp, ctx.variables, ctx.weights):
                 if e < 0 and v not in ctx.laurent:
@@ -182,10 +178,10 @@ class TruncatedSeries:
             exp = tuple(e)
         else:
             exp = tuple(exp)
-        return self.terms.get(exp, 0.0 + 0.0j)
+        return self.terms.get(exp, 0)
 
     def constant_term(self) -> complex:
-        return self.terms.get((0,) * len(self.ctx.variables), 0.0 + 0.0j)
+        return self.terms.get((0,) * len(self.ctx.variables), 0)
 
     def min_degree(self) -> int:
         """Smallest weighted degree present (0 for the zero series)."""
@@ -240,11 +236,11 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
-            other = self.ctx.constant(complex(other))
+            other = self.ctx.constant(other)
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
+            out[e] = out.get(e, 0) + c
         return TruncatedSeries(self.ctx, out)
 
     __radd__ = __add__
@@ -254,7 +250,7 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
-            other = self.ctx.constant(complex(other))
+            other = self.ctx.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -262,8 +258,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
-            c = complex(other)
-            return TruncatedSeries(self.ctx, {e: v * c for e, v in self.terms.items()})
+            return TruncatedSeries(self.ctx, {e: v * other for e, v in self.terms.items()})
         self._check(other)
         ctx = self.ctx
         cap = ctx.cap
@@ -282,9 +277,7 @@ class TruncatedSeries:
                 if da + wd(eb) > cap:
                     break
                 e = tuple(x + y for x, y in zip(ea, eb))
-                if ctx.base_cap is not None and ctx.base_degree(e) > ctx.base_cap:
-                    continue
-                out[e] = out.get(e, 0.0) + ca * cb
+                out[e] = out.get(e, 0) + ca * cb
         return TruncatedSeries(ctx, out)
 
     __rmul__ = __mul__
@@ -311,7 +304,7 @@ class TruncatedSeries:
                 continue
             e2 = list(e)
             e2[i] -= 1
-            out[tuple(e2)] = out.get(tuple(e2), 0.0) + c * e[i]
+            out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
         return TruncatedSeries(self.ctx, out)
 
     def shift_exponent(self, var: str, k: int) -> "TruncatedSeries":
@@ -377,8 +370,11 @@ class TruncatedSeries:
         return result * math.sqrt(c0.real)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
-        total = 0.0 + 0.0j
-        vals = [complex(point.get(v, 0.0)) for v in self.ctx.variables]
+        """Value at ``point`` (absent variables are 0); exact when the
+        coefficients and the point's values are."""
+        total = 0
+        vals = [point.get(v, 0) for v in self.ctx.variables]
+        vals = [x if x.__class__ in _KEPT else complex(x) for x in vals]
         for e, c in self.terms.items():
             t = c
             for x, p in zip(vals, e):
@@ -413,7 +409,7 @@ class TruncatedSeries:
                 if j is not None:
                     e2[j] += p
             key = tuple(e2)
-            out[key] = out.get(key, 0.0) + c
+            out[key] = out.get(key, 0) + c
         return TruncatedSeries(new_ctx, out)
 
     # --- serialization ----------------------------------------------------
@@ -427,16 +423,18 @@ class TruncatedSeries:
             "cap": ctx.cap,
             "eps": ctx.eps,
             "laurent": sorted(ctx.laurent),
-            "base_cap": ctx.base_cap,
             "terms": [{"exp": list(e), "re": c.real, "im": c.imag}
+                      if isinstance(c, complex) else
+                      {"exp": list(e), "num": c.numerator, "den": c.denominator}
                       for e, c in items],
         }
 
     @staticmethod
     def from_json(data: dict) -> "TruncatedSeries":
         ctx = SeriesContext(data["variables"], data["weights"], data["cap"],
-                            data["eps"], data["laurent"], data["base_cap"])
-        terms = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in data["terms"]}
+                            data["eps"], data["laurent"])
+        terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) if "num" in t
+                 else complex(t["re"], t["im"]) for t in data["terms"]}
         return TruncatedSeries(ctx, terms)
 
     def __repr__(self):
@@ -445,7 +443,8 @@ class TruncatedSeries:
         bits = []
         for e, c in sorted(self.terms.items())[:8]:
             mono = "*".join(f"{v}^{p}" for v, p in zip(self.ctx.variables, e) if p)
-            bits.append(f"({c:.4g}){('*' + mono) if mono else ''}")
+            c = f"{c:.4g}" if isinstance(c, complex) else str(c)
+            bits.append(f"({c}){('*' + mono) if mono else ''}")
         more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
         return "<series " + " + ".join(bits) + more + ">"
 
@@ -477,10 +476,10 @@ def exp_second_order(s: TruncatedSeries,
                     e2[j] -= 1
                     e2[ih] += 1
                     key = tuple(e2)
-                    nxt[key] = nxt.get(key, 0.0) + c * (w * mult / k)
+                    nxt[key] = nxt.get(key, 0) + c * (w * mult / k)
         term = TruncatedSeries(ctx, nxt).terms
         for e, c in term.items():
-            out[e] = out.get(e, 0.0) + c
+            out[e] = out.get(e, 0) + c
     return TruncatedSeries(ctx, out)
 
 
@@ -709,88 +708,6 @@ class OscillatoryScalar:
     def __repr__(self):
         return (f"<osc exp={self.exponent} i^{self.i_power} "
                 f"laurent={ {k: round(abs(v), 6) for k, v in sorted(self.laurent.items())} }>")
-
-
-# --- symmetric matrices -------------------------------------------------------
-
-
-class SymmetricMatrix:
-    """Symmetric matrix in one of two fixed modes: exact rational entries
-    or complex floating entries."""
-
-    __slots__ = ("n", "mode", "rows")
-
-    def __init__(self, rows, mode: str | None = None):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise SeriesError("matrix must be square")
-        if mode is None:
-            mode = "rational" if all(
-                isinstance(x, (int, Fraction)) for r in rows for x in r) else "complex"
-        if mode == "rational":
-            rows = [[Fraction(x) for x in r] for r in rows]
-            if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n)):
-                raise SeriesError("matrix is not symmetric")
-        elif mode == "complex":
-            rows = [[complex(x) for x in r] for r in rows]
-            tol = 1e-12 * (1.0 + max((abs(x) for r in rows for x in r), default=0.0))
-            if any(abs(rows[i][j] - rows[j][i]) > tol for i in range(n) for j in range(n)):
-                raise SeriesError("matrix is not symmetric")
-        else:
-            raise SeriesError(f"unknown mode {mode!r}")
-        self.n = n
-        self.mode = mode
-        self.rows = rows
-
-    @staticmethod
-    def identity(n: int, mode: str = "rational") -> "SymmetricMatrix":
-        one = Fraction(1) if mode == "rational" else 1.0
-        zero = Fraction(0) if mode == "rational" else 0.0
-        return SymmetricMatrix([[one if i == j else zero for j in range(n)]
-                                for i in range(n)], mode)
-
-    @staticmethod
-    def zero(n: int, mode: str = "rational") -> "SymmetricMatrix":
-        z = Fraction(0) if mode == "rational" else 0.0
-        return SymmetricMatrix([[z] * n for _ in range(n)], mode)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise SeriesError("size mismatch")
-        mode = "rational" if self.mode == other.mode == "rational" else "complex"
-        return SymmetricMatrix([[self.rows[i][j] + other.rows[i][j]
-                                 for j in range(self.n)] for i in range(self.n)], mode)
-
-    def scale(self, c) -> "SymmetricMatrix":
-        mode = self.mode if isinstance(c, (int, Fraction)) and self.mode == "rational" else "complex"
-        return SymmetricMatrix([[self.rows[i][j] * c for j in range(self.n)]
-                                for i in range(self.n)], mode)
-
-    def to_numpy(self):
-        return np.array([[complex(x) for x in r] for r in self.rows], dtype=complex)
-
-    def to_json(self) -> dict:
-        if self.mode == "rational":
-            entries = [[[x.numerator, x.denominator] for x in r] for r in self.rows]
-        else:
-            entries = [[[x.real, x.imag] for x in r] for r in self.rows]
-        return {"n": self.n, "mode": self.mode, "entries": entries}
-
-    @staticmethod
-    def from_json(data: dict) -> "SymmetricMatrix":
-        if data["mode"] == "rational":
-            rows = [[Fraction(a, b) for a, b in r] for r in data["entries"]]
-        else:
-            rows = [[complex(a, b) for a, b in r] for r in data["entries"]]
-        return SymmetricMatrix(rows, data["mode"])
-
-    def __repr__(self):
-        return f"<sym {self.n}x{self.n} {self.mode} {self.rows}>"
 
 
 def dump_canonical_json(obj, path=None) -> str:

@@ -56,7 +56,7 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
     ctx = SeriesContext(z + [HBAR], [1] * len(z) + [2], order, eps=0.0)
     zalpha = ctx.monomial(dict(zip(z, alpha)))
     moment = exp_second_order(zalpha, _wick_pairs(z, np.linalg.inv(Qm)))
-    return moment.coefficient({HBAR: order // 2}), order // 2
+    return complex(moment.coefficient({HBAR: order // 2})), order // 2
 
 
 def pairing_count(order: int) -> int:
@@ -220,8 +220,7 @@ def _joint_context(F: TruncatedSeries, variables: Sequence[str]):
         names.append(HBAR)
         weights.append(2)
     joint = SeriesContext(names, weights, ctx.cap, ctx.eps,
-                          laurent=set(ctx.laurent) | {HBAR},
-                          base_cap=ctx.base_cap)
+                          laurent=set(ctx.laurent) | {HBAR})
     return joint, duals
 
 

@@ -203,8 +203,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     zvars = [f"_z{i}" for i in range(len(sel))]
     ext = SeriesContext(list(ctx.variables) + zvars,
                         list(ctx.weights) + [1] * len(zvars),
-                        ctx.cap, ctx.eps, laurent=ctx.laurent,
-                        base_cap=ctx.base_cap)
+                        ctx.cap, ctx.eps, laurent=ctx.laurent)
     # phase: (1/2) y^t T y with the integrated block renamed to z, plus z.u_new
     old_vars = [zvars[sel.index(i)] if i in sel else uvars[i] for i in range(jet.n)]
     phase = quadratic_series(ext, jet.T, old_vars)

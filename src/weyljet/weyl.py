@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -25,24 +25,14 @@ class NonTerminatingAdError(SeriesError):
 
 
 class WeylAlgebra:
-    """Ambient data for Weyl elements on R^{2n} jets.
+    """Ambient data for Weyl elements on R^{2n} jets."""
 
-    Optional weight-0 ``base_vars`` ride along for chart-parametrized
-    computations; they are capped separately by ``base_cap``.
-    """
-
-    def __init__(self, n: int, cap: int, eps: float = 1e-9,
-                 base_vars: Sequence[str] = (), base_cap: int | None = None):
+    def __init__(self, n: int, cap: int, eps: float = 1e-9):
         self.n = n
         self.x = tuple(f"u{i+1}" for i in range(n))
         self.xi = tuple(f"v{i+1}" for i in range(n))
-        names = list(self.x + self.xi) + [HBAR] + list(base_vars)
-        weights = [1] * (2 * n) + [2] + [0] * len(base_vars)
-        if base_vars and base_cap is None:
-            base_cap = cap
-        self.ctx = SeriesContext(names, weights, cap, eps,
-                                 laurent={HBAR}, base_cap=base_cap)
-        self.base_vars = tuple(base_vars)
+        self.ctx = SeriesContext(self.x + self.xi + (HBAR,), [1] * (2 * n) + [2],
+                                 cap, eps, laurent={HBAR})
         self._ext: dict[int, "WeylAlgebra"] = {}
         # a second copy (y, w) of the jets (u, v), for bilinear operations
         self._y = tuple(f"_y{i+1}" for i in range(n))
@@ -59,9 +49,7 @@ class WeylAlgebra:
         """Same algebra with cap headroom, for intermediates that divide
         by the deformation parameter before re-truncation."""
         if extra not in self._ext:
-            self._ext[extra] = WeylAlgebra(
-                self.n, self.cap + extra, self.ctx.eps,
-                self.base_vars, self.ctx.base_cap)
+            self._ext[extra] = WeylAlgebra(self.n, self.cap + extra, self.ctx.eps)
         return self._ext[extra]
 
     def lift(self, s: TruncatedSeries, extra: int = 2) -> TruncatedSeries:

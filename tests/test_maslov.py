@@ -1,14 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from weyljet.maslov import (LagrangianFrame, MaslovError, RationalPoly,
-                            SubdivisionChart, alpha_cocycle, chart_parameters,
-                            frame_basis, generating_quadratic, linear_cocycle,
-                            signature, submanifold_cocycle,
-                            verify_cech_cocycle)
+from weyljet.maslov import (LagrangianFrame, MaslovError, SubdivisionChart,
+                            alpha_cocycle, chart_parameters, frame_basis,
+                            generating_quadratic, linear_cocycle, signature,
+                            submanifold_cocycle, verify_cech_cocycle)
+from weyljet.series import SeriesContext, TruncatedSeries
 
 
 def graph_basis(S):
@@ -166,6 +167,45 @@ def test_linear_cocycle_triples_random_r4():
             count += 1
 
 
+def rand_frame(rng, n, I):
+    """Frame on U_I with small integer blocks, often degenerate elsewhere."""
+    Ilist = sorted(I)
+    k = len(Ilist)
+    A = rand_sym(rng, k, denom=1) if k else []
+    C = rand_sym(rng, n - k, denom=1) if n - k else []
+    B = [[Fraction(rng.randint(-1, 1)) for _ in range(n - k)] for _ in range(k)]
+    return LagrangianFrame(n, frozenset(I), tuple(map(tuple, A)),
+                           tuple(map(tuple, B)), tuple(map(tuple, C)))
+
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except MaslovError:
+        return True
+    return False
+
+
+def test_linear_cocycle_outside_second_chart_rejected():
+    # linear_cocycle decides membership in U_J from the exchanged Hessian
+    # alone; it must reject exactly what chart_parameters places outside U_J
+    rng = random.Random(5)
+    for n in (2, 3):
+        subsets = [frozenset(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)]
+        seen = set()
+        for _ in range(12):
+            basis = frame_basis(rand_frame(rng, n, rng.choice(subsets)))
+            for I in subsets:
+                if raises(chart_parameters, basis, I):
+                    continue
+                for J in subsets:
+                    outside = raises(chart_parameters, basis, J)
+                    assert raises(linear_cocycle, basis, I, J) == outside, (basis, I, J)
+                    seen.add(outside)
+        assert seen == {False, True}
+
+
 def test_generating_quadratic_matches_frame():
     rng = random.Random(3)
     S = rand_sym(rng, 2)
@@ -184,20 +224,25 @@ def test_generating_quadratic_matches_frame():
 # --- submanifold cocycle ----------------------------------------------------------
 
 
+def poly(names, terms=None):
+    """Exact polynomial of degree at most 2 over ``names``."""
+    return SeriesContext(names, [1] * len(names), 2, eps=0).from_terms(terms or {})
+
+
 def graph_chart(k, chart_id="beta", shift=0):
-    F = RationalPoly(["x1"], {(2,): Fraction(k, 2)})
+    F = poly(["x1"], {(2,): Fraction(k, 2)})
     return SubdivisionChart(chart_id, "base", 1, (0,), F, Fraction(shift))
 
 
 def fiber_chart(k, chart_id="gamma"):
-    F = RationalPoly(["e1"], {(2,): Fraction(-1, 2 * k)})
+    F = poly(["e1"], {(2,): Fraction(-1, 2 * k)})
     return SubdivisionChart(chart_id, "base", 1, (), F)
 
 
 def test_submanifold_case1_zero():
     beta = graph_chart(2, "beta")
     other = SubdivisionChart("beta2", "other_base", 1, (0,),
-                             RationalPoly(["x1"], {(2,): Fraction(1)}))
+                             poly(["x1"], {(2,): Fraction(1)}))
     assert submanifold_cocycle(beta, other, ((0,), (0,))) == 0
 
 
@@ -249,12 +294,33 @@ def test_submanifold_triple_sum_quadratic():
             assert vals[("g", "m")] + vals[("m", "f")] + vals[("f", "g")] == 0
 
 
+def test_generating_quadratic_is_exact_series():
+    fr = chart_parameters(graph_basis([[Fraction(1, 3), Fraction(2)],
+                                       [Fraction(2), Fraction(-5, 7)]]), {0})
+    F = generating_quadratic(fr)
+    assert isinstance(F, TruncatedSeries) and F.ctx.eps == 0
+    assert all(isinstance(c, (int, Fraction)) for c in F.terms.values())
+    assert F.coefficient({"x1": 2}) == Fraction(1, 2) * fr.A[0][0]
+
+
+def test_subdivision_chart_json_round_trip():
+    fr = chart_parameters(graph_basis([[Fraction(3, 2), Fraction(-1, 3)],
+                                       [Fraction(-1, 3), Fraction(4)]]), {1})
+    chart = SubdivisionChart("m", "base", 2, (1,), generating_quadratic(fr),
+                             Fraction(-5, 9))
+    back = SubdivisionChart.from_json(json.loads(json.dumps(chart.to_json())))
+    assert (back.chart_id, back.base_chart, back.n, back.base_free) == ("m", "base", 2, (1,))
+    assert back.F.terms == chart.F.terms and back.F.ctx == chart.F.ctx
+    assert back.phase_shift == Fraction(-5, 9)
+    assert all(isinstance(c, Fraction) for c in back.F.terms.values())
+
+
 # --- alpha cocycle -----------------------------------------------------------------
 
 
 def test_alpha_zero_section():
-    beta = SubdivisionChart("b", "base", 1, (0,), RationalPoly(["x1"]))
-    gamma = SubdivisionChart("g", "base", 1, (0,), RationalPoly(["x1"]))
+    beta = SubdivisionChart("b", "base", 1, (0,), poly(["x1"]))
+    gamma = SubdivisionChart("g", "base", 1, (0,), poly(["x1"]))
     assert alpha_cocycle(beta, gamma, ((Fraction(0),), (Fraction(0),))) == 0
 
 
