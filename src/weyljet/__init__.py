@@ -8,14 +8,14 @@ and exact Maslov cocycle arithmetic (:mod:`weyljet.maslov`).
 """
 
 from .series import (SeriesContext, TruncatedSeries, OscillatoryScalar,
-                     SeriesError, compose, invert_map)
+                     SeriesError, compose, invert_map, linear_combination)
 from .stationary import (gaussian_moment, gaussian_prefactor,
                          legendre_transform, stationary_phase,
                          fiber_stationary_phase, DegenerateHessianError)
 
 __all__ = [
     "SeriesContext", "TruncatedSeries", "OscillatoryScalar",
-    "SeriesError", "compose", "invert_map",
+    "SeriesError", "compose", "invert_map", "linear_combination",
     "gaussian_moment", "gaussian_prefactor", "legendre_transform",
     "stationary_phase", "fiber_stationary_phase", "DegenerateHessianError",
 ]

@@ -12,6 +12,15 @@ Coefficients are complex floats, or exact rationals (``int`` and
 ``Fraction``) that stay exact through construction, ``+``, ``-``, ``*``,
 ``diff``, ``evaluate`` and JSON.  An ``eps=0`` context holding exact
 coefficients is a polynomial ring over the rationals.
+
+Admission contract: the public constructors (``TruncatedSeries(ctx,
+terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``,
+``map_vars`` and scalar ``*``) check arity, the cap, the Laurent signs
+and the coefficient type of every term.  Operations closed over admitted
+terms (series ``*``, ``+``, ``-``, ``diff``, ``filter_terms``,
+``graded_component``, ``exp_second_order``, ``compose`` and
+``linear_combination``) trust their operands and only drop zero and
+sub-``eps`` coefficients of their result.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,7 +91,7 @@ class SeriesContext:
             raise SeriesError(f"unknown variable {var!r}") from None
 
     def weighted_degree(self, exp: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(exp, self.weights))
+        return sum(map(mul, exp, self.weights))
 
     # --- constructors -------------------------------------------------
 
@@ -128,6 +138,17 @@ class SeriesContext:
 _KEPT = frozenset((complex, int, Fraction))
 
 
+def _admitted(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
+    """A series over terms that a closed operation built from admitted
+    ones: arity, cap, Laurent signs and coefficient types already hold,
+    so only zero and sub-``eps`` coefficients are dropped."""
+    eps = ctx.eps
+    s = object.__new__(TruncatedSeries)
+    s.ctx = ctx
+    s.terms = {e: c for e, c in terms.items() if c and abs(c) >= eps}
+    return s
+
+
 class TruncatedSeries:
     """A finite sparse term map ``exponent tuple -> coefficient``.
 
@@ -144,7 +165,7 @@ class TruncatedSeries:
         self.ctx = ctx
         eps = ctx.eps
         cap = ctx.cap
-        wd = ctx.weighted_degree
+        weights = ctx.weights
         clean: dict[tuple[int, ...], complex] = {}
         nvars = len(ctx.variables)
         for exp, c in terms.items():
@@ -154,11 +175,12 @@ class TruncatedSeries:
                 continue
             if len(exp) != nvars:
                 raise SeriesError("exponent arity mismatch")
-            if wd(exp) > cap:
+            if sum(map(mul, exp, weights)) > cap:
                 continue
-            for e, v, w in zip(exp, ctx.variables, ctx.weights):
-                if e < 0 and v not in ctx.laurent:
-                    raise SeriesError(f"negative exponent on non-laurent variable {v!r}")
+            if min(exp, default=0) < 0:
+                for e, v in zip(exp, ctx.variables):
+                    if e < 0 and v not in ctx.laurent:
+                        raise SeriesError(f"negative exponent on non-laurent variable {v!r}")
             clean[exp] = c
         self.terms = clean
 
@@ -212,12 +234,12 @@ class TruncatedSeries:
 
     def graded_component(self, degree: int) -> "TruncatedSeries":
         wd = self.ctx.weighted_degree
-        return TruncatedSeries(self.ctx, {e: c for e, c in self.terms.items()
-                                          if wd(e) == degree})
+        return _admitted(self.ctx, {e: c for e, c in self.terms.items()
+                                    if wd(e) == degree})
 
     def filter_terms(self, pred) -> "TruncatedSeries":
         """Keep the terms whose exponent tuple satisfies ``pred``."""
-        return TruncatedSeries(self.ctx, {e: c for e, c in self.terms.items() if pred(e)})
+        return _admitted(self.ctx, {e: c for e, c in self.terms.items() if pred(e)})
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -230,8 +252,15 @@ class TruncatedSeries:
 
     # --- ring operations ------------------------------------------------
 
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.ctx == other.ctx and self.terms == other.terms
+
+    __hash__ = None
+
     def _check(self, other: "TruncatedSeries"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise SeriesError("series context mismatch")
 
     def __add__(self, other):
@@ -239,14 +268,15 @@ class TruncatedSeries:
             other = self.ctx.constant(other)
         self._check(other)
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(self.ctx, out)
+            out[e] = get(e, 0) + c
+        return _admitted(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _admitted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
@@ -261,24 +291,26 @@ class TruncatedSeries:
             return TruncatedSeries(self.ctx, {e: v * other for e, v in self.terms.items()})
         self._check(other)
         ctx = self.ctx
-        cap = ctx.cap
-        wd = ctx.weighted_degree
-        a = sorted(self.terms.items(), key=lambda t: wd(t[0]))
-        b = sorted(other.terms.items(), key=lambda t: wd(t[0]))
-        if not a or not b:
-            return ctx.zero()
-        bmin = wd(b[0][0])
+        w = ctx.weights
+        # (weighted degree, exponent, coefficient), lowest degree first
+        a = sorted([(sum(map(mul, e, w)), e, c) for e, c in self.terms.items()])
+        b = sorted([(sum(map(mul, e, w)), e, c) for e, c in other.terms.items()])
         out: dict[tuple[int, ...], complex] = {}
-        for ea, ca in a:
-            da = wd(ea)
-            if da + bmin > cap:
+        if not a or not b:
+            return _admitted(ctx, out)
+        cap = ctx.cap
+        bmin = b[0][0]
+        get = out.get
+        for da, ea, ca in a:
+            room = cap - da
+            if bmin > room:
                 break
-            for eb, cb in b:
-                if da + wd(eb) > cap:
+            for db, eb, cb in b:
+                if db > room:
                     break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return TruncatedSeries(ctx, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        return _admitted(ctx, out)
 
     __rmul__ = __mul__
 
@@ -305,7 +337,7 @@ class TruncatedSeries:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
-        return TruncatedSeries(self.ctx, out)
+        return _admitted(self.ctx, out)
 
     def shift_exponent(self, var: str, k: int) -> "TruncatedSeries":
         """Multiply by var**k at the exponent level (k may be negative
@@ -461,6 +493,8 @@ def exp_second_order(s: TruncatedSeries,
     ctx = s.ctx
     ih = ctx.index(HBAR)
     idx = [(ctx.index(a), ctx.index(b), complex(c)) for a, b, c in pairs if c]
+    if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
+        raise SeriesError("exp_second_order contracts weight-1 variables only")
     out = dict(s.terms)
     term = s.terms
     k = 0
@@ -477,10 +511,10 @@ def exp_second_order(s: TruncatedSeries,
                     e2[ih] += 1
                     key = tuple(e2)
                     nxt[key] = nxt.get(key, 0) + c * (w * mult / k)
-        term = TruncatedSeries(ctx, nxt).terms
+        term = _admitted(ctx, nxt).terms
         for e, c in term.items():
             out[e] = out.get(e, 0) + c
-    return TruncatedSeries(ctx, out)
+    return _admitted(ctx, out)
 
 
 def is_singular(M, eps: float) -> bool:
@@ -507,41 +541,59 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
             raise SeriesError("images live in different contexts")
     if ctx is None:
         ctx = f.ctx
-    full: dict[str, TruncatedSeries] = {}
     for v in f.ctx.variables:
         if v in images:
             g = images[v]
             if abs(g.constant_term()) > g.ctx.eps:
                 raise SeriesError(f"image of {v!r} has nonzero constant term")
-            full[v] = g
         else:
-            full[v] = ctx.variable(v)
+            ctx.index(v)  # an unlisted variable substitutes as itself, so ctx must have it
     # positive powers computed lazily per variable
-    pow_cache: dict[str, list[TruncatedSeries]] = {v: [ctx.one(), g] for v, g in full.items()}
+    pow_cache: dict[str, list[TruncatedSeries]] = {}
 
     def power(v: str, k: int) -> TruncatedSeries:
-        cache = pow_cache[v]
+        cache = pow_cache.get(v)
+        if cache is None:
+            cache = pow_cache[v] = [None, images[v] if v in images else ctx.variable(v)]
         while len(cache) <= k:
             cache.append(cache[-1] * cache[1])
         return cache[k]
 
-    out = ctx.zero()
+    zero = (0,) * len(ctx.variables)
+    out: dict[tuple[int, ...], complex] = {}
+    get = out.get
     for e, c in f.terms.items():
-        term = ctx.constant(c)
+        term = _admitted(ctx, {zero: c})
         for v, p in zip(f.ctx.variables, e):
             if p == 0:
                 continue
             if p < 0:
-                img = full[v]
-                if img.terms == ctx.variable(v).terms:
-                    term = term.shift_exponent(v, p)
-                    continue
-                raise SeriesError("cannot compose through negative powers")
+                if v in images and images[v].terms != ctx.variable(v).terms:
+                    raise SeriesError("cannot compose through negative powers")
+                term = term.shift_exponent(v, p)
+                continue
             term = term * power(v, p)
             if term.is_zero():
                 break
-        out = out + term
-    return out
+        for e2, c2 in term.terms.items():
+            out[e2] = get(e2, 0) + c2
+    return _admitted(ctx, out)
+
+
+def linear_combination(ctx: SeriesContext,
+                       pairs: Iterable[tuple[TruncatedSeries, complex]]) -> TruncatedSeries:
+    """``sum(scalar * series)`` over ``(series, scalar)`` in ``pairs``,
+    accumulated in one term map; every series must live in ``ctx``."""
+    out: dict[tuple[int, ...], complex] = {}
+    get = out.get
+    for s, k in pairs:
+        if s.ctx is not ctx and s.ctx != ctx:
+            raise SeriesError("series context mismatch")
+        if k.__class__ not in _KEPT:
+            k = complex(k)
+        for e, c in s.terms.items():
+            out[e] = get(e, 0) + c * k
+    return _admitted(ctx, out)
 
 
 def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeries]:
@@ -578,14 +630,14 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
     Ainv = np.linalg.inv(A)
 
     def linear_solve(vec: list[TruncatedSeries]) -> dict[str, TruncatedSeries]:
-        return {v: sum((vec[j] * Ainv[i, j] for j in range(m)), ctx.zero())
-                for i, v in enumerate(names)}
+        return {v: linear_combination(ctx, zip(vec, Ainv[i])) for i, v in enumerate(names)}
 
     # residual part g_{>=2}
     higher = {}
     for v in names:
         g = images[v]
-        lin = sum((ctx.variable(w) * g.coefficient({w: 1}) for w in names), ctx.zero())
+        lin = linear_combination(ctx, [(ctx.variable(w), g.coefficient({w: 1}))
+                                       for w in names])
         higher[v] = g - lin
 
     h = linear_solve([ctx.variable(v) for v in names])
@@ -695,15 +747,17 @@ class OscillatoryScalar:
             "i_power": self.i_power,
             "laurent": [{"k": k, "re": c.real, "im": c.imag}
                         for k, c in sorted(self.laurent.items())],
+            "cap": self.cap,
+            "eps": self.eps,
         }
 
     @staticmethod
-    def from_json(data: dict, cap: int = 16, eps: float = DEFAULT_EPS) -> "OscillatoryScalar":
+    def from_json(data: dict) -> "OscillatoryScalar":
         expo = data["exponent"]
         if isinstance(expo, dict):
             expo = Fraction(expo["num"], expo["den"])
         lau = {int(t["k"]): complex(t["re"], t["im"]) for t in data["laurent"]}
-        return OscillatoryScalar(expo, lau, data.get("i_power", 0), cap, eps)
+        return OscillatoryScalar(expo, lau, data.get("i_power", 0), data["cap"], data["eps"])
 
     def __repr__(self):
         return (f"<osc exp={self.exponent} i^{self.i_power} "

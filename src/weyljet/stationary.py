@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, exp_second_order, is_singular)
+                     compose, exp_second_order, is_singular, linear_combination)
 
 
 class DegenerateHessianError(SeriesError):
@@ -164,20 +164,13 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
 
     # critical point z*(params) by jet iteration
     grad = [phase.diff(v) for v in z_vars]
-    n = len(z_vars)
     Qinv = np.linalg.inv(Q)
-    zero_map = {v: ctx.zero() for v in z_vars}
-    zstar = dict(zero_map)
+    zstar = {v: ctx.zero() for v in z_vars}
     for _ in range(ctx.cap + 1):
         gvals = [compose(g, zstar) for g in grad]
         # Newton step with the constant Hessian: z <- z - Q^{-1} grad(z)
-        new = {}
-        for i, v in enumerate(z_vars):
-            delta = ctx.zero()
-            for j in range(n):
-                delta = delta + gvals[j] * Qinv[i, j]
-            new[v] = zstar[v] - delta
-        zstar = new
+        zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
+                 for i, v in enumerate(z_vars)}
     for i, v in enumerate(z_vars):
         check = compose(grad[i], zstar)
         if check.max_abs() > 1e3 * ctx.eps:
@@ -277,28 +270,3 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
     G, pref2, b, _ = fiber_stationary_phase(phase, aj, variables)
     back = {d: v for v, d in zip(variables, duals)}
     return G.map_vars(back, ctx), pref2, b.map_vars(back, ctx)
-
-
-# --- numerical oracle --------------------------------------------------------
-
-
-def numeric_gaussian_constant(k: float, hbar: float) -> complex:
-    """Adaptive quadrature of ``(2 pi h)^{-1/2} Int exp(i k x^2 / 2h) dx``.
-
-    Independent check for the branch of the formal Gaussian rule.
-    """
-    from scipy.integrate import quad
-
-    c = abs(k) / (2.0 * hbar)
-    # substitute u = x^2:  Int_R = Int_0^inf u^{-1/2} (cos(cu) + i sin(cu)) du
-    def density(u):
-        return 1.0 / math.sqrt(u)
-
-    re_head, _ = quad(lambda u: density(u) * math.cos(c * u), 0.0, 1.0, limit=400)
-    im_head, _ = quad(lambda u: density(u) * math.sin(c * u), 0.0, 1.0, limit=400)
-    re_tail, _ = quad(density, 1.0, np.inf, weight="cos", wvar=c, limit=400)
-    im_tail, _ = quad(density, 1.0, np.inf, weight="sin", wvar=c, limit=400)
-    total = (re_head + re_tail) + 1j * (im_head + im_tail)
-    if k < 0:
-        total = total.conjugate()
-    return total / math.sqrt(2.0 * math.pi * hbar)

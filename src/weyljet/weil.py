@@ -94,7 +94,7 @@ class GaussianJet:
     def from_json(data: dict) -> "GaussianJet":
         amp = TruncatedSeries.from_json(data["amplitude"])
         T = np.array([[complex(a, b) for a, b in row] for row in data["T"]])
-        scal = OscillatoryScalar.from_json(data["scalar"], cap=amp.ctx.cap, eps=amp.ctx.eps)
+        scal = OscillatoryScalar.from_json(data["scalar"])
         return GaussianJet(data["mode"], T, amp, scal)
 
     def __repr__(self):

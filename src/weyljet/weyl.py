@@ -359,6 +359,7 @@ class KGroupElement:
         if is_singular(a, ctx.eps):
             raise SeriesError("non-invertible linear part")
         self.linear = a
+        self._factor = None  # half density times exp(q), made on the first act
 
     @staticmethod
     def identity(algebra: WeylAlgebra) -> "KGroupElement":
@@ -391,11 +392,12 @@ class KGroupElement:
         for kv in A.xi:
             if f.depends_on(kv):
                 raise SeriesError("K acts on position-jet series")
-        moved = compose(f, self.images)
-        out = moved * self.half_density_factor()
-        if not self.q.is_zero():
-            out = out * self.q.exp()
-        return out
+        if self._factor is None:
+            factor = self.half_density_factor()
+            if not self.q.is_zero():
+                factor = factor * self.q.exp()
+            self._factor = factor
+        return compose(f, self.images) * self._factor
 
     def inverse(self) -> "KGroupElement":
         inv_images = invert_map(self.images)

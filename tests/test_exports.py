@@ -4,6 +4,8 @@ definition cannot leave a dangling export or import behind."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import weyljet
@@ -26,3 +28,13 @@ def test_advertised_and_imported_names_resolve():
     missing += [f"{path}: {module}.{name}" for path, module, name in weyljet_imports()
                 if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_import_needs_no_scipy():
+    # scipy is a test dependency only: importing the package must not load it
+    src = str(Path(weyljet.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weyljet; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

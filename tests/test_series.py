@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyljet.series import (OscillatoryScalar, SeriesContext, SeriesError,
-                            TruncatedSeries, compose, invert_map, is_singular)
+                            TruncatedSeries, compose, exp_second_order, invert_map,
+                            is_singular, linear_combination)
 
 
 def ctx1(cap=6, **kw):
@@ -177,6 +178,8 @@ def test_laurent_guard_and_shift():
     plain = SeriesContext(["u1", "h"], [1, 2], 4)
     with pytest.raises(SeriesError):
         TruncatedSeries(plain, {(0, -1): 1.0})
+    with pytest.raises(SeriesError, match="arity"):
+        TruncatedSeries(plain, {(1, 0, 0): 1.0})
 
 
 def test_exp_requires_positive_degree():
@@ -232,6 +235,21 @@ def test_oscillatory_scalar_multiplication():
     assert prod.coefficient(1) == 2.0
     exact = OscillatoryScalar(1) * OscillatoryScalar(2)
     assert exact.exact and exact.exponent == 3
+
+
+def test_oscillatory_scalar_json_keeps_cap_and_eps():
+    s = OscillatoryScalar(0, {-10: 1}, cap=24, eps=1e-12)
+    back = OscillatoryScalar.from_json(json.loads(json.dumps(s.to_json())))
+    assert (back.cap, back.eps, back.laurent) == (24, 1e-12, {-10: 1 + 0j})
+    assert back.exact and back.exponent == 0
+
+
+def test_oscillatory_scalar_drops_powers_beyond_half_the_cap():
+    # h^k is kept while |2k| <= cap, for negative and positive k alike
+    s = OscillatoryScalar(0, {-5: 1, -4: 2, 4: 3, 5: 4}, cap=8)
+    assert s.laurent == {-4: 2, 4: 3}
+    prod = s * OscillatoryScalar(0, {-1: 1, 1: 1}, cap=8)
+    assert prod.laurent == {-3: 2, 3: 3}
 
 
 def test_oscillatory_i_power():
@@ -308,3 +326,131 @@ def test_coefficient_types_and_exact_zeros():
     assert type(mixed.coefficient({"y": 1})) is complex
     assert type(mixed.coefficient({"x": 1})) is Fraction
     assert type((s * 1.5).coefficient({"x": 1})) is complex
+
+
+# --- trusted construction ---------------------------------------------------------
+
+TRUSTED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def laurent_ctx(n, cap):
+    return SeriesContext([f"u{i + 1}" for i in range(n)] + ["h"], [1] * n + [2], cap,
+                         laurent={"h"})
+
+
+@st.composite
+def coefficient(draw):
+    if draw(st.booleans()):
+        return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+
+
+@st.composite
+def laurent_series(draw, ctx, min_degree=None):
+    """A series with h^-1, h^0 and h^1 terms, built by the validating constructor."""
+    n = len(ctx.variables) - 1
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = tuple(draw(st.integers(0, 3)) for _ in range(n)) + (draw(st.integers(-1, 1)),)
+        terms[exp] = draw(coefficient())
+    s = TruncatedSeries(ctx, terms)
+    if min_degree is not None:
+        s = s.filter_terms(lambda e: ctx.weighted_degree(e) >= min_degree)
+    return s
+
+
+@st.composite
+def series_pair(draw):
+    ctx = laurent_ctx(draw(st.integers(1, 2)), draw(st.integers(3, 6)))
+    return ctx, draw(laurent_series(ctx)), draw(laurent_series(ctx))
+
+
+def assert_admitted(r):
+    """Full validation of ``r``'s terms would change nothing."""
+    v = TruncatedSeries(r.ctx, r.terms)
+    assert v.terms == r.terms
+    assert all(type(v.terms[e]) is type(c) for e, c in r.terms.items())
+
+
+def assert_near(a, b):
+    assert a.ctx == b.ctx
+    assert a.distance(b) <= 1e-12 * max(1.0, a.max_abs(), b.max_abs())
+
+
+def compose_by_partial_sums(f, images):
+    """``compose`` as the sum ``out = out + term`` over the terms of f."""
+    ctx = f.ctx
+    out = ctx.zero()
+    for e, c in f.terms.items():
+        term = ctx.constant(c)
+        for v, p in zip(ctx.variables, e):
+            if p < 0:
+                term = term.shift_exponent(v, p)
+            elif p > 0:
+                term = term * images.get(v, ctx.variable(v)) ** p
+        out = out + term
+    return out
+
+
+@TRUSTED
+@given(series_pair(), st.data())
+def test_closed_operations_return_admitted_series(fg, data):
+    ctx, f, g = fg
+    u = [v for v in ctx.variables if v != "h"]
+    pairs = [(a, b, 0.5j) for i, a in enumerate(u) for b in u[i:]]
+    images = {v: data.draw(laurent_series(ctx, min_degree=1)) for v in u}
+    results = [f * g, f + g, f - g, -f, g - 3, 1 + f,
+               f.filter_terms(lambda e: e[-1] >= 0), f.graded_component(2),
+               exp_second_order(f, pairs), compose(f, images),
+               linear_combination(ctx, [(f, Fraction(2, 3)), (g, 0.5),
+                                        (f * g, np.complex128(1j))])]
+    results += [f.diff(v) for v in ctx.variables]
+    for r in results:
+        assert_admitted(r)
+
+
+@TRUSTED
+@given(series_pair())
+def test_product_matches_all_pairs_through_the_constructor(fg):
+    ctx, f, g = fg
+    naive = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            naive[e] = naive.get(e, 0) + ca * cb
+    assert_near(f * g, TruncatedSeries(ctx, naive))
+
+
+@TRUSTED
+@given(series_pair(), st.data())
+def test_compose_matches_partial_sums(fg, data):
+    ctx, f, _ = fg
+    images = {v: data.draw(laurent_series(ctx, min_degree=1))
+              for v in ctx.variables if v != "h"}
+    assert_near(compose(f, images), compose_by_partial_sums(f, images))
+
+
+def test_linear_combination_checks_contexts():
+    a, b = laurent_ctx(1, 4), laurent_ctx(2, 4)
+    with pytest.raises(SeriesError):
+        linear_combination(a, [(a.one(), 1), (b.one(), 1)])
+    s = linear_combination(a, [(a.variable("u1"), 0.5), (a.one(), 2)])
+    assert s == a.from_terms({(1, 0): 0.5, (0, 0): 2})
+    assert type(s.coefficient((0, 0))) is int
+
+
+def test_exp_second_order_contracts_weight_one_variables_only():
+    c = laurent_ctx(1, 4)
+    for pair in (("u1", "h", 1), ("h", "h", 1)):
+        with pytest.raises(SeriesError, match="weight-1"):
+            exp_second_order(c.variable("u1"), [pair])
+
+
+def test_series_value_equality_and_unhashable():
+    c = laurent_ctx(1, 4)
+    s = c.from_terms({(1, -1): Fraction(1, 2)})
+    assert s == c.from_terms({(1, -1): 0.5}) and s != s * 2
+    assert s != laurent_ctx(1, 5).from_terms(s.terms)
+    assert s != s.terms
+    with pytest.raises(TypeError):
+        hash(s)

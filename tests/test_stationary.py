@@ -4,13 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from weyljet.series import SeriesContext, SeriesError
 from weyljet.stationary import (DegenerateHessianError, fiber_stationary_phase,
                                 gaussian_moment, gaussian_prefactor,
                                 hessian_matrix, legendre_transform,
-                                numeric_gaussian_constant, pairing_count,
-                                stationary_phase)
+                                pairing_count, stationary_phase)
 
 
 def yctx(cap=8, nvars=1):
@@ -70,6 +70,26 @@ def test_prefactor_complex_continuity():
         lim = gaussian_prefactor([[k + 1e-9j]])
         real = gaussian_prefactor([[k]])
         assert abs(lim - real) < 1e-6
+
+
+def numeric_gaussian_constant(k: float, hbar: float) -> complex:
+    """Adaptive quadrature of ``(2 pi h)^{-1/2} Int exp(i k x^2 / 2h) dx``.
+
+    Independent check for the branch of the formal Gaussian rule.
+    """
+    c = abs(k) / (2.0 * hbar)
+    # substitute u = x^2:  Int_R = Int_0^inf u^{-1/2} (cos(cu) + i sin(cu)) du
+    def density(u):
+        return 1.0 / math.sqrt(u)
+
+    re_head, _ = quad(lambda u: density(u) * math.cos(c * u), 0.0, 1.0, limit=400)
+    im_head, _ = quad(lambda u: density(u) * math.sin(c * u), 0.0, 1.0, limit=400)
+    re_tail, _ = quad(density, 1.0, np.inf, weight="cos", wvar=c, limit=400)
+    im_tail, _ = quad(density, 1.0, np.inf, weight="sin", wvar=c, limit=400)
+    total = (re_head + re_tail) + 1j * (im_head + im_tail)
+    if k < 0:
+        total = total.conjugate()
+    return total / math.sqrt(2.0 * math.pi * hbar)
 
 
 def test_prefactor_numerical_oracle():
