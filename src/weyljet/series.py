@@ -14,17 +14,19 @@ Coefficients are complex floats, or exact rationals (``int`` and
 coefficients is a polynomial ring over the rationals.
 
 Admission contract: the public constructors (``TruncatedSeries(ctx,
-terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``,
-``map_vars`` and scalar ``*``) check arity, the cap, the Laurent signs
-and the coefficient type of every term.  Operations closed over admitted
-terms (series ``*``, ``+``, ``-``, ``diff``, ``filter_terms``,
-``graded_component``, ``exp_second_order``, ``compose`` and
+terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``
+and ``map_vars``) check arity, the cap, the Laurent signs and the
+coefficient type of every term.  Operations closed over admitted terms
+(``*``, ``+``, ``-``, ``diff``, ``filter_terms``, ``graded_component``,
+``exp_second_order``, ``contract_product``, ``compose`` and
 ``linear_combination``) trust their operands and only drop zero and
-sub-``eps`` coefficients of their result.
+sub-``eps`` coefficients of their result; a scalar factor is converted
+once, as the constructors convert coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -125,13 +127,6 @@ class SeriesContext:
     def with_cap(self, cap: int) -> "SeriesContext":
         return SeriesContext(self.variables, self.weights, cap, self.eps,
                              self.laurent)
-
-    def extended(self, variables: Sequence[str], weights: Sequence[int],
-                 laurent: Iterable[str] = ()) -> "SeriesContext":
-        return SeriesContext(self.variables + tuple(variables),
-                             self.weights + tuple(weights),
-                             self.cap, self.eps,
-                             self.laurent | frozenset(laurent))
 
 
 # coefficient types stored as given; any other scalar is stored as complex
@@ -288,7 +283,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
-            return TruncatedSeries(self.ctx, {e: v * other for e, v in self.terms.items()})
+            if other.__class__ not in _KEPT:
+                other = complex(other)
+            return _admitted(self.ctx, {e: v * other for e, v in self.terms.items()})
         self._check(other)
         ctx = self.ctx
         w = ctx.weights
@@ -514,6 +511,81 @@ def exp_second_order(s: TruncatedSeries,
         term = _admitted(ctx, nxt).terms
         for e, c in term.items():
             out[e] = out.get(e, 0) + c
+    return _admitted(ctx, out)
+
+
+@functools.cache
+def _ladder(p: int, q: int) -> tuple[int, ...]:
+    """``C(p, k) * q (q - 1) ... (q - k + 1)`` for ``k = 0 .. min(p, q)``."""
+    out = [1]
+    for k in range(1, min(p, q) + 1):
+        out.append(out[-1] * (p - k + 1) * (q - k + 1) // k)
+    return tuple(out)
+
+
+def contract_product(f: TruncatedSeries, g: TruncatedSeries,
+                     pairs: Iterable[tuple[str, str, complex]]) -> TruncatedSeries:
+    """``exp(h sum c d_a d_b) f(x) g(y)`` at ``y = x``, over ``(a, b, c)``
+    in ``pairs``: ``d_a`` differentiates ``f`` alone and ``d_b`` ``g`` alone.
+
+    On a pair of monomials with ``a``-exponent ``p`` in ``f`` and
+    ``b``-exponent ``q`` in ``g``, one pair contributes
+    ``sum_k c^k C(p, k) (q)_k h^k`` times the product with both exponents
+    lowered by ``k``.  ``a`` and ``b`` are weight-1 variables, and no
+    variable is named twice on one side, so the pairs act independently
+    and each term keeps the weighted degree of its monomial pair: the
+    product is exact up to the cap, inverse powers of ``h`` included.
+    """
+    f._check(g)
+    ctx = f.ctx
+    ih = ctx.index(HBAR)
+    idx = [(ctx.index(a), ctx.index(b), c if c.__class__ in _KEPT else complex(c))
+           for a, b, c in pairs if c]
+    if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
+        raise SeriesError("contract_product contracts weight-1 variables only")
+    if len({i for i, _, _ in idx}) < len(idx) or len({j for _, j, _ in idx}) < len(idx):
+        raise SeriesError("contract_product names a variable twice on one side")
+    w = ctx.weights
+    # (weighted degree, exponent, coefficient, contracted exponents), lowest
+    # degree first; f lists its nonzero ones by pair, g all of them
+    a = sorted([(sum(map(mul, e, w)), e, c,
+                 [(t, e[i]) for t, (i, _, _) in enumerate(idx) if e[i]])
+                for e, c in f.terms.items()])
+    b = sorted([(sum(map(mul, e, w)), e, c, [e[j] for _, j, _ in idx])
+                for e, c in g.terms.items()])
+    out: dict[tuple[int, ...], complex] = {}
+    if not a or not b:
+        return _admitted(ctx, out)
+    cap = ctx.cap
+    bmin = b[0][0]
+    get = out.get
+    for da, ea, ca, ps in a:
+        room = cap - da
+        if bmin > room:
+            break
+        for db, eb, cb, qs in b:
+            if db > room:
+                break
+            terms = [(tuple(map(add, ea, eb)), ca * cb)]
+            for t, p in ps:
+                q = qs[t]
+                if not q:
+                    continue
+                i, j, c = idx[t]
+                ladder = _ladder(p, q)
+                grown = []
+                for e, ce in terms:
+                    e2 = list(e)
+                    ck = 1
+                    for k in range(1, len(ladder)):
+                        e2[i] -= 1
+                        e2[j] -= 1
+                        e2[ih] += 1
+                        ck *= c
+                        grown.append((tuple(e2), ce * (ck * ladder[k])))
+                terms += grown
+            for e, ce in terms:
+                out[e] = get(e, 0) + ce
     return _admitted(ctx, out)
 
 

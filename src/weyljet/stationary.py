@@ -119,12 +119,12 @@ def gaussian_prefactor(Q, eps: float = 1e-9) -> complex:
 
 def quadratic_series(ctx: SeriesContext, Q, variables: Sequence[str]) -> TruncatedSeries:
     """Build ``(1/2) z.Qz`` as a series over the named variables."""
-    out = ctx.zero()
+    terms = []
     for i, a in enumerate(variables):
-        out = out + ctx.monomial({a: 2}, complex(Q[i][i]) / 2.0)
-        for j in range(i + 1, len(variables)):
-            out = out + ctx.monomial({a: 1, variables[j]: 1}, Q[i][j])
-    return out
+        terms.append((ctx.monomial({a: 2}), complex(Q[i][i]) / 2.0))
+        terms += [(ctx.monomial({a: 1, b: 1}), Q[i][j])
+                  for j, b in enumerate(variables) if j > i]
+    return linear_combination(ctx, terms)
 
 
 def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
@@ -168,13 +168,15 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     zstar = {v: ctx.zero() for v in z_vars}
     for _ in range(ctx.cap + 1):
         gvals = [compose(g, zstar) for g in grad]
+        if not any(gvals):
+            break  # a zero gradient leaves z* fixed from here on
         # Newton step with the constant Hessian: z <- z - Q^{-1} grad(z)
         zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
                  for i, v in enumerate(z_vars)}
-    for i, v in enumerate(z_vars):
-        check = compose(grad[i], zstar)
-        if check.max_abs() > 1e3 * ctx.eps:
-            raise SeriesError("critical point iteration did not converge")
+    else:  # every pass ran: the residual at the last z*
+        gvals = [compose(g, zstar) for g in grad]
+    if any(g.max_abs() > 1e3 * ctx.eps for g in gvals):
+        raise SeriesError("critical point iteration did not converge")
 
     reduced = compose(phase, zstar)
 

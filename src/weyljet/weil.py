@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, OscillatoryScalar, SeriesContext, SeriesError,
-                     TruncatedSeries, compose, is_singular)
+                     TruncatedSeries, compose, is_singular, linear_combination)
 from .stationary import fiber_stationary_phase, quadratic_series
 
 
@@ -168,13 +168,10 @@ def act_gl(B, jet: GaussianJet) -> GaussianJet:
     T2 = Binv.T @ jet.T @ Binv
     T2 = (T2 + T2.T) / 2
     uvars = jet.vars()
-    images = {}
-    for j, vj in enumerate(uvars):
-        s = jet.ctx.zero()
-        for i, vi in enumerate(uvars):
-            if abs(Binv[j, i]) > 1e-15:
-                s = s + jet.ctx.variable(vi) * Binv[j, i]
-        images[vj] = s
+    images = {vj: linear_combination(jet.ctx, [(jet.ctx.variable(vi), Binv[j, i])
+                                               for i, vi in enumerate(uvars)
+                                               if abs(Binv[j, i]) > 1e-15])
+              for j, vj in enumerate(uvars)}
     amp = compose(jet.amplitude, images)
     scal = jet.scalar * (abs(np.linalg.det(Bm)) ** -0.5)
     return jet.with_parts(T=T2, amplitude=amp, scalar=scal)

@@ -17,7 +17,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .series import (HBAR, SeriesContext, SeriesError, TruncatedSeries, compose,
-                     exp_second_order, invert_map, is_singular)
+                     contract_product, exp_second_order, invert_map, is_singular,
+                     linear_combination)
 
 
 class NonTerminatingAdError(SeriesError):
@@ -34,12 +35,6 @@ class WeylAlgebra:
         self.ctx = SeriesContext(self.x + self.xi + (HBAR,), [1] * (2 * n) + [2],
                                  cap, eps, laurent={HBAR})
         self._ext: dict[int, "WeylAlgebra"] = {}
-        # a second copy (y, w) of the jets (u, v), for bilinear operations
-        self._y = tuple(f"_y{i+1}" for i in range(n))
-        self._w = tuple(f"_w{i+1}" for i in range(n))
-        self._to_copy = dict(zip(self.x + self.xi, self._y + self._w))
-        self._from_copy = {c: v for v, c in self._to_copy.items()}
-        self._pair_ctx = self.ctx.extended(self._y + self._w, [1] * (2 * n))
 
     @property
     def cap(self):
@@ -70,30 +65,20 @@ class WeylAlgebra:
     def hbar(self, power=1):
         return self.ctx.variable(HBAR, power)
 
-    def _on_diagonal(self, f: TruncatedSeries, g: TruncatedSeries,
-                     pairs) -> TruncatedSeries:
-        """exp(h sum c d_a d_b) f(u, v) g(y, w) at y = u, w = v, with the
-        pairs (a, b, c) naming g's jets by their copies y, w."""
+    def _contract(self, f: TruncatedSeries, g: TruncatedSeries, pairs) -> TruncatedSeries:
+        """``contract_product`` of two elements of this algebra."""
         if f.ctx != self.ctx or g.ctx != self.ctx:
             raise SeriesError("cap/context mismatch in bilinear product")
-        D = self._pair_ctx
-        fg = f.map_vars({}, D) * g.map_vars(self._to_copy, D)
-        return exp_second_order(fg, pairs).map_vars(self._from_copy, self.ctx)
+        return contract_product(f, g, pairs)
 
 
-def _multi_indices(n: int, max_total: int):
-    for total in range(max_total + 1):
-        for cut in itertools.combinations(range(total + n - 1), n - 1) if n > 1 else [()]:
-            if n == 1:
-                yield (total,)
-                break
-            prev = -1
-            parts = []
-            for c in cut:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(total + n - 2 - prev)
-            yield tuple(parts)
+def _multi_indices(n: int, total: int):
+    """Every multi-index of ``n`` entries summing to ``total``, once each."""
+    for picks in itertools.combinations_with_replacement(range(n), total):
+        alpha = [0] * n
+        for i in picks:
+            alpha[i] += 1
+        yield tuple(alpha)
 
 
 def _factorial_multi(alpha):
@@ -106,13 +91,14 @@ def _factorial_multi(alpha):
 def moyal_star(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Moyal product of Weyl symbols, truncated at the cap.
 
-    exp((ih/2)(d_xi . d_y - d_eta . d_x)) f(x, xi) g(y, eta) on the
-    diagonal; the copies _y, _w of the jets carry (y, eta).  Exact up to
-    the cap, inverse powers of h included.
+    exp((ih/2)(d_v . d_u' - d_u . d_v')) f(u, v) g(u', v') on the
+    diagonal, with the primed derivatives acting on g, contracted monomial
+    pair by monomial pair.  Exact up to the cap, inverse powers of h
+    included.
     """
-    pairs = ([(v, y, 0.5j) for v, y in zip(A.xi, A._y)]
-             + [(u, w, -0.5j) for u, w in zip(A.x, A._w)])
-    return A._on_diagonal(f, g, pairs)
+    pairs = ([(v, u, 0.5j) for u, v in zip(A.x, A.xi)]
+             + [(u, v, -0.5j) for u, v in zip(A.x, A.xi)])
+    return A._contract(f, g, pairs)
 
 
 def commutator(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -122,10 +108,10 @@ def commutator(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> Trunca
 def poisson_bracket(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """{f,g} = d_xi f . d_x g - d_x f . d_xi g, the classical bracket with
     {x, xi} = -1 under the product sign convention."""
-    out = A.zero()
+    terms = []
     for xv, kv in zip(A.x, A.xi):
-        out = out + f.diff(kv) * g.diff(xv) - f.diff(xv) * g.diff(kv)
-    return out
+        terms += [(f.diff(kv) * g.diff(xv), 1), (f.diff(xv) * g.diff(kv), -1)]
+    return linear_combination(A.ctx, terms)
 
 
 # --- Weyl quantization: normal-ordered operator forms -------------------------
@@ -154,10 +140,10 @@ class NormalOperator:
         return self._mixing(self.algebra, self.symbol, -1.0)
 
     def compose(self, other: "NormalOperator") -> "NormalOperator":
-        # exp(ih d_v . d_y) a(u, v) b(y, w) on the diagonal
+        # exp(ih d_v . d_u') a(u, v) b(u', v') on the diagonal
         A = self.algebra
-        pairs = [(v, y, 1j) for v, y in zip(A.xi, A._y)]
-        return NormalOperator(A, A._on_diagonal(self.symbol, other.symbol, pairs))
+        pairs = [(v, u, 1j) for u, v in zip(A.x, A.xi)]
+        return NormalOperator(A, A._contract(self.symbol, other.symbol, pairs))
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         """Apply to a series in the position jets (and h): the momentum-free
@@ -191,8 +177,6 @@ def operator_from_action(A: WeylAlgebra, action: Callable[[TruncatedSeries], Tru
     N = NormalOperator(A, ctx.zero())
     for order in range(max_order + 1):
         for gamma in _multi_indices(A.n, order):
-            if sum(gamma) != order:
-                continue
             mono = ctx.monomial({v: g for v, g in zip(A.x, gamma)}, 1.0)
             residual = action(mono) - N.apply(mono)
             if residual.is_zero():

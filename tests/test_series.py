@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyljet.series import (OscillatoryScalar, SeriesContext, SeriesError,
-                            TruncatedSeries, compose, exp_second_order, invert_map,
-                            is_singular, linear_combination)
+                            TruncatedSeries, compose, contract_product, exp_second_order,
+                            invert_map, is_singular, linear_combination)
 
 
 def ctx1(cap=6, **kw):
@@ -402,9 +402,13 @@ def test_closed_operations_return_admitted_series(fg, data):
     results = [f * g, f + g, f - g, -f, g - 3, 1 + f,
                f.filter_terms(lambda e: e[-1] >= 0), f.graded_component(2),
                exp_second_order(f, pairs), compose(f, images),
+               contract_product(f, g, pairs[:1]),
+               contract_product(f, g, [(a, b, Fraction(1, 2)) for a, b in zip(u, u[::-1])]),
                linear_combination(ctx, [(f, Fraction(2, 3)), (g, 0.5),
                                         (f * g, np.complex128(1j))])]
     results += [f.diff(v) for v in ctx.variables]
+    results += [s * k for s in (f, ctx.constant(3))
+                for k in (2, Fraction(1, 3), 0.5, 1.5j, np.float64(0.25))]
     for r in results:
         assert_admitted(r)
 
@@ -454,3 +458,16 @@ def test_series_value_equality_and_unhashable():
     assert s != s.terms
     with pytest.raises(TypeError):
         hash(s)
+
+
+def test_contract_product_checks_contexts_and_weights():
+    c = laurent_ctx(2, 4)
+    u1, u2 = c.variable("u1"), c.variable("u2")
+    with pytest.raises(SeriesError, match="context mismatch"):
+        contract_product(u1, laurent_ctx(2, 5).variable("u1"), [("u1", "u1", 1)])
+    with pytest.raises(SeriesError, match="weight-1"):
+        contract_product(u1, u1, [("u1", "h", 1)])
+    with pytest.raises(SeriesError, match="twice"):
+        contract_product(u1, u2, [("u1", "u1", 1), ("u1", "u2", 1)])
+    # d_u1 of u1 times d_u2 of u2 contracts to h
+    assert contract_product(u1, u2, [("u1", "u2", 1)]) == u1 * u2 + c.variable("h")

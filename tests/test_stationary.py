@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weyljet.series import SeriesContext, SeriesError
+from weyljet.series import SeriesContext, SeriesError, compose, linear_combination
 from weyljet.stationary import (DegenerateHessianError, fiber_stationary_phase,
                                 gaussian_moment, gaussian_prefactor,
                                 hessian_matrix, legendre_transform,
@@ -211,3 +211,32 @@ def test_hessian_matrix_extraction():
     F = c.monomial({"y1": 2}, 1.0) + c.monomial({"y1": 1, "y2": 1}, 3.0)
     Q = hessian_matrix(F, ["y1", "y2"])
     assert np.allclose(Q, np.array([[2.0, 3.0], [3.0, 0.0]]))
+
+
+def critical_point_full_loop(phase, z_vars):
+    """The critical-point iteration of fiber_stationary_phase run for all
+    cap + 1 Newton passes, with no early exit."""
+    ctx = phase.ctx
+    grad = [phase.diff(v) for v in z_vars]
+    Qinv = np.linalg.inv(hessian_matrix(phase, z_vars))
+    zstar = {v: ctx.zero() for v in z_vars}
+    for _ in range(ctx.cap + 1):
+        gvals = [compose(g, zstar) for g in grad]
+        zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
+                 for i, v in enumerate(z_vars)}
+    return zstar
+
+
+def test_critical_point_early_exit_matches_full_loop():
+    c = SeriesContext(["z1", "z2", "u1", "u2", "h"], [1, 1, 1, 1, 2], 8, laurent={"h"})
+    T = [[1.0 + 0.5j, 0.3], [0.3, -2.0 + 1.0j]]
+    quadratic = (c.monomial({"z1": 2}, T[0][0] / 2) + c.monomial({"z1": 1, "z2": 1}, T[0][1])
+                 + c.monomial({"z2": 2}, T[1][1] / 2)
+                 + c.monomial({"z1": 1, "u1": 1}) + c.monomial({"z2": 1, "u2": 1}))
+    cubic = quadratic + c.monomial({"z1": 3}, 0.2) + c.monomial({"z2": 1, "u1": 2}, 0.4)
+    for phase in (quadratic, cubic):
+        _, _, _, zstar = fiber_stationary_phase(phase, c.one(), ["z1", "z2"])
+        full = critical_point_full_loop(phase, ["z1", "z2"])
+        assert all(zstar[v].terms == full[v].terms for v in ("z1", "z2"))
+        if phase is quadratic:  # a zero gradient: the iteration stopped early
+            assert not any(compose(phase.diff(v), zstar) for v in ("z1", "z2"))

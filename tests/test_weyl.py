@@ -1,11 +1,16 @@
+import itertools
 import random
+from fractions import Fraction
+from math import comb, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weyljet.series import SeriesError
+from weyljet.series import SeriesContext, SeriesError, TruncatedSeries, exp_second_order
 from weyljet.weyl import (KGroupElement, LieElement, NonTerminatingAdError,
-                          NormalOperator, WeylAlgebra, commutator, exp_ad,
-                          exp_lie_apply, k_conjugate, lie_classify,
+                          NormalOperator, WeylAlgebra, _multi_indices, commutator,
+                          exp_ad, exp_lie_apply, k_conjugate, lie_classify,
                           moyal_star, operator_from_action, poisson_bracket,
                           weyl_quantize, weyl_symbol)
 
@@ -54,6 +59,83 @@ def test_star_second_order_example():
                 - 2j * A.ctx.monomial({"u1": 1, "v1": 1, "h": 1})
                 - 0.5 * A.ctx.monomial({"h": 2}))
     assert got.is_close(expected, 1e-12)
+
+
+def test_star_of_monomials_matches_closed_form_exactly():
+    """u^a v^b * u^c v^d = sum over k, l of (i/2)^k (-i/2)^l C(b, k) (c)_k
+    C(a, l) (d)_l u^(a+c-k-l) v^(b+d-k-l) h^(k+l), summed in exact
+    Gaussian rationals: the products' dyadic coefficients are exact in
+    floating point, so the two must agree bit for bit."""
+    A = WeylAlgebra(1, 12)
+    for (a, b), (c, d) in [((3, 2), (2, 3)), ((0, 4), (4, 1)), ((2, 2), (2, 2))]:
+        expected = {}
+        for k in range(min(b, c) + 1):
+            for l in range(min(a, d) + 1):
+                r = Fraction((-1) ** l * comb(b, k) * perm(c, k) * comb(a, l) * perm(d, l),
+                             2 ** (k + l))
+                re, im = [(r, 0), (0, r), (-r, 0), (0, -r)][(k + l) % 4]  # i^(k+l)
+                e = (a + c - k - l, b + d - k - l, k + l)
+                old = expected.get(e, (0, 0))
+                expected[e] = (old[0] + re, old[1] + im)
+        got = moyal_star(A, A.ctx.monomial((a, b, 0)), A.ctx.monomial((c, d, 0)))
+        assert {e: (Fraction(z.real), Fraction(z.imag)) for e, z in got.terms.items()} \
+            == {e: z for e, z in expected.items() if z != (0, 0)}
+
+
+def on_diagonal_by_doubling(A, f, g, pairs):
+    """exp(h sum c d_a d_b) f g on the diagonal through a doubled context:
+    g's jets renamed to copies, the product taken there, contracted by
+    exp_second_order and renamed back."""
+    jets = A.x + A.xi
+    copy = {v: f"_c{v}" for v in jets}
+    D = SeriesContext(A.ctx.variables + tuple(copy.values()),
+                      A.ctx.weights + (1,) * len(jets), A.cap, A.ctx.eps, A.ctx.laurent)
+    fg = f.map_vars({}, D) * g.map_vars(copy, D)
+    contracted = exp_second_order(fg, [(a, copy[b], c) for a, b, c in pairs])
+    return contracted.map_vars({c: v for v, c in copy.items()}, A.ctx)
+
+
+@st.composite
+def weyl_pair(draw):
+    A = WeylAlgebra(draw(st.integers(1, 2)), draw(st.integers(3, 6)))
+
+    def symbol():
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            exp = tuple(draw(st.integers(0, 3)) for _ in range(2 * A.n))
+            terms[exp + (draw(st.integers(-1, 1)),)] = complex(draw(st.floats(-2, 2)),
+                                                               draw(st.floats(-2, 2)))
+        return TruncatedSeries(A.ctx, terms)
+    return A, symbol(), symbol()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(weyl_pair())
+def test_products_match_the_doubled_context_route(afg):
+    A, f, g = afg
+    star_pairs = ([(v, u, 0.5j) for u, v in zip(A.x, A.xi)]
+                  + [(u, v, -0.5j) for u, v in zip(A.x, A.xi)])
+    op_pairs = [(v, u, 1j) for u, v in zip(A.x, A.xi)]
+    for got, want in [
+            (moyal_star(A, f, g), on_diagonal_by_doubling(A, f, g, star_pairs)),
+            (NormalOperator(A, f).compose(NormalOperator(A, g)).symbol,
+             on_diagonal_by_doubling(A, f, g, op_pairs))]:
+        assert got.distance(want) <= 1e-12 * max(1.0, got.max_abs(), want.max_abs())
+
+
+def test_bilinear_products_check_the_algebra():
+    A, B = WeylAlgebra(1, 4), WeylAlgebra(1, 5)
+    for product in (lambda f, g: moyal_star(A, f, g),
+                    lambda f, g: NormalOperator(A, f).compose(NormalOperator(A, g))):
+        with pytest.raises(SeriesError, match="cap/context mismatch"):
+            product(A.var("u1"), B.var("v1"))
+
+
+def test_multi_indices_of_each_total_once():
+    for n in (1, 2, 3):
+        for t in range(6):
+            want = [a for a in itertools.product(range(t + 1), repeat=n) if sum(a) == t]
+            assert sorted(_multi_indices(n, t)) == want
 
 
 def test_commutator_examples():
