@@ -246,10 +246,6 @@ class SubdivisionChart:
     def fiber_free(self):
         return tuple(j for j in range(self.n) if j not in self.base_free)
 
-    def free_names(self):
-        return tuple(f"x{j+1}" for j in self.base_free) + \
-            tuple(f"e{j+1}" for j in self.fiber_free)
-
     def point_free_values(self, point) -> dict:
         x, xi = point
         vals = {f"x{j+1}": Fraction(x[j]) for j in self.base_free}

@@ -22,6 +22,13 @@ coefficient type of every term.  Operations closed over admitted terms
 ``linear_combination``) trust their operands and only drop zero and
 sub-``eps`` coefficients of their result; a scalar factor is converted
 once, as the constructors convert coefficients.
+
+One truncation rule: only the cap cuts a series.  The Laurent part of an
+:class:`OscillatoryScalar` is a series in ``h`` alone and truncates as
+every series does, and the power sums (``exp``, ``unit_inverse``,
+``unit_sqrt`` and the exponentials of :mod:`weyljet.weyl`) run through
+:func:`power_sum`, which stops only when a term vanishes and raises
+rather than return a sum that truncation does not end.
 """
 
 from __future__ import annotations
@@ -124,10 +131,6 @@ class SeriesContext:
     def from_terms(self, terms: Mapping[tuple[int, ...], complex]) -> "TruncatedSeries":
         return TruncatedSeries(self, dict(terms))
 
-    def with_cap(self, cap: int) -> "SeriesContext":
-        return SeriesContext(self.variables, self.weights, cap, self.eps,
-                             self.laurent)
-
 
 # coefficient types stored as given; any other scalar is stored as complex
 _KEPT = frozenset((complex, int, Fraction))
@@ -210,12 +213,6 @@ class TruncatedSeries:
         if not self.terms:
             return 0
         return max(self.ctx.weighted_degree(e) for e in self.terms)
-
-    def max_exponent(self, var: str) -> int:
-        i = self.ctx.index(var)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
 
     def min_exponent(self, var: str) -> int:
         i = self.ctx.index(var)
@@ -355,47 +352,36 @@ class TruncatedSeries:
             return self.ctx.one()
         if self.min_degree() < 1:
             raise SeriesError("exp requires filtration-raising argument")
-        result = self.ctx.one()
-        term = self.ctx.one()
-        for k in range(1, self.ctx.cap + 1):
-            term = term * self * (1.0 / k)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+        return power_sum(self.ctx.one(), lambda t, k: t * self * (1.0 / k),
+                         self.ctx.cap + 1)
 
-    def unit_inverse(self) -> "TruncatedSeries":
+    def _unit_part(self, what: str):
+        """``(c0, u)`` with ``self = c0 (1 + u)``."""
         c0 = self.constant_term()
         if abs(c0) < self.ctx.eps:
-            raise SeriesError("inverse of a non-unit series")
-        u = self * (1.0 / c0) - 1.0
-        result = self.ctx.one()
-        term = self.ctx.one()
-        for _ in range(self.ctx.cap + 1):
-            term = term * u * (-1.0)
-            if term.is_zero():
-                break
-            result = result + term
+            raise SeriesError(f"{what} of a non-unit series")
+        return c0, self * (1.0 / c0) - 1.0
+
+    def unit_inverse(self) -> "TruncatedSeries":
+        c0, u = self._unit_part("inverse")
+        minus_u = -u
+        result = power_sum(self.ctx.one(), lambda t, k: t * minus_u, self.ctx.cap + 1)
+        if result is None:
+            raise SeriesError("unit_inverse: the argument has terms of degree <= 0 "
+                              "besides its constant")
         return result * (1.0 / c0)
 
     def unit_sqrt(self) -> "TruncatedSeries":
         """Square root of a series with positive real leading constant."""
-        c0 = self.constant_term()
-        if abs(c0) < self.ctx.eps:
-            raise SeriesError("sqrt of a non-unit series")
+        c0, u = self._unit_part("sqrt")
         if abs(c0.imag) > self.ctx.eps or c0.real <= 0:
             raise SeriesError("unit_sqrt expects a positive real lead")
-        u = self * (1.0 / c0) - 1.0
-        result = self.ctx.one()
-        term = self.ctx.one()
-        coeff = 1.0
-        half = Fraction(1, 2)
-        for k in range(1, self.ctx.cap + 1):
-            coeff *= float(half - (k - 1)) / k
-            term = term * u
-            if term.is_zero():
-                break
-            result = result + term * coeff
+        # the binomial coefficient C(1/2, k) is C(1/2, k - 1) (3/2 - k) / k
+        result = power_sum(self.ctx.one(), lambda t, k: t * u * ((1.5 - k) / k),
+                           self.ctx.cap + 1)
+        if result is None:
+            raise SeriesError("unit_sqrt: the argument has terms of degree <= 0 "
+                              "besides its constant")
         return result * math.sqrt(c0.real)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
@@ -476,6 +462,19 @@ class TruncatedSeries:
             bits.append(f"({c}){('*' + mono) if mono else ''}")
         more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
         return "<series " + " + ".join(bits) + more + ">"
+
+
+def power_sum(x: TruncatedSeries, step, limit: int) -> TruncatedSeries | None:
+    """``x + step(x, 1) + step(step(x, 1), 2) + ...``, summed until a term
+    vanishes; ``None`` when none has vanished after ``limit`` steps, so a
+    sum that truncation does not end is never returned cut short."""
+    total = term = x
+    for k in range(1, limit + 1):
+        term = step(term, k)
+        if term.is_zero():
+            return total
+        total = total + term
+    return None
 
 
 def exp_second_order(s: TruncatedSeries,
@@ -602,7 +601,8 @@ def is_singular(M, eps: float) -> bool:
 def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """Substitute ``images[v]`` for each variable ``v`` of ``f``.
 
-    Unlisted variables substitute as themselves.  Every image must have a
+    Unlisted variables substitute as themselves, so their exponents carry
+    over unchanged, negative ones included.  Every image must have a
     vanishing constant term so that the substitution closes over the cap.
     """
     ctx = None
@@ -613,37 +613,55 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
             raise SeriesError("images live in different contexts")
     if ctx is None:
         ctx = f.ctx
-    for v in f.ctx.variables:
+    listed, unlisted = [], []
+    for i, v in enumerate(f.ctx.variables):
         if v in images:
             g = images[v]
             if abs(g.constant_term()) > g.ctx.eps:
                 raise SeriesError(f"image of {v!r} has nonzero constant term")
+            listed.append((i, v))
         else:
-            ctx.index(v)  # an unlisted variable substitutes as itself, so ctx must have it
-    # positive powers computed lazily per variable
+            # an unlisted variable substitutes as itself, so ctx must have it
+            j = ctx.index(v)
+            if v in f.ctx.laurent and v not in ctx.laurent and f.min_exponent(v) < 0:
+                raise SeriesError(f"negative exponent on non-laurent variable {v!r}")
+            unlisted.append((i, j))
+    # positive powers of the images, computed lazily per variable
     pow_cache: dict[str, list[TruncatedSeries]] = {}
 
     def power(v: str, k: int) -> TruncatedSeries:
         cache = pow_cache.get(v)
         if cache is None:
-            cache = pow_cache[v] = [None, images[v] if v in images else ctx.variable(v)]
+            cache = pow_cache[v] = [None, images[v]]
         while len(cache) <= k:
             cache.append(cache[-1] * cache[1])
         return cache[k]
 
-    zero = (0,) * len(ctx.variables)
+    nvars = len(ctx.variables)
+    w = ctx.weights
+    cap = ctx.cap
     out: dict[tuple[int, ...], complex] = {}
     get = out.get
     for e, c in f.terms.items():
-        term = _admitted(ctx, {zero: c})
-        for v, p in zip(f.ctx.variables, e):
-            if p == 0:
-                continue
-            if p < 0:
-                if v in images and images[v].terms != ctx.variable(v).terms:
+        start = [0] * nvars
+        for i, j in unlisted:
+            start[j] = e[i]
+        factors = []
+        for i, v in listed:
+            p = e[i]
+            if p > 0:
+                factors.append((v, p))
+            elif p < 0:
+                if images[v].terms != ctx.variable(v).terms:
                     raise SeriesError("cannot compose through negative powers")
-                term = term.shift_exponent(v, p)
-                continue
+                start[ctx.index(v)] += p  # an identity image shifts the exponent
+        start = tuple(start)
+        if not factors:
+            if sum(map(mul, start, w)) <= cap:
+                out[start] = get(start, 0) + c
+            continue
+        term = _admitted(ctx, {start: c})
+        for v, p in factors:
             term = term * power(v, p)
             if term.is_zero():
                 break
@@ -727,12 +745,15 @@ class OscillatoryScalar:
 
     The phase exponent ``a`` is stored exactly when handed in as a
     Fraction or int (flagged by :attr:`exact`); quarter turns of the
-    central character are tracked separately as an integer mod 4.
+    central character are tracked separately as an integer mod 4.  The
+    Laurent part is a :class:`TruncatedSeries` in ``h`` alone (weight 2,
+    inverse powers allowed), given either as that series or as a map
+    ``{k: c_k}`` read into a series with the given ``cap`` and ``eps``.
     """
 
-    __slots__ = ("exponent", "exact", "i_power", "laurent", "cap", "eps")
+    __slots__ = ("exponent", "exact", "i_power", "series")
 
-    def __init__(self, exponent=0, laurent: Mapping[int, complex] | None = None,
+    def __init__(self, exponent=0, laurent: Mapping[int, complex] | TruncatedSeries | None = None,
                  i_power: int = 0, cap: int = 16, eps: float = DEFAULT_EPS):
         if isinstance(exponent, (int, Fraction)):
             self.exponent = Fraction(exponent)
@@ -740,70 +761,60 @@ class OscillatoryScalar:
         else:
             self.exponent = float(exponent)
             self.exact = False
-        self.cap = int(cap)
-        self.eps = float(eps)
         self.i_power = int(i_power) % 4
-        lau = {} if laurent is None else dict(laurent)
-        clean = {}
-        for k, c in lau.items():
-            c = complex(c)
-            if abs(c) < self.eps:
-                continue
-            if abs(2 * k) <= self.cap:
-                clean[int(k)] = c
-        self.laurent = clean
+        if not isinstance(laurent, TruncatedSeries):
+            ctx = SeriesContext((HBAR,), (2,), cap, eps, laurent={HBAR})
+            laurent = TruncatedSeries(ctx, {(int(k),): c for k, c in (laurent or {}).items()})
+        elif laurent.ctx.variables != (HBAR,):
+            raise SeriesError("the Laurent part must be a series in h alone")
+        self.series = laurent
+
+    @property
+    def laurent(self) -> dict[int, complex]:
+        """The Laurent part as ``{k: c_k}``."""
+        return {e[0]: c for e, c in self.series.terms.items()}
+
+    @property
+    def cap(self) -> int:
+        return self.series.ctx.cap
+
+    @property
+    def eps(self) -> float:
+        return self.series.ctx.eps
 
     @staticmethod
     def one(cap: int = 16, eps: float = DEFAULT_EPS) -> "OscillatoryScalar":
         return OscillatoryScalar(0, {0: 1.0}, cap=cap, eps=eps)
 
     def is_zero(self) -> bool:
-        return not self.laurent
+        return self.series.is_zero()
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
-            return OscillatoryScalar(
-                self.exponent, {k: c * complex(other) for k, c in self.laurent.items()},
-                self.i_power, self.cap, self.eps)
+            return OscillatoryScalar(self.exponent, self.series * other, self.i_power)
         if not isinstance(other, OscillatoryScalar):
             return NotImplemented
         if self.exact and other.exact:
             expo = self.exponent + other.exponent
         else:
             expo = float(self.exponent) + float(other.exponent)
-        cap = min(self.cap, other.cap)
-        out: dict[int, complex] = {}
-        for k1, c1 in self.laurent.items():
-            for k2, c2 in other.laurent.items():
-                k = k1 + k2
-                if abs(2 * k) > cap:
-                    continue
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return OscillatoryScalar(expo, out, self.i_power + other.i_power, cap,
-                                 max(self.eps, other.eps))
+        return OscillatoryScalar(expo, self.series * other.series,
+                                 self.i_power + other.i_power)
 
     __rmul__ = __mul__
 
     def mul_i_power(self, k: int) -> "OscillatoryScalar":
-        return OscillatoryScalar(self.exponent, self.laurent,
-                                 self.i_power + k, self.cap, self.eps)
-
-    def shift_phase(self, a) -> "OscillatoryScalar":
-        if self.exact and isinstance(a, (int, Fraction)):
-            expo = self.exponent + Fraction(a)
-        else:
-            expo = float(self.exponent) + float(a)
-        return OscillatoryScalar(expo, self.laurent, self.i_power, self.cap, self.eps)
+        return OscillatoryScalar(self.exponent, self.series, self.i_power + k)
 
     def leading(self) -> tuple[int, complex]:
         """(hbar power, coefficient) of the lowest surviving order."""
-        if not self.laurent:
+        if self.series.is_zero():
             return (0, 0.0 + 0.0j)
-        k = min(self.laurent)
-        return k, self.laurent[k] * (1j ** self.i_power)
+        k = self.series.min_exponent(HBAR)
+        return k, self.coefficient(k)
 
     def coefficient(self, k: int) -> complex:
-        return self.laurent.get(k, 0.0 + 0.0j) * (1j ** self.i_power)
+        return self.series.terms.get((k,), 0.0 + 0.0j) * (1j ** self.i_power)
 
     def is_close(self, other: "OscillatoryScalar", tol: float) -> bool:
         if abs(float(self.exponent) - float(other.exponent)) > tol:
@@ -817,10 +828,7 @@ class OscillatoryScalar:
             if self.exact else float(self.exponent),
             "exact": self.exact,
             "i_power": self.i_power,
-            "laurent": [{"k": k, "re": c.real, "im": c.imag}
-                        for k, c in sorted(self.laurent.items())],
-            "cap": self.cap,
-            "eps": self.eps,
+            "laurent": self.series.to_json(),
         }
 
     @staticmethod
@@ -828,8 +836,8 @@ class OscillatoryScalar:
         expo = data["exponent"]
         if isinstance(expo, dict):
             expo = Fraction(expo["num"], expo["den"])
-        lau = {int(t["k"]): complex(t["re"], t["im"]) for t in data["laurent"]}
-        return OscillatoryScalar(expo, lau, data.get("i_power", 0), data["cap"], data["eps"])
+        return OscillatoryScalar(expo, TruncatedSeries.from_json(data["laurent"]),
+                                 data.get("i_power", 0))
 
     def __repr__(self):
         return (f"<osc exp={self.exponent} i^{self.i_power} "

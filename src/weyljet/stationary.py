@@ -205,43 +205,18 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
 # --- spec-level wrappers -----------------------------------------------------
 
 
-def _joint_context(F: TruncatedSeries, variables: Sequence[str]):
-    """Context holding y-variables, matching dual slots and h (laurent)."""
-    ctx = F.ctx
-    duals = [f"_dual_{v}" for v in variables]
-    names = list(ctx.variables) + duals
-    weights = list(ctx.weights) + [1] * len(duals)
-    if HBAR not in ctx.variables:
-        names.append(HBAR)
-        weights.append(2)
-    joint = SeriesContext(names, weights, ctx.cap, ctx.eps,
-                          laurent=set(ctx.laurent) | {HBAR})
-    return joint, duals
-
-
 def legendre_transform(F: TruncatedSeries,
                        variables: Sequence[str] | None = None) -> TruncatedSeries:
-    """Legendre transform ``G(eta) = eta.y + F(y)`` at ``eta + F'(y) = 0``.
+    """Legendre transform ``G(eta) = eta.y + F(y)`` at ``eta + F'(y) = 0``:
+    the phase that :func:`stationary_phase` returns for amplitude 1.
 
     The result is expressed in the input variable names again, so the
     double transform can be compared with the parity-reflected input.
     """
-    ctx = F.ctx
-    if variables is None:
-        variables = [v for v, w in zip(ctx.variables, ctx.weights)
-                     if w == 1 and F.depends_on(v)]
-        if not variables:
-            variables = [v for v, w in zip(ctx.variables, ctx.weights) if w == 1]
     for e, c in F.terms.items():
-        if ctx.weighted_degree(e) <= 1 and abs(c) > ctx.eps:
+        if F.ctx.weighted_degree(e) <= 1 and abs(c) > F.ctx.eps:
             raise SeriesError("Legendre input must lack constant and linear terms")
-    joint, duals = _joint_context(F, variables)
-    Fj = F.map_vars({}, joint)
-    phase = Fj
-    for v, d in zip(variables, duals):
-        phase = phase + joint.monomial({v: 1, d: 1}, 1.0)
-    G, _, _, _ = fiber_stationary_phase(phase, joint.one(), variables)
-    return G.map_vars({d: v for v, d in zip(variables, duals)}, ctx)
+    return stationary_phase(F, F.ctx.one(), variables)[0]
 
 
 def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
@@ -250,8 +225,9 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
 
     Returns ``(G, prefactor, b)`` with ``G`` the Legendre transform of the
     phase, the Gaussian branch prefactor, and the amplitude expansion
-    ``b``; both ``G`` and ``b`` come back in the input variable names.
-    A zero amplitude short-circuits to zero output.
+    ``b``; both ``G`` and ``b`` come back in the input variable names,
+    ``b`` with ``h`` added when the input lacks it.  A zero amplitude
+    short-circuits to zero output.
     """
     ctx = F.ctx
     if variables is None:
@@ -263,12 +239,18 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
     pref = gaussian_prefactor(Q, ctx.eps)
     if a.is_zero():
         return legendre_transform(F, variables), pref, a
-    joint, duals = _joint_context(F, variables)
-    Fj = F.map_vars({}, joint)
-    aj = a.map_vars({}, joint)
-    phase = Fj
+    # the input context with h added when it lacks h, then the joint
+    # context with the dual slots, in which h is laurent
+    hctx = ctx
+    if HBAR not in ctx.variables:
+        hctx = SeriesContext(ctx.variables + (HBAR,), ctx.weights + (2,), ctx.cap, ctx.eps,
+                             laurent=ctx.laurent)
+    duals = [f"_dual_{v}" for v in variables]
+    joint = SeriesContext(hctx.variables + tuple(duals), hctx.weights + (1,) * len(duals),
+                          ctx.cap, ctx.eps, laurent=hctx.laurent | {HBAR})
+    phase = F.map_vars({}, joint)
     for v, d in zip(variables, duals):
         phase = phase + joint.monomial({v: 1, d: 1}, 1.0)
-    G, pref2, b, _ = fiber_stationary_phase(phase, aj, variables)
+    G, pref2, b, _ = fiber_stationary_phase(phase, a.map_vars({}, joint), variables)
     back = {d: v for v, d in zip(variables, duals)}
-    return G.map_vars(back, ctx), pref2, b.map_vars(back, ctx)
+    return G.map_vars(back, ctx), pref2, b.map_vars(back, hctx)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, OscillatoryScalar, SeriesContext, SeriesError,
                      TruncatedSeries, compose, is_singular, linear_combination)
-from .stationary import fiber_stationary_phase, quadratic_series
+from .stationary import fiber_stationary_phase, hessian_matrix, quadratic_series
 
 
 class UndefinedWeilActionError(SeriesError):
@@ -69,11 +69,9 @@ class GaussianJet:
 
     def flattened(self) -> tuple[np.ndarray, float, TruncatedSeries]:
         """(T, phase exponent, scalar Laurent folded into the amplitude)."""
-        amp = self.ctx.zero()
-        for k, c in self.scalar.laurent.items():
-            amp = amp + (self.amplitude * c).shift_exponent(HBAR, k)
-        amp = amp * (1j ** self.scalar.i_power)
-        return self.T, float(self.scalar.exponent), amp
+        scalar = self.scalar
+        amp = self.amplitude * scalar.series.map_vars({}, self.ctx) * (1j ** scalar.i_power)
+        return self.T, float(scalar.exponent), amp
 
     def is_close(self, other: "GaussianJet", tol: float = 1e-9) -> bool:
         T1, e1, a1 = self.flattened()
@@ -209,13 +207,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     amp = jet.amplitude.map_vars({uvars[i]: zvars[k] for k, i in enumerate(sel)}, ext)
     reduced, pref, out, _ = fiber_stationary_phase(phase, amp, zvars)
     # prefactor from the engine carries the pinned branch for the block
-    T2 = np.zeros((jet.n, jet.n), dtype=complex)
-    for i in range(jet.n):
-        for j in range(i, jet.n):
-            c = reduced.coefficient({uvars[i]: 2}) * 2 if i == j \
-                else reduced.coefficient({uvars[i]: 1, uvars[j]: 1})
-            T2[i, j] = c
-            T2[j, i] = c
+    T2 = hessian_matrix(reduced, uvars)
     quad_check = reduced - quadratic_series(ext, T2, uvars)
     if quad_check.max_abs() > 1e3 * ctx.eps:
         raise SeriesError("Fourier of a Gaussian jet produced a non-quadratic phase")

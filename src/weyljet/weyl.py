@@ -18,7 +18,7 @@ import numpy as np
 
 from .series import (HBAR, SeriesContext, SeriesError, TruncatedSeries, compose,
                      contract_product, exp_second_order, invert_map, is_singular,
-                     linear_combination)
+                     linear_combination, power_sum)
 
 
 class NonTerminatingAdError(SeriesError):
@@ -261,7 +261,7 @@ def _ad_terminates(A: WeylAlgebra, payload: TruncatedSeries) -> bool:
     return True
 
 
-def exp_ad(h: LieElement, w: TruncatedSeries, max_iter: int | None = None) -> TruncatedSeries:
+def exp_ad(h: LieElement, w: TruncatedSeries) -> TruncatedSeries:
     """sum_k ad(h)^k w / k!; raises when the payload shape cannot make
     the series terminate under truncation."""
     A = h.algebra
@@ -269,16 +269,10 @@ def exp_ad(h: LieElement, w: TruncatedSeries, max_iter: int | None = None) -> Tr
         raise NonTerminatingAdError(
             "adjoint series does not terminate: payload neither raises the "
             "filtration nor is of one-sided low-degree type")
-    if max_iter is None:
-        max_iter = (A.cap + 2) * (A.cap + 2)
-    result = w
-    term = w
-    for k in range(1, max_iter + 1):
-        term = h.ad(term) * (1.0 / k)
-        if term.is_zero():
-            return result
-        result = result + term
-    raise NonTerminatingAdError("adjoint series did not terminate")
+    result = power_sum(w, lambda t, k: h.ad(t) * (1.0 / k), (A.cap + 2) * (A.cap + 2))
+    if result is None:
+        raise NonTerminatingAdError("adjoint series did not terminate")
+    return result
 
 
 def lie_classify(h: LieElement) -> dict:
@@ -432,23 +426,15 @@ def lie_operator(h: LieElement) -> NormalOperator:
     return NormalOperator(A, sym)
 
 
-def exp_lie_apply(h: LieElement, f: TruncatedSeries,
-                  max_iter: int | None = None) -> TruncatedSeries:
+def exp_lie_apply(h: LieElement, f: TruncatedSeries) -> TruncatedSeries:
     """Apply exp((1/ih) payload-hat) to a position-jet series.
 
     Requires the operator to raise the filtration so the exponential
     terminates under truncation; inverse powers of h may appear when the
     payload sits outside Lie(P).
     """
-    A = h.algebra
-    if max_iter is None:
-        max_iter = 4 * A.cap + 8
     op = lie_operator(h)
-    out = f
-    term = f
-    for k in range(1, max_iter + 1):
-        term = op.apply(term) * (1.0 / k)
-        if term.is_zero():
-            return out
-        out = out + term
-    raise NonTerminatingAdError("operator exponential did not terminate")
+    out = power_sum(f, lambda t, k: op.apply(t) * (1.0 / k), 4 * h.algebra.cap + 8)
+    if out is None:
+        raise NonTerminatingAdError("operator exponential did not terminate")
+    return out

@@ -131,6 +131,16 @@ def test_legendre_critical_equation():
     assert GG.is_close(reflect, 1e-8)
 
 
+def test_legendre_without_h_in_the_context():
+    # the amplitude expansion needs h: it comes back with h added
+    c = SeriesContext(["y1"], [1], 6)
+    F = c.monomial({"y1": 2}, 0.5) + c.monomial({"y1": 3}, 0.3)
+    G = legendre_transform(F)
+    assert G.ctx == c and abs(G.coefficient({"y1": 4}) + 0.405) < 1e-12
+    _, _, b = stationary_phase(F, c.one())
+    assert b.ctx.variables == ("y1", "h") and abs(b.constant_term() - 1) < 1e-12
+
+
 def test_legendre_degenerate_hessian_rejected():
     c = yctx()
     with pytest.raises((SeriesError, DegenerateHessianError)):

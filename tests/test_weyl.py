@@ -338,3 +338,42 @@ def test_exp_lie_apply_matches_exp_ad_conjugation():
     for f in (A.one(), A.var("u1"), A.ctx.monomial({"u1": 2})):
         via_exp = exp_lie_apply(h, op.apply(exp_lie_apply(LieElement(A, -payload), f)))
         assert via_exp.distance(direct_op.apply(f)) < 1e-8
+
+
+def test_unit_sums_reject_arguments_that_truncation_does_not_end():
+    # u1^2 h^-1 weighs 0, so no power of it reaches past the cap
+    A = algebra(cap=6)
+    x = 1 + A.var("u1", 2) * A.hbar(-1)
+    for root in (x.unit_inverse, x.unit_sqrt):
+        with pytest.raises(SeriesError, match="degree <= 0"):
+            root()
+
+
+def rand_k(A, rng):
+    """A K element with a diagonally dominant linear part and random
+    quadratic and cubic corrections to the map and the multiplier."""
+    def position_terms(degrees):
+        return sum((A.ctx.monomial(dict(zip(A.x, e)), rng.uniform(-0.5, 0.5))
+                    for e in itertools.product(range(4), repeat=A.n) if sum(e) in degrees),
+                   A.zero())
+    images = {v: A.var(v) * rng.uniform(0.6, 1.4) + position_terms({1, 2, 3}) * 0.2
+              for v in A.x}
+    return KGroupElement(A, images, q=position_terms({1, 2}))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_k_compose_with_acts_as_the_composite(n):
+    # the composite's images are cut at the cap, and its half density
+    # differentiates them once, so the two agree below the cap
+    rng = random.Random(20 + n)
+    A = algebra(n, cap=6)
+
+    def below_cap(s):
+        return s.filter_terms(lambda e: A.ctx.weighted_degree(e) < A.cap)
+
+    for _ in range(3):
+        k1, k2 = rand_k(A, rng), rand_k(A, rng)
+        f = sum((A.ctx.monomial(dict(zip(A.x, e)), rng.uniform(-1, 1))
+                 for e in itertools.product(range(3), repeat=n)), A.var(A.x[0]) * A.hbar())
+        got = below_cap(k1.compose_with(k2).act(f))
+        assert got.distance(below_cap(k1.act(k2.act(f)))) < 1e-8
