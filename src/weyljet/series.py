@@ -699,21 +699,18 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
     ctx = images[names[0]].ctx
     m = len(names)
     A = np.zeros((m, m), dtype=complex)
+    higher = {}  # the part g_{>=2} of each image
     for r, v in enumerate(names):
         g = images[v]
         if g.ctx != ctx:
             raise SeriesError("images live in different contexts")
         if abs(g.constant_term()) > ctx.eps:
             raise SeriesError(f"image of {v!r} has nonzero constant term")
-        for cidx, w in enumerate(names):
-            A[r, cidx] = g.coefficient({w: 1})
-        off_block = g
-        for w in names:
-            off_block = off_block - ctx.variable(w) * g.coefficient({w: 1})
-        lin_leftover = any(
-            ctx.weighted_degree(e) <= 1 and abs(c) > ctx.eps
-            for e, c in off_block.terms.items())
-        if lin_leftover:
+        row = [g.coefficient({w: 1}) for w in names]
+        A[r] = row
+        higher[v] = g - linear_combination(ctx, zip(map(ctx.variable, names), row))
+        if any(ctx.weighted_degree(e) <= 1 and abs(c) > ctx.eps
+               for e, c in higher[v].terms.items()):
             raise SeriesError(f"map image of {v!r} has linear part outside the block")
     if is_singular(A, ctx.eps):
         raise SeriesError("singular linear part")
@@ -722,16 +719,10 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
     def linear_solve(vec: list[TruncatedSeries]) -> dict[str, TruncatedSeries]:
         return {v: linear_combination(ctx, zip(vec, Ainv[i])) for i, v in enumerate(names)}
 
-    # residual part g_{>=2}
-    higher = {}
-    for v in names:
-        g = images[v]
-        lin = linear_combination(ctx, [(ctx.variable(w), g.coefficient({w: 1}))
-                                       for w in names])
-        higher[v] = g - lin
-
+    # h = A^-1 x is exact through degree 1, and each pass makes it exact
+    # through one degree more
     h = linear_solve([ctx.variable(v) for v in names])
-    for _ in range(ctx.cap):
+    for _ in range(ctx.cap - 1):
         sub = {v: compose(higher[v], h) for v in names}
         h = linear_solve([ctx.variable(v) - sub[v] for v in names])
     return h

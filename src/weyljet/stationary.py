@@ -1,5 +1,6 @@
 """Formal stationary phase: Legendre transforms, Gaussian moments and the
-fiber-integration engine shared by the Fourier/transition machinery.
+fiber-integration engine.  :func:`stationary_phase` is the entry point for
+every Fourier integral, the Weil Fourier generator's included.
 
 Conventions, fixed once for the whole package:
 
@@ -178,12 +179,12 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     if any(g.max_abs() > 1e3 * ctx.eps for g in gvals):
         raise SeriesError("critical point iteration did not converge")
 
-    reduced = compose(phase, zstar)
-
-    # recenter: R(u) = phase(z* + u) - reduced; interaction = R - (1/2) u.Qu
+    # recenter: the reduced phase phase(z*) is the z-free part of
+    # phase(z* + z); interaction = phase(z* + z) - reduced - (1/2) z.Qz
     shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
-    R = compose(phase, shift) - reduced
-    delta = R - quadratic_series(ctx, Q, z_vars)
+    shifted = compose(phase, shift)
+    reduced = shifted.filter_terms(lambda e: not z_degree(e))
+    delta = shifted - reduced - quadratic_series(ctx, Q, z_vars)
     if not delta.is_zero() and delta.min_degree() < 3:
         raise SeriesError("interaction term does not raise the filtration")
 
@@ -196,9 +197,11 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
         interaction = (delta * 1j).shift_exponent(HBAR, -1)
         integrand = a_centered * interaction.exp()
 
-    # Wick contraction of the z-block: the z-free part of the Gaussian operator
+    # Wick contraction of the z-block, keeping the z-free part: each power
+    # lowers the z-degree by two, so terms of odd z-degree never reach it
+    integrand = integrand.filter_terms(lambda e: not z_degree(e) % 2)
     contracted = exp_second_order(integrand, _wick_pairs(z_vars, Qinv))
-    out = contracted.filter_terms(lambda e: not any(e[i] for i in zidx))
+    out = contracted.filter_terms(lambda e: not z_degree(e))
     return reduced, pref, out, zstar
 
 
@@ -226,8 +229,7 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
     Returns ``(G, prefactor, b)`` with ``G`` the Legendre transform of the
     phase, the Gaussian branch prefactor, and the amplitude expansion
     ``b``; both ``G`` and ``b`` come back in the input variable names,
-    ``b`` with ``h`` added when the input lacks it.  A zero amplitude
-    short-circuits to zero output.
+    ``b`` with ``h`` added when the input lacks it.
     """
     ctx = F.ctx
     if variables is None:
@@ -235,10 +237,6 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
                      if w == 1 and (F.depends_on(v) or a.depends_on(v))]
         if not variables:
             variables = [v for v, w in zip(ctx.variables, ctx.weights) if w == 1]
-    Q = hessian_matrix(F, variables)
-    pref = gaussian_prefactor(Q, ctx.eps)
-    if a.is_zero():
-        return legendre_transform(F, variables), pref, a
     # the input context with h added when it lacks h, then the joint
     # context with the dual slots, in which h is laurent
     hctx = ctx

@@ -17,7 +17,7 @@ import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, OscillatoryScalar, SeriesContext, SeriesError,
                      TruncatedSeries, compose, is_singular, linear_combination)
-from .stationary import fiber_stationary_phase, hessian_matrix, quadratic_series
+from .stationary import hessian_matrix, quadratic_series, stationary_phase
 
 
 class UndefinedWeilActionError(SeriesError):
@@ -26,9 +26,9 @@ class UndefinedWeilActionError(SeriesError):
         self.step = step
 
 
-def jet_context(n: int, cap: int, eps: float = 1e-9) -> SeriesContext:
+def jet_context(n: int, cap: int) -> SeriesContext:
     names = [f"u{i+1}" for i in range(n)] + [HBAR]
-    return SeriesContext(names, [1] * n + [2], cap, eps, laurent={HBAR})
+    return SeriesContext(names, [1] * n + [2], cap, laurent={HBAR})
 
 
 class GaussianJet:
@@ -195,26 +195,17 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
         raise SeriesError("degenerate Fourier block in mode weil")
 
     ctx = jet.ctx
-    zvars = [f"_z{i}" for i in range(len(sel))]
-    ext = SeriesContext(list(ctx.variables) + zvars,
-                        list(ctx.weights) + [1] * len(zvars),
-                        ctx.cap, ctx.eps, laurent=ctx.laurent)
-    # phase: (1/2) y^t T y with the integrated block renamed to z, plus z.u_new
-    old_vars = [zvars[sel.index(i)] if i in sel else uvars[i] for i in range(jet.n)]
-    phase = quadratic_series(ext, jet.T, old_vars)
-    for zi, i in zip(zvars, sel):
-        phase = phase + ext.monomial({zi: 1, uvars[i]: 1}, 1.0)
-    amp = jet.amplitude.map_vars({uvars[i]: zvars[k] for k, i in enumerate(sel)}, ext)
-    reduced, pref, out, _ = fiber_stationary_phase(phase, amp, zvars)
-    # prefactor from the engine carries the pinned branch for the block
+    reduced, pref, out = stationary_phase(quadratic_series(ctx, jet.T, uvars),
+                                          jet.amplitude, block)
+    # the prefactor carries the pinned branch for the block
     T2 = hessian_matrix(reduced, uvars)
-    quad_check = reduced - quadratic_series(ext, T2, uvars)
+    quad_check = reduced - quadratic_series(ctx, T2, uvars)
     if quad_check.max_abs() > 1e3 * ctx.eps:
         raise SeriesError("Fourier of a Gaussian jet produced a non-quadratic phase")
     mode = jet.mode
     if mode == "weil0" and np.max(np.abs(T2.imag)) > 1e-9:
         mode = "weil"
-    return GaussianJet(mode, T2, out.map_vars({}, ctx), jet.scalar * pref)
+    return GaussianJet(mode, T2, out, jet.scalar * pref)
 
 
 def act_central(power: int, jet: GaussianJet) -> GaussianJet:

@@ -28,26 +28,26 @@ class NonTerminatingAdError(SeriesError):
 class WeylAlgebra:
     """Ambient data for Weyl elements on R^{2n} jets."""
 
-    def __init__(self, n: int, cap: int, eps: float = 1e-9):
+    def __init__(self, n: int, cap: int):
         self.n = n
         self.x = tuple(f"u{i+1}" for i in range(n))
         self.xi = tuple(f"v{i+1}" for i in range(n))
         self.ctx = SeriesContext(self.x + self.xi + (HBAR,), [1] * (2 * n) + [2],
-                                 cap, eps, laurent={HBAR})
+                                 cap, laurent={HBAR})
         self._ext: dict[int, "WeylAlgebra"] = {}
 
     @property
     def cap(self):
         return self.ctx.cap
 
-    def extended(self, extra: int = 2) -> "WeylAlgebra":
-        """Same algebra with cap headroom, for intermediates that divide
-        by the deformation parameter before re-truncation."""
+    def extended(self, extra: int) -> "WeylAlgebra":
+        """Same algebra with cap headroom, for intermediates whose later
+        steps lower the weighted degree before re-truncation."""
         if extra not in self._ext:
-            self._ext[extra] = WeylAlgebra(self.n, self.cap + extra, self.ctx.eps)
+            self._ext[extra] = WeylAlgebra(self.n, self.cap + extra)
         return self._ext[extra]
 
-    def lift(self, s: TruncatedSeries, extra: int = 2) -> TruncatedSeries:
+    def lift(self, s: TruncatedSeries, extra: int) -> TruncatedSeries:
         return s.map_vars({}, self.extended(extra).ctx)
 
     def lower(self, s: TruncatedSeries) -> TruncatedSeries:
@@ -213,12 +213,8 @@ class LieElement:
             object.__setattr__(self, "payload", cleaned)
 
     def ad(self, w: TruncatedSeries) -> TruncatedSeries:
-        # star-commutators are degree-homogeneous, so the division by h
-        # reaches down from above the cap: compute with headroom.
-        A = self.algebra
-        Ax = A.extended(2)
-        c = commutator(Ax, A.lift(self.payload), A.lift(w))
-        return A.lower((c * -1j).shift_exponent(HBAR, -1))
+        # dividing the payload by h first keeps the product exact up to the cap
+        return commutator(self.algebra, self.payload.shift_exponent(HBAR, -1), w) * -1j
 
     def bracket(self, other: "LieElement") -> "LieElement":
         """g-tilde bracket: (1/ih)f, (1/ih)g -> (1/ih)((1/ih)[f,g])."""
@@ -337,7 +333,7 @@ class KGroupElement:
         if is_singular(a, ctx.eps):
             raise SeriesError("non-invertible linear part")
         self.linear = a
-        self._factor = None  # half density times exp(q), made on the first act
+        self._multiplier = None  # made on first use, or given by the group law
 
     @staticmethod
     def identity(algebra: WeylAlgebra) -> "KGroupElement":
@@ -364,23 +360,31 @@ class KGroupElement:
         unit = det * (1.0 / c0)
         return unit.unit_sqrt() * math.sqrt(abs(c0))
 
+    def multiplier(self) -> TruncatedSeries:
+        """``exp(q) |det g'|^{1/2}``, the factor the action multiplies by.
+        Inverse and composite elements take theirs from the group law: their
+        images are cut at the cap, so their Jacobian lacks its top degree."""
+        if self._multiplier is None:
+            factor = self.half_density_factor()
+            if not self.q.is_zero():
+                factor = factor * self.q.exp()
+            self._multiplier = factor
+        return self._multiplier
+
     def act(self, f: TruncatedSeries) -> TruncatedSeries:
         """The displayed action on series in the position jets."""
         A = self.algebra
         for kv in A.xi:
             if f.depends_on(kv):
                 raise SeriesError("K acts on position-jet series")
-        if self._factor is None:
-            factor = self.half_density_factor()
-            if not self.q.is_zero():
-                factor = factor * self.q.exp()
-            self._factor = factor
-        return compose(f, self.images) * self._factor
+        return compose(f, self.images) * self.multiplier()
 
     def inverse(self) -> "KGroupElement":
         inv_images = invert_map(self.images)
         qinv = -compose(self.q, inv_images)
-        return KGroupElement(self.algebra, inv_images, qinv)
+        out = KGroupElement(self.algebra, inv_images, qinv)
+        out._multiplier = compose(self.multiplier().unit_inverse(), inv_images)
+        return out
 
     def compose_with(self, other: "KGroupElement") -> "KGroupElement":
         """Element acting as self after other: (self*other).act = self.act o other.act."""
@@ -388,7 +392,9 @@ class KGroupElement:
         # (self(other f))(u) = e^{q_s(u)} e^{q_o(g_s u)} f(g_o(g_s u)) |...|
         images = {v: compose(other.images[v], self.images) for v in A.x}
         q = self.q + compose(other.q, self.images)
-        return KGroupElement(A, images, q)
+        out = KGroupElement(A, images, q)
+        out._multiplier = self.multiplier() * compose(other.multiplier(), self.images)
+        return out
 
 
 def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:

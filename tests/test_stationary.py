@@ -168,9 +168,11 @@ def test_pure_gaussian_exact():
 
 def test_zero_amplitude_passthrough():
     c = yctx()
-    F = c.monomial({"y1": 2}, 0.5)
+    F = c.monomial({"y1": 2}, 0.5) + c.monomial({"y1": 3}, 0.25)
     G, pref, b = stationary_phase(F, c.zero())
     assert b.is_zero()
+    G1, pref1, _ = stationary_phase(F, c.one())
+    assert G.is_close(G1, 1e-14) and abs(pref - pref1) < 1e-14
 
 
 def brute_force_first_correction(lam: float) -> complex:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyljet.weyl import NormalOperator, WeylAlgebra, commutator, moyal_star
+from weyljet.weyl import LieElement, NormalOperator, WeylAlgebra, commutator, moyal_star
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -56,6 +56,18 @@ def test_star_cap_invariance(data):
     f, g = data.draw(symbols(A)), data.draw(symbols(A))
     wide = moyal_star(A.extended(4), A.lift(f, 4), A.lift(g, 4))
     assert_close(moyal_star(A, f, g), A.lower(wide))
+
+
+@PROPERTY
+@given(st.data())
+def test_ad_matches_the_bracket_divided_with_headroom(data):
+    # ad w = (1/ih)[payload, w]; the bracket taken at cap + 2 and divided by
+    # h afterwards reaches every term that lands at degree <= cap
+    A = data.draw(algebras())
+    payload, w = data.draw(symbols(A)), data.draw(symbols(A))
+    wide = commutator(A.extended(2), A.lift(payload, 2), A.lift(w, 2))
+    expected = A.lower((wide * -1j).shift_exponent("h", -1))
+    assert_close(LieElement(A, payload).ad(w), expected)
 
 
 @PROPERTY

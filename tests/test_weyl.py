@@ -361,19 +361,27 @@ def rand_k(A, rng):
     return KGroupElement(A, images, q=position_terms({1, 2}))
 
 
+def rand_position_series(A, rng):
+    return sum((A.ctx.monomial(dict(zip(A.x, e)), rng.uniform(-1, 1))
+                for e in itertools.product(range(3), repeat=A.n)), A.var(A.x[0]) * A.hbar())
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_k_compose_with_acts_as_the_composite(n):
-    # the composite's images are cut at the cap, and its half density
-    # differentiates them once, so the two agree below the cap
     rng = random.Random(20 + n)
     A = algebra(n, cap=6)
-
-    def below_cap(s):
-        return s.filter_terms(lambda e: A.ctx.weighted_degree(e) < A.cap)
-
     for _ in range(3):
         k1, k2 = rand_k(A, rng), rand_k(A, rng)
-        f = sum((A.ctx.monomial(dict(zip(A.x, e)), rng.uniform(-1, 1))
-                 for e in itertools.product(range(3), repeat=n)), A.var(A.x[0]) * A.hbar())
-        got = below_cap(k1.compose_with(k2).act(f))
-        assert got.distance(below_cap(k1.act(k2.act(f)))) < 1e-8
+        f = rand_position_series(A, rng)
+        assert k1.compose_with(k2).act(f).distance(k1.act(k2.act(f))) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_k_inverse_undoes_the_action_at_every_degree(n):
+    rng = random.Random(20 + n)
+    A = algebra(n, cap=6)
+    for _ in range(3):
+        k = rand_k(A, rng)
+        f = rand_position_series(A, rng)
+        assert k.inverse().act(k.act(f)).distance(f) < 1e-8
+        assert k.act(k.inverse().act(f)).distance(f) < 1e-8
