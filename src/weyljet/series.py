@@ -29,6 +29,11 @@ every series does, and the power sums (``exp``, ``unit_inverse``,
 ``unit_sqrt`` and the exponentials of :mod:`weyljet.weyl`) run through
 :func:`power_sum`, which stops only when a term vanishes and raises
 rather than return a sum that truncation does not end.
+
+One exact substitution: :func:`compose` takes ``f`` and its images in
+one context and keeps every term of degree <= cap.  Where a term of
+``f`` has negative degree outside the substituted variables, the powers
+of the images are built at a cap wider by that depth.
 """
 
 from __future__ import annotations
@@ -601,72 +606,66 @@ def is_singular(M, eps: float) -> bool:
 def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """Substitute ``images[v]`` for each variable ``v`` of ``f``.
 
-    Unlisted variables substitute as themselves, so their exponents carry
-    over unchanged, negative ones included.  Every image must have a
+    ``f`` and its images share one context (``map_vars`` moves a series
+    between contexts).  Unlisted variables substitute as themselves, so
+    their exponents carry over unchanged, negative ones included; a listed
+    variable must not carry a negative exponent.  Every image must have a
     vanishing constant term so that the substitution closes over the cap.
+
+    A term whose unlisted part has weighted degree ``-d < 0`` reaches the
+    cap through image powers of degree up to ``cap + d``, so the powers
+    are built in a context whose cap is wider by the largest such ``d``:
+    when no image term has negative degree, every term of degree <= cap
+    is kept.
     """
-    ctx = None
-    for s in images.values():
-        if ctx is None:
-            ctx = s.ctx
-        elif s.ctx != ctx:
-            raise SeriesError("images live in different contexts")
-    if ctx is None:
-        ctx = f.ctx
-    listed, unlisted = [], []
-    for i, v in enumerate(f.ctx.variables):
-        if v in images:
-            g = images[v]
-            if abs(g.constant_term()) > g.ctx.eps:
-                raise SeriesError(f"image of {v!r} has nonzero constant term")
-            listed.append((i, v))
-        else:
-            # an unlisted variable substitutes as itself, so ctx must have it
-            j = ctx.index(v)
-            if v in f.ctx.laurent and v not in ctx.laurent and f.min_exponent(v) < 0:
-                raise SeriesError(f"negative exponent on non-laurent variable {v!r}")
-            unlisted.append((i, j))
-    # positive powers of the images, computed lazily per variable
-    pow_cache: dict[str, list[TruncatedSeries]] = {}
-
-    def power(v: str, k: int) -> TruncatedSeries:
-        cache = pow_cache.get(v)
-        if cache is None:
-            cache = pow_cache[v] = [None, images[v]]
-        while len(cache) <= k:
-            cache.append(cache[-1] * cache[1])
-        return cache[k]
-
-    nvars = len(ctx.variables)
+    ctx = f.ctx
+    listed = []
+    for v, g in images.items():
+        if g.ctx is not ctx and g.ctx != ctx:
+            raise SeriesError(f"image of {v!r} lives in another context")
+        if abs(g.constant_term()) > ctx.eps:
+            raise SeriesError(f"image of {v!r} has nonzero constant term")
+        listed.append((ctx.index(v), v))
     w = ctx.weights
     cap = ctx.cap
-    out: dict[tuple[int, ...], complex] = {}
-    get = out.get
+    # each term as (unlisted exponent, coefficient, positive listed powers)
+    split = []
+    depth = 0
     for e, c in f.terms.items():
-        start = [0] * nvars
-        for i, j in unlisted:
-            start[j] = e[i]
+        start = list(e)
         factors = []
         for i, v in listed:
             p = e[i]
-            if p > 0:
+            if p:
+                if p < 0:
+                    raise SeriesError(f"negative exponent on listed variable {v!r}")
                 factors.append((v, p))
-            elif p < 0:
-                if images[v].terms != ctx.variable(v).terms:
-                    raise SeriesError("cannot compose through negative powers")
-                start[ctx.index(v)] += p  # an identity image shifts the exponent
-        start = tuple(start)
+                start[i] = 0
+        if min(start, default=0) < 0:
+            depth = max(depth, -sum(map(mul, start, w)))
+        split.append((tuple(start), c, factors))
+    wide = ctx if not depth else SeriesContext(ctx.variables, w, cap + depth,
+                                               ctx.eps, ctx.laurent)
+    # the powers of each image made in this call, the first power at index 1
+    powers = {v: [None, _admitted(wide, images[v].terms)] for _, v in listed}
+    out: dict[tuple[int, ...], complex] = {}
+    get = out.get
+    for start, c, factors in split:
         if not factors:
-            if sum(map(mul, start, w)) <= cap:
-                out[start] = get(start, 0) + c
+            out[start] = get(start, 0) + c
             continue
-        term = _admitted(ctx, {start: c})
+        term = _admitted(wide, {start: c})
         for v, p in factors:
-            term = term * power(v, p)
+            cache = powers[v]
+            while len(cache) <= p:
+                cache.append(cache[-1] * cache[1])
+            term = term * cache[p]
             if term.is_zero():
                 break
         for e2, c2 in term.terms.items():
             out[e2] = get(e2, 0) + c2
+    if depth:
+        out = {e: c for e, c in out.items() if sum(map(mul, e, w)) <= cap}
     return _admitted(ctx, out)
 
 

@@ -5,20 +5,17 @@ every Fourier integral, the Weil Fourier generator's included.
 Conventions, fixed once for the whole package:
 
 * kernel normalization ``(2 pi h)^{-m/2} Int exp(i x.xi / h) dx``;
-* the Gaussian constant for a real nondegenerate Hessian ``Q`` is
-  ``exp(i pi sgn(Q)/4) |det Q|^{-1/2}``, equivalently ``det(-iQ)^{-1/2}``
-  on the branch ``sqrt(r e^{i phi}) = sqrt(r) e^{i phi/2}``, -pi < phi < pi;
-  for complex symmetric ``Q`` with ``det(-iQ)`` away from the cut the same
-  formula is taken through principal eigenvalue logarithms.
+* the Gaussian constant for a nondegenerate symmetric Hessian ``Q`` is
+  ``det(-iQ)^{-1/2}``, taken through the principal logarithms of the
+  eigenvalues of ``-iQ``, which must stay off the negative real axis.
 
-The real branch is the delta -> 0+ limit of the complex one, so the two
-regimes agree on overlaps.
+For real ``Q`` the eigenvalues of ``-iQ`` lie on the imaginary axis, and
+the same formula gives ``exp(i pi sgn(Q)/4) |det Q|^{-1/2}``; there is no
+separate real branch.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Sequence
 
 import numpy as np
@@ -87,30 +84,20 @@ def hessian_matrix(F: TruncatedSeries, variables: Sequence[str]) -> np.ndarray:
     return Q
 
 
-def real_signature(Q: np.ndarray, eps: float = 1e-9) -> int:
-    vals = np.linalg.eigvalsh(Q.real)
-    scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    if any(abs(v) <= eps * scale for v in vals):
-        raise DegenerateHessianError("degenerate Hessian")
-    return int(np.sum(vals > 0) - np.sum(vals < 0))
+def gaussian_prefactor(Q) -> complex:
+    """``det(-iQ)^{-1/2}`` through principal eigenvalue logarithms.
 
-
-def gaussian_prefactor(Q, eps: float = 1e-9) -> complex:
-    """``det(-iQ)^{-1/2}`` on the pinned branch.
-
-    Real symmetric input reduces to ``exp(i pi sgn(Q)/4) |det Q|^{-1/2}``
-    which keeps the eighth-root phase exact.
+    Both degeneracy tests are scale-free: ``Q`` is singular relative to its
+    largest singular value, and an eigenvalue of ``-iQ`` lies on the cut
+    when its angle is within ``DEFAULT_EPS`` of pi.
     """
     Qm = np.asarray(Q, dtype=complex)
-    n = Qm.shape[0]
-    if n == 0:
+    if Qm.shape[0] == 0:
         return 1.0 + 0.0j
-    if float(np.max(np.abs(Qm.imag))) <= eps:
-        sig = real_signature(Qm, eps)
-        det = abs(np.linalg.det(Qm.real))
-        return cmath.exp(1j * math.pi * sig / 4.0) / math.sqrt(det)
+    if is_singular(Qm, DEFAULT_EPS):
+        raise DegenerateHessianError("degenerate Hessian")
     lam = np.linalg.eigvals(-1j * Qm)
-    if any(l.real <= 0 and abs(l.imag) <= eps for l in lam):
+    if any(l.real < 0 and abs(l.imag) <= DEFAULT_EPS * abs(l) for l in lam):
         raise DegenerateHessianError("Hessian branch point on the cut")
     return complex(np.exp(-0.5 * np.sum(np.log(lam))))
 
@@ -161,7 +148,7 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
             raise SeriesError("phase has constant or z-linear part at the base point")
 
     Q = hessian_matrix(phase, z_vars)
-    pref = gaussian_prefactor(Q, ctx.eps)
+    pref = gaussian_prefactor(Q)
 
     # critical point z*(params) by jet iteration
     grad = [phase.diff(v) for v in z_vars]

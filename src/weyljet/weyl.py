@@ -401,17 +401,24 @@ def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
     """Weyl symbol of k o W(w) o k^{-1}.
 
     Conjugation preserves the differential order, so the symbol is
-    reconstructed from the action on position monomials; the whole
-    computation runs with cap headroom because the reconstruction reaches
-    down by the derivative order.
+    reconstructed from the action on position monomials.  The computation
+    runs with cap headroom, the sum of two depths:
+
+    * the differential order: ``operator_from_action`` divides each
+      residual by ``h^order`` and multiplies it by ``v^gamma``, which
+      lowers the weighted degree by the order;
+    * ``-w.min_degree()`` when ``w`` has terms of negative degree: the
+      action multiplies by K's multiplier, which is cut at the cap, and a
+      factor of negative degree pulls its missing top terms under the cap.
     """
     A = k.algebra
     order = max((sum(e[A.ctx.index(v)] for v in A.xi)
                  for e in w.terms), default=0)
-    Ax = A.extended(2 * order + 2)
-    kx = KGroupElement(Ax, {v: A.lift(s, 2 * order + 2) for v, s in k.images.items()},
-                       A.lift(k.q, 2 * order + 2))
-    op = weyl_quantize(Ax, A.lift(w, 2 * order + 2))
+    extra = order + max(0, -w.min_degree())
+    Ax = A.extended(extra)
+    kx = KGroupElement(Ax, {v: A.lift(s, extra) for v, s in k.images.items()},
+                       A.lift(k.q, extra))
+    op = weyl_quantize(Ax, A.lift(w, extra))
     kinv = kx.inverse()
 
     def action(f):

@@ -109,6 +109,29 @@ def test_compose_rejects_constant_terms():
         compose(c.variable("u1"), {"u1": c.one() + c.variable("u1")})
 
 
+def test_compose_keeps_terms_reached_through_inverse_powers_of_h():
+    c = ctx1(cap=4, laurent={"h"})
+    u = c.variable("u1")
+    f = c.monomial({"u1": 3, "h": -1})
+    expected = c.from_terms({(3, -1): 1, (4, -1): 3, (5, -1): 3, (6, -1): 1})
+    assert compose(f, {"u1": u + u * u}) == expected
+
+
+def test_compose_takes_images_in_the_context_of_f():
+    c = ctx1(cap=4)
+    with pytest.raises(SeriesError, match="another context"):
+        compose(c.variable("u1"), {"u1": ctx1(cap=5).variable("u1")})
+
+
+def test_compose_rejects_negative_exponents_on_listed_variables():
+    c = SeriesContext(["u1", "h"], [1, 2], 4, laurent={"u1", "h"})
+    f = c.monomial({"u1": -1, "h": 1})
+    with pytest.raises(SeriesError, match="negative exponent"):
+        compose(f, {"u1": c.variable("u1")})
+    # an unlisted variable carries its negative exponent over
+    assert compose(f, {}) == f
+
+
 def test_invert_map_linear():
     c = ctx1()
     h = invert_map({"u1": 2 * c.variable("u1")})
@@ -382,14 +405,17 @@ def assert_near(a, b):
 
 def compose_by_partial_sums(f, images):
     """``compose`` as the sum ``out = out + term`` over the terms of f, each
-    the monomial of its unlisted exponents times powers of the images."""
+    the monomial of its unlisted exponents times the images, one factor at
+    a time.  Images have terms of degree >= 1 only, so every partial
+    product has degree at most that of the terms it grows into, and the
+    cap cuts none that reach degree <= cap."""
     ctx = f.ctx
     out = ctx.zero()
     for e, c in f.terms.items():
         term = ctx.monomial([0 if v in images else p for v, p in zip(ctx.variables, e)], c)
         for v, p in zip(ctx.variables, e):
-            if v in images and p:
-                term = term * images[v] ** p
+            for _ in range(p if v in images else 0):
+                term = term * images[v]
         out = out + term
     return out
 

@@ -72,6 +72,22 @@ def test_prefactor_complex_continuity():
         assert abs(lim - real) < 1e-6
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_prefactor_real_mixed_signature_is_scale_free(scale):
+    rng = np.random.default_rng(3)
+    for n, signs in ((2, (1, -1)), (3, (1, -1, -1)), (3, (1, 1, -1))):
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Q = scale * (basis * (np.array(signs) * rng.uniform(0.5, 2.0, n))) @ basis.T
+        Q = (Q + Q.T) / 2
+        vals = np.linalg.eigvalsh(Q)
+        sgn = int(np.sum(vals > 0) - np.sum(vals < 0))
+        expected = cmath.exp(1j * math.pi * sgn / 4) / math.sqrt(abs(np.prod(vals)))
+        assert abs(gaussian_prefactor(Q) - expected) <= 1e-12 * abs(expected)
+        singular = scale * (basis * (np.array(signs) * np.arange(n))) @ basis.T
+        with pytest.raises(DegenerateHessianError):
+            gaussian_prefactor(singular)
+
+
 def numeric_gaussian_constant(k: float, hbar: float) -> complex:
     """Adaptive quadrature of ``(2 pi h)^{-1/2} Int exp(i k x^2 / 2h) dx``.
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyljet.weyl import LieElement, NormalOperator, WeylAlgebra, commutator, moyal_star
+from weyljet.series import compose
+from weyljet.weyl import (KGroupElement, LieElement, NormalOperator, WeylAlgebra, commutator,
+                          k_conjugate, moyal_star)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -34,6 +36,24 @@ def symbols(draw, A, momenta=True, max_terms=4):
         re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         out = out + A.ctx.monomial(exp, complex(re, im))
     return out
+
+
+@st.composite
+def position_images(draw, A):
+    """Images for a random subset of the position jets: position-only, with
+    every term of weighted degree >= 1 and small Gaussian-integer
+    coefficients."""
+    images = {}
+    for v in draw(st.lists(st.sampled_from(A.x), min_size=1, unique=True)):
+        image = A.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            exp = {u: draw(st.integers(0, 2)) for u in A.x}
+            if not any(exp.values()):
+                exp[v] = 1
+            re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            image = image + A.ctx.monomial(exp, complex(re, im))
+        images[v] = image
+    return images
 
 
 def assert_close(a, b):
@@ -129,3 +149,56 @@ def test_operator_apply_matches_term_by_term(data):
     op = NormalOperator(A, data.draw(symbols(A)))
     f = data.draw(symbols(A, momenta=False))
     assert_close(op.apply(f), apply_term_by_term(op, f))
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_cap_invariance(data):
+    # a term with h^-1 in its unlisted part reaches the cap through image
+    # powers of degree up to cap + 2
+    A = data.draw(algebras())
+    f, images = data.draw(symbols(A)), data.draw(position_images(A))
+    wide = compose(A.lift(f, 4), {v: A.lift(g, 4) for v, g in images.items()})
+    assert_close(compose(f, images), A.lower(wide))
+
+
+def k_element(A):
+    """A fixed nonlinear element of K with a multiplier, at n = 1 or 2."""
+    u = A.var
+    if A.n == 1:
+        images = {"u1": 1.2 * u("u1") + 0.3 * u("u1", 2)}
+        q = 0.2 * u("u1")
+    else:
+        images = {"u1": 1.2 * u("u1") + 0.3 * u("u2", 2),
+                  "u2": 0.9 * u("u2") + 0.4 * u("u1") * u("u2")}
+        q = 0.2 * u("u1") - 0.1 * u("u2", 2)
+    return KGroupElement(A, images, q)
+
+
+def assert_conjugation_cap_invariant(A, w):
+    k = k_element(A)
+    kx = KGroupElement(A.extended(6), {v: A.lift(s, 6) for v, s in k.images.items()},
+                       A.lift(k.q, 6))
+    assert_close(k_conjugate(k, w), A.lower(k_conjugate(kx, A.lift(w, 6))))
+
+
+@pytest.mark.parametrize("n, cap", [(1, 4), (1, 6), (2, 4)])
+def test_k_conjugate_cap_invariance_with_inverse_powers_of_h(n, cap):
+    A = WeylAlgebra(n, cap)
+    h, u, v = A.hbar, A.var("u1"), A.var("v1")
+    # every term has degree >= 0: h^-2 reaches the cap through the images'
+    # powers of degree up to cap + 4, which compose builds
+    w = 0.8 * A.var("u1", 4) * h(-2) + 0.5 * A.var("u1", 2) * h(-1) + u
+    assert_conjugation_cap_invariant(A, w)
+    # terms of degree -1 and -2 pull the top terms of K's multiplier, cut
+    # at the cap, under it: the headroom covers them
+    w = u * h(-1) + 0.5 * u * v * h(-2) + v
+    assert_conjugation_cap_invariant(A, w)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_k_conjugate_cap_invariance(data):
+    n = data.draw(st.sampled_from([1, 2]))
+    A = WeylAlgebra(n, 6 if n == 1 else 4)
+    assert_conjugation_cap_invariant(A, data.draw(symbols(A, max_terms=3)))
