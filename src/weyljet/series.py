@@ -31,9 +31,9 @@ every series does, and the power sums (``exp``, ``unit_inverse``,
 rather than return a sum that truncation does not end.
 
 One exact substitution: :func:`compose` takes ``f`` and its images in
-one context and keeps every term of degree <= cap.  Where a term of
-``f`` has negative degree outside the substituted variables, the powers
-of the images are built at a cap wider by that depth.
+one context and builds the image powers at a cap wider by the depth of
+the most negative unsubstituted part of a term, so it keeps every term
+of degree <= cap.
 """
 
 from __future__ import annotations
@@ -606,17 +606,13 @@ def is_singular(M, eps: float) -> bool:
 def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """Substitute ``images[v]`` for each variable ``v`` of ``f``.
 
-    ``f`` and its images share one context (``map_vars`` moves a series
-    between contexts).  Unlisted variables substitute as themselves, so
-    their exponents carry over unchanged, negative ones included; a listed
-    variable must not carry a negative exponent.  Every image must have a
-    vanishing constant term so that the substitution closes over the cap.
-
-    A term whose unlisted part has weighted degree ``-d < 0`` reaches the
-    cap through image powers of degree up to ``cap + d``, so the powers
-    are built in a context whose cap is wider by the largest such ``d``:
-    when no image term has negative degree, every term of degree <= cap
-    is kept.
+    ``f`` and its images share one context.  Unlisted variables substitute
+    as themselves, so their exponents carry over, negative ones included;
+    a listed variable must not carry a negative exponent.  Every image
+    must have a vanishing constant term.  A term whose unlisted part has
+    weighted degree ``-d < 0`` needs image powers up to degree ``cap + d``,
+    so the powers are built at a cap wider by the largest such ``d``: with
+    images of nonnegative degree, every term of degree <= cap is kept.
     """
     ctx = f.ctx
     listed = []

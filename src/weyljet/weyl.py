@@ -401,15 +401,11 @@ def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
     """Weyl symbol of k o W(w) o k^{-1}.
 
     Conjugation preserves the differential order, so the symbol is
-    reconstructed from the action on position monomials.  The computation
-    runs with cap headroom, the sum of two depths:
-
-    * the differential order: ``operator_from_action`` divides each
-      residual by ``h^order`` and multiplies it by ``v^gamma``, which
-      lowers the weighted degree by the order;
-    * ``-w.min_degree()`` when ``w`` has terms of negative degree: the
-      action multiplies by K's multiplier, which is cut at the cap, and a
-      factor of negative degree pulls its missing top terms under the cap.
+    reconstructed from the action on position monomials, at a cap raised
+    by two depths: the order, because ``operator_from_action`` divides by
+    ``h^order`` and multiplies by ``v^gamma``; and ``-w.min_degree()``,
+    because the action multiplies by K's multiplier, cut at the cap, and
+    terms of negative degree pull its missing top terms under the cap.
     """
     A = k.algebra
     order = max((sum(e[A.ctx.index(v)] for v in A.xi)
