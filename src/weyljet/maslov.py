@@ -4,8 +4,9 @@ Everything in this module runs over exact rationals: signatures are
 computed by fraction-free symmetric elimination, cocycle values are
 half-integers stored as doubled integers, and phase-difference cocycles
 evaluate to exact fractions.  Generating functions are
-:class:`~weyljet.series.TruncatedSeries` with ``Fraction`` coefficients
-in ``eps=0`` contexts.  No tolerance enters any statement here.
+:class:`~weyljet.series.TruncatedSeries` with ``Fraction`` coefficients,
+which the series kernel keeps exact and drops only when zero.  No
+tolerance enters any statement here.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def generating_quadratic(frame: LagrangianFrame) -> TruncatedSeries:
     for a in range(n - k):
         for b in range(n - k):
             add(k + a, k + b, Fraction(frame.C[a][b], 2))
-    return SeriesContext(names, [1] * n, 2, eps=0).from_terms(terms)
+    return SeriesContext(names, [1] * n, 2).from_terms(terms)
 
 
 def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:

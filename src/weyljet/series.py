@@ -1,17 +1,22 @@
 """Sparse truncated multivariate formal power series.
 
 Every series lives in a :class:`SeriesContext` that fixes the variable
-names, their filtration weights, the truncation cap and the coefficient
-zero-threshold.  Jet coordinates weigh 1 and the deformation parameter
-``h`` weighs 2; a term is kept only while its weighted degree stays at or
-below the cap.  Variables listed in ``laurent`` may carry negative
-exponents (bounded below through the filtration), which realizes the
-completed coefficient rings with inverse powers of ``h``.
+names, their filtration weights and the truncation cap.  Jet coordinates
+weigh 1 and the deformation parameter ``h`` weighs 2; a term is kept only
+while its weighted degree stays at or below the cap.  Variables listed in
+``laurent`` may carry negative exponents (bounded below through the
+filtration), which realizes the completed coefficient rings with inverse
+powers of ``h``.
 
 Coefficients are complex floats, or exact rationals (``int`` and
 ``Fraction``) that stay exact through construction, ``+``, ``-``, ``*``,
-``diff``, ``evaluate`` and JSON.  An ``eps=0`` context holding exact
-coefficients is a polynomial ring over the rationals.
+``diff``, ``evaluate`` and JSON.
+
+One tolerance rule: the kernel drops exact zeros only, so series
+identities hold to rounding.  A decision on float data (is this constant
+term zero, has the iteration converged) compares against
+``DEFAULT_EPS`` times the largest coefficient judged, through
+:func:`negligible`; a matrix is singular by :func:`is_singular`.
 
 Admission contract: the public constructors (``TruncatedSeries(ctx,
 terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``
@@ -19,9 +24,9 @@ and ``map_vars``) check arity, the cap, the Laurent signs and the
 coefficient type of every term.  Operations closed over admitted terms
 (``*``, ``+``, ``-``, ``diff``, ``filter_terms``, ``graded_component``,
 ``exp_second_order``, ``contract_product``, ``compose`` and
-``linear_combination``) trust their operands and only drop zero and
-sub-``eps`` coefficients of their result; a scalar factor is converted
-once, as the constructors convert coefficients.
+``linear_combination``) trust their operands and only drop the zero
+coefficients of their result; a scalar factor is converted once, as the
+constructors convert coefficients.
 
 One truncation rule: only the cap cuts a series.  The Laurent part of an
 :class:`OscillatoryScalar` is a series in ``h`` alone and truncates as
@@ -62,12 +67,10 @@ class SeriesContext:
     fields agree, and series operations require equal contexts.
     """
 
-    __slots__ = ("variables", "weights", "cap", "eps", "laurent",
-                 "_index", "_key")
+    __slots__ = ("variables", "weights", "cap", "laurent", "_index", "_key")
 
     def __init__(self, variables: Sequence[str], weights: Sequence[int],
-                 cap: int, eps: float = DEFAULT_EPS,
-                 laurent: Iterable[str] = ()):
+                 cap: int, laurent: Iterable[str] = ()):
         variables = tuple(variables)
         weights = tuple(int(w) for w in weights)
         if len(variables) != len(weights):
@@ -81,13 +84,12 @@ class SeriesContext:
         self.variables = variables
         self.weights = weights
         self.cap = int(cap)
-        self.eps = float(eps)
         self.laurent = frozenset(laurent)
         unknown = self.laurent - set(variables)
         if unknown:
             raise SeriesError(f"laurent names not in variables: {sorted(unknown)}")
         self._index = {v: i for i, v in enumerate(variables)}
-        self._key = (variables, weights, self.cap, self.eps, self.laurent)
+        self._key = (variables, weights, self.cap, self.laurent)
 
     def __eq__(self, other):
         return isinstance(other, SeriesContext) and self._key == other._key
@@ -144,11 +146,10 @@ _KEPT = frozenset((complex, int, Fraction))
 def _admitted(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
     """A series over terms that a closed operation built from admitted
     ones: arity, cap, Laurent signs and coefficient types already hold,
-    so only zero and sub-``eps`` coefficients are dropped."""
-    eps = ctx.eps
+    so only the zero coefficients are dropped."""
     s = object.__new__(TruncatedSeries)
     s.ctx = ctx
-    s.terms = {e: c for e, c in terms.items() if c and abs(c) >= eps}
+    s.terms = {e: c for e, c in terms.items() if c}
     return s
 
 
@@ -157,8 +158,8 @@ class TruncatedSeries:
 
     Coefficients are ``complex``, or ``int``/``Fraction`` kept exact: the
     ring is whatever the coefficients are, and a complex operand makes
-    the result complex.  Zero coefficients and those below ``ctx.eps``
-    are dropped.  Instances are immutable; arithmetic returns new objects
+    the result complex.  Exact zeros are dropped, and no other
+    coefficient.  Instances are immutable; arithmetic returns new objects
     and results never depend on term insertion order.
     """
 
@@ -166,7 +167,6 @@ class TruncatedSeries:
 
     def __init__(self, ctx: SeriesContext, terms: Mapping[tuple[int, ...], complex]):
         self.ctx = ctx
-        eps = ctx.eps
         cap = ctx.cap
         weights = ctx.weights
         clean: dict[tuple[int, ...], complex] = {}
@@ -174,7 +174,7 @@ class TruncatedSeries:
         for exp, c in terms.items():
             if c.__class__ not in _KEPT:
                 c = complex(c)
-            if not c or abs(c) < eps:
+            if not c:
                 continue
             if len(exp) != nvars:
                 raise SeriesError("exponent arity mismatch")
@@ -241,8 +241,8 @@ class TruncatedSeries:
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def is_close(self, other: "TruncatedSeries", tol: float | None = None) -> bool:
-        return (self - other).max_abs() <= (self.ctx.eps if tol is None else tol)
+    def is_close(self, other: "TruncatedSeries", tol: float = DEFAULT_EPS) -> bool:
+        return (self - other).max_abs() <= tol
 
     def distance(self, other: "TruncatedSeries") -> float:
         return (self - other).max_abs()
@@ -361,11 +361,12 @@ class TruncatedSeries:
                          self.ctx.cap + 1)
 
     def _unit_part(self, what: str):
-        """``(c0, u)`` with ``self = c0 (1 + u)``."""
+        """``(c0, u)`` with ``self = c0 (1 + u)``; ``u`` is the rest of
+        ``self / c0`` taken by position, so it has no constant term."""
         c0 = self.constant_term()
-        if abs(c0) < self.ctx.eps:
+        if negligible(c0, self.max_abs()):
             raise SeriesError(f"{what} of a non-unit series")
-        return c0, self * (1.0 / c0) - 1.0
+        return c0, (self * (1.0 / c0)).filter_terms(any)
 
     def unit_inverse(self) -> "TruncatedSeries":
         c0, u = self._unit_part("inverse")
@@ -379,7 +380,7 @@ class TruncatedSeries:
     def unit_sqrt(self) -> "TruncatedSeries":
         """Square root of a series with positive real leading constant."""
         c0, u = self._unit_part("sqrt")
-        if abs(c0.imag) > self.ctx.eps or c0.real <= 0:
+        if not negligible(c0.imag, self.max_abs()) or c0.real <= 0:
             raise SeriesError("unit_sqrt expects a positive real lead")
         # the binomial coefficient C(1/2, k) is C(1/2, k - 1) (3/2 - k) / k
         result = power_sum(self.ctx.one(), lambda t, k: t * u * ((1.5 - k) / k),
@@ -441,7 +442,6 @@ class TruncatedSeries:
             "variables": list(ctx.variables),
             "weights": list(ctx.weights),
             "cap": ctx.cap,
-            "eps": ctx.eps,
             "laurent": sorted(ctx.laurent),
             "terms": [{"exp": list(e), "re": c.real, "im": c.imag}
                       if isinstance(c, complex) else
@@ -452,7 +452,7 @@ class TruncatedSeries:
     @staticmethod
     def from_json(data: dict) -> "TruncatedSeries":
         ctx = SeriesContext(data["variables"], data["weights"], data["cap"],
-                            data["eps"], data["laurent"])
+                            data["laurent"])
         terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) if "num" in t
                  else complex(t["re"], t["im"]) for t in data["terms"]}
         return TruncatedSeries(ctx, terms)
@@ -600,6 +600,12 @@ def is_singular(M, eps: float) -> bool:
     return bool(sv[-1] <= eps * sv[0])
 
 
+def negligible(c, scale: float) -> bool:
+    """Scale-free zero test: ``|c|`` is at most ``DEFAULT_EPS`` times
+    ``scale``, the largest coefficient of the series judged."""
+    return abs(c) <= DEFAULT_EPS * scale
+
+
 # --- composition and map inversion ------------------------------------------
 
 
@@ -619,7 +625,7 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
     for v, g in images.items():
         if g.ctx is not ctx and g.ctx != ctx:
             raise SeriesError(f"image of {v!r} lives in another context")
-        if abs(g.constant_term()) > ctx.eps:
+        if not negligible(g.constant_term(), g.max_abs()):
             raise SeriesError(f"image of {v!r} has nonzero constant term")
         listed.append((ctx.index(v), v))
     w = ctx.weights
@@ -641,7 +647,7 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
             depth = max(depth, -sum(map(mul, start, w)))
         split.append((tuple(start), c, factors))
     wide = ctx if not depth else SeriesContext(ctx.variables, w, cap + depth,
-                                               ctx.eps, ctx.laurent)
+                                               ctx.laurent)
     # the powers of each image made in this call, the first power at index 1
     powers = {v: [None, _admitted(wide, images[v].terms)] for _, v in listed}
     out: dict[tuple[int, ...], complex] = {}
@@ -699,15 +705,16 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
         g = images[v]
         if g.ctx != ctx:
             raise SeriesError("images live in different contexts")
-        if abs(g.constant_term()) > ctx.eps:
+        scale = g.max_abs()
+        if not negligible(g.constant_term(), scale):
             raise SeriesError(f"image of {v!r} has nonzero constant term")
         row = [g.coefficient({w: 1}) for w in names]
         A[r] = row
         higher[v] = g - linear_combination(ctx, zip(map(ctx.variable, names), row))
-        if any(ctx.weighted_degree(e) <= 1 and abs(c) > ctx.eps
+        if any(ctx.weighted_degree(e) <= 1 and not negligible(c, scale)
                for e, c in higher[v].terms.items()):
             raise SeriesError(f"map image of {v!r} has linear part outside the block")
-    if is_singular(A, ctx.eps):
+    if is_singular(A, DEFAULT_EPS):
         raise SeriesError("singular linear part")
     Ainv = np.linalg.inv(A)
 
@@ -734,13 +741,14 @@ class OscillatoryScalar:
     central character are tracked separately as an integer mod 4.  The
     Laurent part is a :class:`TruncatedSeries` in ``h`` alone (weight 2,
     inverse powers allowed), given either as that series or as a map
-    ``{k: c_k}`` read into a series with the given ``cap`` and ``eps``.
+    ``{k: c_k}`` read into a series with the given ``cap``; like every
+    series it drops exact zeros only.
     """
 
     __slots__ = ("exponent", "exact", "i_power", "series")
 
     def __init__(self, exponent=0, laurent: Mapping[int, complex] | TruncatedSeries | None = None,
-                 i_power: int = 0, cap: int = 16, eps: float = DEFAULT_EPS):
+                 i_power: int = 0, cap: int = 16):
         if isinstance(exponent, (int, Fraction)):
             self.exponent = Fraction(exponent)
             self.exact = True
@@ -749,7 +757,7 @@ class OscillatoryScalar:
             self.exact = False
         self.i_power = int(i_power) % 4
         if not isinstance(laurent, TruncatedSeries):
-            ctx = SeriesContext((HBAR,), (2,), cap, eps, laurent={HBAR})
+            ctx = SeriesContext((HBAR,), (2,), cap, laurent={HBAR})
             laurent = TruncatedSeries(ctx, {(int(k),): c for k, c in (laurent or {}).items()})
         elif laurent.ctx.variables != (HBAR,):
             raise SeriesError("the Laurent part must be a series in h alone")
@@ -764,13 +772,9 @@ class OscillatoryScalar:
     def cap(self) -> int:
         return self.series.ctx.cap
 
-    @property
-    def eps(self) -> float:
-        return self.series.ctx.eps
-
     @staticmethod
-    def one(cap: int = 16, eps: float = DEFAULT_EPS) -> "OscillatoryScalar":
-        return OscillatoryScalar(0, {0: 1.0}, cap=cap, eps=eps)
+    def one(cap: int = 16) -> "OscillatoryScalar":
+        return OscillatoryScalar(0, {0: 1.0}, cap=cap)
 
     def is_zero(self) -> bool:
         return self.series.is_zero()

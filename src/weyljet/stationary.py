@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, exp_second_order, is_singular, linear_combination)
+                     compose, exp_second_order, is_singular, linear_combination,
+                     negligible)
 
 
 class DegenerateHessianError(SeriesError):
@@ -51,20 +52,10 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
         raise DegenerateHessianError("singular quadratic form")
     z = [f"z{j}" for j in range(len(alpha))]
     order = sum(int(a) for a in alpha)
-    ctx = SeriesContext(z + [HBAR], [1] * len(z) + [2], order, eps=0.0)
+    ctx = SeriesContext(z + [HBAR], [1] * len(z) + [2], order)
     zalpha = ctx.monomial(dict(zip(z, alpha)))
     moment = exp_second_order(zalpha, _wick_pairs(z, np.linalg.inv(Qm)))
     return complex(moment.coefficient({HBAR: order // 2})), order // 2
-
-
-def pairing_count(order: int) -> int:
-    """(order-1)!! perfect pairing count, for cross-checks."""
-    if order % 2:
-        return 0
-    out = 1
-    for k in range(order - 1, 0, -2):
-        out *= k
-    return out
 
 
 # --- prefactor branches ------------------------------------------------------
@@ -142,38 +133,41 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     def z_degree(exp):
         return sum(exp[i] for i in zidx)
 
+    scale = phase.max_abs()
     for e, c in phase.terms.items():
         total = ctx.weighted_degree(e)
-        if total - z_degree(e) == 0 and z_degree(e) <= 1 and abs(c) > ctx.eps:
+        if total - z_degree(e) == 0 and z_degree(e) <= 1 and not negligible(c, scale):
             raise SeriesError("phase has constant or z-linear part at the base point")
 
     Q = hessian_matrix(phase, z_vars)
     pref = gaussian_prefactor(Q)
 
-    # critical point z*(params) by jet iteration
+    # critical point z*(params) by jet iteration; the gradient at z* is
+    # judged against the phase's largest coefficient
     grad = [phase.diff(v) for v in z_vars]
     Qinv = np.linalg.inv(Q)
     zstar = {v: ctx.zero() for v in z_vars}
     for _ in range(ctx.cap + 1):
         gvals = [compose(g, zstar) for g in grad]
-        if not any(gvals):
-            break  # a zero gradient leaves z* fixed from here on
+        if all(negligible(g.max_abs(), scale) for g in gvals):
+            break  # a negligible gradient leaves z* fixed from here on
         # Newton step with the constant Hessian: z <- z - Q^{-1} grad(z)
         zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
                  for i, v in enumerate(z_vars)}
     else:  # every pass ran: the residual at the last z*
         gvals = [compose(g, zstar) for g in grad]
-    if any(g.max_abs() > 1e3 * ctx.eps for g in gvals):
+    if not all(negligible(g.max_abs(), 1e3 * scale) for g in gvals):
         raise SeriesError("critical point iteration did not converge")
 
     # recenter: the reduced phase phase(z*) is the z-free part of
-    # phase(z* + z); interaction = phase(z* + z) - reduced - (1/2) z.Qz
+    # phase(z* + z).  Its z-linear part vanishes at z*, and its part of
+    # z-degree 2 and weighted degree 2 is (1/2) z.Qz, so the interaction
+    # is the rest: z-degree >= 2 and weighted degree >= 3
     shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
     shifted = compose(phase, shift)
     reduced = shifted.filter_terms(lambda e: not z_degree(e))
-    delta = shifted - reduced - quadratic_series(ctx, Q, z_vars)
-    if not delta.is_zero() and delta.min_degree() < 3:
-        raise SeriesError("interaction term does not raise the filtration")
+    wd = ctx.weighted_degree
+    delta = shifted.filter_terms(lambda e: z_degree(e) >= 2 and wd(e) >= 3)
 
     a_centered = compose(amplitude, shift)
     # exp(i delta / h): multiply by i, shift hbar exponent down by one
@@ -203,8 +197,9 @@ def legendre_transform(F: TruncatedSeries,
     The result is expressed in the input variable names again, so the
     double transform can be compared with the parity-reflected input.
     """
+    scale = F.max_abs()
     for e, c in F.terms.items():
-        if F.ctx.weighted_degree(e) <= 1 and abs(c) > F.ctx.eps:
+        if F.ctx.weighted_degree(e) <= 1 and not negligible(c, scale):
             raise SeriesError("Legendre input must lack constant and linear terms")
     return stationary_phase(F, F.ctx.one(), variables)[0]
 
@@ -228,11 +223,11 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
     # context with the dual slots, in which h is laurent
     hctx = ctx
     if HBAR not in ctx.variables:
-        hctx = SeriesContext(ctx.variables + (HBAR,), ctx.weights + (2,), ctx.cap, ctx.eps,
+        hctx = SeriesContext(ctx.variables + (HBAR,), ctx.weights + (2,), ctx.cap,
                              laurent=ctx.laurent)
     duals = [f"_dual_{v}" for v in variables]
     joint = SeriesContext(hctx.variables + tuple(duals), hctx.weights + (1,) * len(duals),
-                          ctx.cap, ctx.eps, laurent=hctx.laurent | {HBAR})
+                          ctx.cap, laurent=hctx.laurent | {HBAR})
     phase = F.map_vars({}, joint)
     for v, d in zip(variables, duals):
         phase = phase + joint.monomial({v: 1, d: 1}, 1.0)

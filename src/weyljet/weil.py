@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, OscillatoryScalar, SeriesContext, SeriesError,
-                     TruncatedSeries, compose, is_singular, linear_combination)
+                     TruncatedSeries, compose, is_singular, linear_combination,
+                     negligible)
 from .stationary import hessian_matrix, quadratic_series, stationary_phase
 
 
@@ -160,7 +161,7 @@ def act_shear(A, jet: GaussianJet) -> GaussianJet:
 
 def act_gl(B, jet: GaussianJet) -> GaussianJet:
     Bm = _mat(B, jet.n)
-    if is_singular(Bm, jet.ctx.eps):
+    if is_singular(Bm, DEFAULT_EPS):
         raise SeriesError("singular linear substitution")
     Binv = np.linalg.inv(Bm)
     T2 = Binv.T @ jet.T @ Binv
@@ -188,7 +189,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
         return jet
     sel = [uvars.index(v) for v in block]
     Tss = jet.T[np.ix_(sel, sel)]
-    if is_singular(Tss, jet.ctx.eps):
+    if is_singular(Tss, DEFAULT_EPS):
         if jet.mode == "weil0":
             raise UndefinedWeilActionError(
                 "Fourier block of T is degenerate: action undefined at this element")
@@ -200,7 +201,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     # the prefactor carries the pinned branch for the block
     T2 = hessian_matrix(reduced, uvars)
     quad_check = reduced - quadratic_series(ctx, T2, uvars)
-    if quad_check.max_abs() > 1e3 * ctx.eps:
+    if not negligible(quad_check.max_abs(), 1e3 * reduced.max_abs()):
         raise SeriesError("Fourier of a Gaussian jet produced a non-quadratic phase")
     mode = jet.mode
     if mode == "weil0" and np.max(np.abs(T2.imag)) > 1e-9:

@@ -16,9 +16,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .series import (HBAR, SeriesContext, SeriesError, TruncatedSeries, compose,
-                     contract_product, exp_second_order, invert_map, is_singular,
-                     linear_combination, power_sum)
+from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
+                     compose, contract_product, exp_second_order, invert_map,
+                     is_singular, linear_combination, negligible, power_sum)
 
 
 class NonTerminatingAdError(SeriesError):
@@ -159,10 +159,6 @@ class NormalOperator:
 def weyl_quantize(A: WeylAlgebra, w: TruncatedSeries) -> NormalOperator:
     """Symmetrized-product quantization u^a v^b -> sym(u^a, (ih d_u)^b)."""
     return NormalOperator.from_weyl(A, w)
-
-
-def weyl_symbol(op: NormalOperator) -> TruncatedSeries:
-    return op.to_weyl()
 
 
 def operator_from_action(A: WeylAlgebra, action: Callable[[TruncatedSeries], TruncatedSeries],
@@ -320,17 +316,17 @@ class KGroupElement:
         self.q = ctx.zero() if q is None else q
         bad_vars = list(A.xi) + [HBAR]
         for v, s in self.images.items():
-            if abs(s.constant_term()) > ctx.eps:
+            if not negligible(s.constant_term(), s.max_abs()):
                 raise SeriesError("diffeomorphism image has a constant term")
             if any(s.depends_on(b) for b in bad_vars):
                 raise SeriesError("diffeomorphism must involve position jets only")
-        if abs(self.q.constant_term()) > ctx.eps:
+        if not negligible(self.q.constant_term(), self.q.max_abs()):
             raise SeriesError("multiplier exponent must vanish at the origin")
         if any(self.q.depends_on(b) for b in bad_vars):
             raise SeriesError("multiplier must involve position jets only")
         a = np.array([[self.images[xv].coefficient({uv: 1}) for uv in A.x]
                       for xv in A.x], dtype=complex)
-        if is_singular(a, ctx.eps):
+        if is_singular(a, DEFAULT_EPS):
             raise SeriesError("non-invertible linear part")
         self.linear = a
         self._multiplier = None  # made on first use, or given by the group law

@@ -38,3 +38,26 @@ def test_import_needs_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def traced_spans():
+    """The ``(module, attribute path)`` pairs of ``SPANS`` in the benchmark's
+    tracer, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS"
+                                                for t in node.targets):
+            return [(module, path) for _, module, path in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracer.py defines no SPANS")
+
+
+def test_traced_functions_resolve():
+    # a deleted or renamed function would drop out of a traced run silently
+    missing = []
+    for module, path in traced_spans():
+        obj = importlib.import_module(module)
+        for name in path.split("."):
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(f"{module}.{path}")
+    assert not missing

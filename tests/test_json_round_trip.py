@@ -43,8 +43,7 @@ def series(draw, ctx, min_h=-2):
 def contexts(draw):
     n = draw(st.integers(1, 2))
     return SeriesContext([f"u{i + 1}" for i in range(n)] + ["h"], [1] * n + [2],
-                         draw(st.integers(0, 8)), draw(st.sampled_from([0.0, 1e-12, 1e-9])),
-                         laurent={"h"})
+                         draw(st.integers(0, 8)), laurent={"h"})
 
 
 @st.composite
@@ -53,8 +52,7 @@ def scalars(draw, cap=None):
     laurent = {draw(st.integers(-5, 5)): draw(coefficients())
                for _ in range(draw(st.integers(0, 4)))}
     return OscillatoryScalar(exponent, laurent, draw(st.integers(0, 3)),
-                             draw(st.integers(0, 10)) if cap is None else cap,
-                             draw(st.sampled_from([1e-12, 1e-9])))
+                             draw(st.integers(0, 10)) if cap is None else cap)
 
 
 @st.composite
@@ -76,7 +74,7 @@ def charts(draw):
     n = draw(st.integers(1, 2))
     base_free = tuple(j for j in range(n) if draw(st.booleans()))
     names = [f"x{j + 1}" if j in base_free else f"e{j + 1}" for j in range(n)]
-    ctx = SeriesContext(names, [1] * n, 2, eps=0)
+    ctx = SeriesContext(names, [1] * n, 2)
     F = ctx.from_terms({tuple(draw(st.integers(0, 1)) for _ in range(n)):
                         Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
                         for _ in range(draw(st.integers(0, 3)))})
@@ -97,7 +95,7 @@ def test_series_and_scalar_round_trip(data):
     z = data.draw(scalars())
     back = round_trip(z)
     assert same_scalar(back, z)
-    assert (back.cap, back.eps, back.laurent) == (z.cap, z.eps, z.laurent)
+    assert (back.cap, back.laurent) == (z.cap, z.laurent)
 
 
 @PROPERTY

@@ -236,7 +236,7 @@ def round_trip(s):
 
 
 def test_json_round_trip_inverse_powers_of_h():
-    c = SeriesContext(["u1", "h"], [1, 2], 4, eps=1e-11, laurent={"h"})
+    c = SeriesContext(["u1", "h"], [1, 2], 4, laurent={"h"})
     s = c.monomial({"u1": 3, "h": -1}, 0.5 - 1j) + c.monomial({"h": 1}, 2.0)
     s2 = round_trip(s)
     assert s2.ctx == s.ctx
@@ -244,9 +244,10 @@ def test_json_round_trip_inverse_powers_of_h():
 
 
 def test_zero_threshold():
-    c = ctx1(eps=1e-9)
-    s = c.constant(1e-12)
-    assert s.is_zero()
+    # the kernel drops exact zeros only
+    c = ctx1()
+    assert c.constant(1e-12).constant_term() == 1e-12
+    assert c.constant(0.0).is_zero() and c.constant(Fraction(0)).is_zero()
 
 
 def test_oscillatory_scalar_multiplication():
@@ -260,10 +261,10 @@ def test_oscillatory_scalar_multiplication():
     assert exact.exact and exact.exponent == 3
 
 
-def test_oscillatory_scalar_json_keeps_cap_and_eps():
-    s = OscillatoryScalar(0, {-10: 1}, cap=24, eps=1e-12)
+def test_oscillatory_scalar_json_keeps_cap_and_laurent():
+    s = OscillatoryScalar(0, {-10: 1}, cap=24)
     back = OscillatoryScalar.from_json(json.loads(json.dumps(s.to_json())))
-    assert (back.cap, back.eps, back.laurent) == (24, 1e-12, {-10: 1 + 0j})
+    assert (back.cap, back.laurent) == (24, {-10: 1 + 0j})
     assert back.exact and back.exponent == 0
 
 
@@ -288,7 +289,7 @@ def test_oscillatory_i_power():
 # --- exact coefficients ---------------------------------------------------------
 
 EXACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-QCTX = SeriesContext(["x", "y", "h"], [1, 1, 2], 4, eps=0)
+QCTX = SeriesContext(["x", "y", "h"], [1, 1, 2], 4)
 
 
 @st.composite

@@ -10,7 +10,7 @@ from weyljet.series import SeriesContext, SeriesError, compose, linear_combinati
 from weyljet.stationary import (DegenerateHessianError, fiber_stationary_phase,
                                 gaussian_moment, gaussian_prefactor,
                                 hessian_matrix, legendre_transform,
-                                pairing_count, stationary_phase)
+                                stationary_phase)
 
 
 def yctx(cap=8, nvars=1):
@@ -35,8 +35,8 @@ def test_moment_fourth_order_pairings():
     coeff, p = gaussian_moment([[1.0]], [4])
     assert p == 2
     assert abs(coeff - 3 * (1j) ** 2) < 1e-13
-    assert pairing_count(4) == 3
-    assert pairing_count(6) == 15
+    # (6 - 1)!! = 15 pairings, each contributing i**3
+    assert gaussian_moment([[1.0]], [6]) == (-15j, 3)
 
 
 def test_moment_q_dependence_homogeneous():
@@ -265,6 +265,6 @@ def test_critical_point_early_exit_matches_full_loop():
     for phase in (quadratic, cubic):
         _, _, _, zstar = fiber_stationary_phase(phase, c.one(), ["z1", "z2"])
         full = critical_point_full_loop(phase, ["z1", "z2"])
-        assert all(zstar[v].terms == full[v].terms for v in ("z1", "z2"))
-        if phase is quadratic:  # a zero gradient: the iteration stopped early
-            assert not any(compose(phase.diff(v), zstar) for v in ("z1", "z2"))
+        assert all(zstar[v].distance(full[v]) < 1e-14 for v in ("z1", "z2"))
+        if phase is quadratic:  # a negligible gradient: the iteration stopped early
+            assert all(compose(phase.diff(v), zstar).max_abs() < 1e-14 for v in ("z1", "z2"))

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyljet.series import SeriesContext, SeriesError, TruncatedSeries, exp_second_order
+from weyljet.series import (SeriesContext, SeriesError, TruncatedSeries, compose,
+                            exp_second_order, invert_map)
 from weyljet.weyl import (KGroupElement, LieElement, NonTerminatingAdError,
                           NormalOperator, WeylAlgebra, _multi_indices, commutator,
                           exp_ad, exp_lie_apply, k_conjugate, lie_classify,
                           moyal_star, operator_from_action, poisson_bracket,
-                          weyl_quantize, weyl_symbol)
+                          weyl_quantize)
 
 
 def algebra(n=1, cap=6):
@@ -89,7 +90,7 @@ def on_diagonal_by_doubling(A, f, g, pairs):
     jets = A.x + A.xi
     copy = {v: f"_c{v}" for v in jets}
     D = SeriesContext(A.ctx.variables + tuple(copy.values()),
-                      A.ctx.weights + (1,) * len(jets), A.cap, A.ctx.eps, A.ctx.laurent)
+                      A.ctx.weights + (1,) * len(jets), A.cap, A.ctx.laurent)
     fg = f.map_vars({}, D) * g.map_vars(copy, D)
     contracted = exp_second_order(fg, [(a, copy[b], c) for a, b, c in pairs])
     return contracted.map_vars({c: v for v, c in copy.items()}, A.ctx)
@@ -186,7 +187,7 @@ def test_quantize_round_trip():
     A = WeylAlgebra(2, 6)
     for _ in range(6):
         w = rand_weyl(A, rng)
-        assert weyl_symbol(weyl_quantize(A, w)).is_close(w, 1e-11)
+        assert weyl_quantize(A, w).to_weyl().is_close(w, 1e-11)
 
 
 def test_operator_composition_oracle_for_star():
@@ -324,6 +325,36 @@ def test_k_conjugate_star_automorphism():
         lhs = k_conjugate(k, moyal_star(A, f, g))
         rhs = moyal_star(A, k_conjugate(k, f), k_conjugate(k, g))
         assert lhs.distance(rhs) < 1e-8
+
+
+def test_k_homomorphism_and_unit_inverse_hold_to_rounding():
+    # a coefficient near 1e-3 in the image makes small intermediate terms
+    # that later products scale up: no cutoff may drop them
+    rng = random.Random(3)
+    A = algebra(cap=6)
+    u = A.var("u1")
+    k = KGroupElement(A, {"u1": -1.1913 * u - 8.74e-4 * u * u}, 0.0938 * u - 0.152 * u * u)
+    for _ in range(10):
+        f, g = (rand_weyl(A, rng, degree=2, nterms=3) + A.hbar() * rng.uniform(-1, 1)
+                for _ in range(2))
+        lhs = k_conjugate(k, moyal_star(A, f, g))
+        rhs = moyal_star(A, k_conjugate(k, f), k_conjugate(k, g))
+        assert lhs.distance(rhs) < 1e-13
+    x = 49 + u
+    assert (x * x.unit_inverse()).is_close(A.one(), 1e-14)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+def test_input_checks_are_scale_free(s):
+    A = algebra()
+    u = A.var("u1")
+    KGroupElement(A, {"u1": (u + 0.3 * u * u) * s})
+    with pytest.raises(SeriesError, match="constant term"):
+        KGroupElement(A, {"u1": (u + 1e-3) * s})
+    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 4)
+    inv = invert_map({v: c.variable(v) * s for v in ("u1", "u2")})
+    assert all(inv[v].is_close(c.variable(v) * (1 / s), 1e-15 / s) for v in ("u1", "u2"))
+    assert compose(A.var("u1", 2), {"u1": u * s}) == A.ctx.monomial({"u1": 2}, s * s)
 
 
 def test_exp_lie_apply_matches_exp_ad_conjugation():
