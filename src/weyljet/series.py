@@ -32,8 +32,9 @@ One truncation rule: only the cap cuts a series.  The Laurent part of an
 :class:`OscillatoryScalar` is a series in ``h`` alone and truncates as
 every series does, and the power sums (``exp``, ``unit_inverse``,
 ``unit_sqrt`` and the exponentials of :mod:`weyljet.weyl`) run through
-:func:`power_sum`, which stops only when a term vanishes and raises
-rather than return a sum that truncation does not end.
+:func:`power_sum`, which stops only when a term vanishes.  No caller
+pre-screens the argument of a power sum: each raises when ``power_sum``
+reports a sum that truncation does not end.
 
 One exact substitution: :func:`compose` takes ``f`` and its images in
 one context and builds the image powers at a cap wider by the depth of
@@ -352,13 +353,12 @@ class TruncatedSeries:
     # --- composition-grade helpers ---------------------------------------
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with strictly positive minimal weighted degree."""
-        if self.is_zero():
-            return self.ctx.one()
-        if self.min_degree() < 1:
-            raise SeriesError("exp requires filtration-raising argument")
-        return power_sum(self.ctx.one(), lambda t, k: t * self * (1.0 / k),
-                         self.ctx.cap + 1)
+        """exp of a series whose terms all have positive weighted degree."""
+        result = power_sum(self.ctx.one(), lambda t, k: t * self * (1.0 / k),
+                           self.ctx.cap + 1)
+        if result is None:
+            raise SeriesError("exp: the argument has terms of degree <= 0")
+        return result
 
     def _unit_part(self, what: str):
         """``(c0, u)`` with ``self = c0 (1 + u)``; ``u`` is the rest of
@@ -593,11 +593,11 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     return _admitted(ctx, out)
 
 
-def is_singular(M, eps: float) -> bool:
+def is_singular(M) -> bool:
     """Scale-free degeneracy test: the smallest singular value of ``M`` is
-    at most ``eps`` times its largest."""
+    at most ``DEFAULT_EPS`` times its largest."""
     sv = np.linalg.svd(np.asarray(M), compute_uv=False)
-    return bool(sv[-1] <= eps * sv[0])
+    return bool(sv[-1] <= DEFAULT_EPS * sv[0])
 
 
 def negligible(c, scale: float) -> bool:
@@ -714,7 +714,7 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
         if any(ctx.weighted_degree(e) <= 1 and not negligible(c, scale)
                for e, c in higher[v].terms.items()):
             raise SeriesError(f"map image of {v!r} has linear part outside the block")
-    if is_singular(A, DEFAULT_EPS):
+    if is_singular(A):
         raise SeriesError("singular linear part")
     Ainv = np.linalg.inv(A)
 

@@ -48,7 +48,7 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
     propagator of a single pairing is ``i h (Q^{-1})_{jk}``.
     """
     Qm = np.asarray(Q, dtype=complex)
-    if is_singular(Qm, DEFAULT_EPS):
+    if is_singular(Qm):
         raise DegenerateHessianError("singular quadratic form")
     z = [f"z{j}" for j in range(len(alpha))]
     order = sum(int(a) for a in alpha)
@@ -85,7 +85,7 @@ def gaussian_prefactor(Q) -> complex:
     Qm = np.asarray(Q, dtype=complex)
     if Qm.shape[0] == 0:
         return 1.0 + 0.0j
-    if is_singular(Qm, DEFAULT_EPS):
+    if is_singular(Qm):
         raise DegenerateHessianError("degenerate Hessian")
     lam = np.linalg.eigvals(-1j * Qm)
     if any(l.real < 0 and abs(l.imag) <= DEFAULT_EPS * abs(l) for l in lam):

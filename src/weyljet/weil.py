@@ -6,6 +6,10 @@ mode ``weil0`` keeps ``T`` real, where the Fourier generator is only
 partially defined and signals undefined elements instead of guessing a
 branch.  Scalars track an exact phase exponent, a Laurent series in ``h``
 and the central character as a power of ``i``.
+
+Every check on float data is scale-free: symmetry, realness and
+degeneracy are judged against the largest entry of the matrix judged,
+through :func:`negligible` and :func:`is_singular`.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import (DEFAULT_EPS, HBAR, OscillatoryScalar, SeriesContext, SeriesError,
-                     TruncatedSeries, compose, is_singular, linear_combination,
-                     negligible)
+from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
+                     compose, is_singular, linear_combination, negligible)
 from .stationary import hessian_matrix, quadratic_series, stationary_phase
 
 
@@ -30,6 +33,11 @@ class UndefinedWeilActionError(SeriesError):
 def jet_context(n: int, cap: int) -> SeriesContext:
     names = [f"u{i+1}" for i in range(n)] + [HBAR]
     return SeriesContext(names, [1] * n + [2], cap, laurent={HBAR})
+
+
+def _asymmetric(X) -> bool:
+    """``X - X^T`` is not negligible against the largest entry of ``X``."""
+    return not negligible(np.max(np.abs(X - X.T)), np.max(np.abs(X)))
 
 
 class GaussianJet:
@@ -45,7 +53,7 @@ class GaussianJet:
         self.ctx = amplitude.ctx
         self.n = len([v for v in self.ctx.variables if v != HBAR])
         T = np.asarray(T, dtype=complex).reshape(self.n, self.n)
-        if np.max(np.abs(T - T.T)) > 1e-12:
+        if _asymmetric(T):
             raise SeriesError("T must be symmetric")
         if mode == "weil":
             im = (T - T.conj().T) / 2j
@@ -53,7 +61,7 @@ class GaussianJet:
             if np.min(vals) <= 0:
                 raise SeriesError("mode weil requires Im T positive definite")
         else:
-            if np.max(np.abs(T.imag)) > 1e-12:
+            if not negligible(np.max(np.abs(T.imag)), np.max(np.abs(T))):
                 raise SeriesError("mode weil0 requires real T")
         self.T = T
         self.amplitude = amplitude
@@ -154,14 +162,14 @@ def _mat(x, n):
 
 def act_shear(A, jet: GaussianJet) -> GaussianJet:
     Am = _mat(A, jet.n)
-    if np.max(np.abs(Am - Am.T)) > 1e-12:
+    if _asymmetric(Am):
         raise SeriesError("shear matrix must be symmetric")
     return jet.with_parts(T=jet.T + Am)
 
 
 def act_gl(B, jet: GaussianJet) -> GaussianJet:
     Bm = _mat(B, jet.n)
-    if is_singular(Bm, DEFAULT_EPS):
+    if is_singular(Bm):
         raise SeriesError("singular linear substitution")
     Binv = np.linalg.inv(Bm)
     T2 = Binv.T @ jet.T @ Binv
@@ -169,7 +177,7 @@ def act_gl(B, jet: GaussianJet) -> GaussianJet:
     uvars = jet.vars()
     images = {vj: linear_combination(jet.ctx, [(jet.ctx.variable(vi), Binv[j, i])
                                                for i, vi in enumerate(uvars)
-                                               if abs(Binv[j, i]) > 1e-15])
+                                               if Binv[j, i]])
               for j, vj in enumerate(uvars)}
     amp = compose(jet.amplitude, images)
     scal = jet.scalar * (abs(np.linalg.det(Bm)) ** -0.5)
@@ -189,7 +197,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
         return jet
     sel = [uvars.index(v) for v in block]
     Tss = jet.T[np.ix_(sel, sel)]
-    if is_singular(Tss, DEFAULT_EPS):
+    if is_singular(Tss):
         if jet.mode == "weil0":
             raise UndefinedWeilActionError(
                 "Fourier block of T is degenerate: action undefined at this element")
@@ -204,7 +212,7 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     if not negligible(quad_check.max_abs(), 1e3 * reduced.max_abs()):
         raise SeriesError("Fourier of a Gaussian jet produced a non-quadratic phase")
     mode = jet.mode
-    if mode == "weil0" and np.max(np.abs(T2.imag)) > 1e-9:
+    if mode == "weil0" and not negligible(np.max(np.abs(T2.imag)), np.max(np.abs(T2))):
         mode = "weil"
     return GaussianJet(mode, T2, out, jet.scalar * pref)
 
@@ -247,14 +255,13 @@ def factor_sp(M: np.ndarray) -> list:
     m = M.shape[0] // 2
     P, Q = M[:m, :m], M[:m, m:]
     R, S = M[m:, :m], M[m:, m:]
-    if is_singular(R, DEFAULT_EPS):
+    if is_singular(R):
         raise SeriesError("lower-left block not invertible: word not factorable here")
     B = -np.linalg.inv(R).T
     A = P @ np.linalg.inv(R)
     C = np.linalg.inv(R) @ S
-    for X in (A, C):
-        if np.max(np.abs(X - X.T)) > 1e-8:
-            raise SeriesError("factorization produced a non-symmetric shear")
+    if _asymmetric(A) or _asymmetric(C):
+        raise SeriesError("factorization produced a non-symmetric shear")
     A = (A + A.T) / 2
     C = (C + C.T) / 2
     word = [Shear(tuple(map(tuple, C))), Fourier(None),

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
+from .series import (HBAR, SeriesContext, SeriesError, TruncatedSeries,
                      compose, contract_product, exp_second_order, invert_map,
                      is_singular, linear_combination, negligible, power_sum)
 
@@ -222,45 +222,10 @@ class LieElement:
         return degs
 
 
-def _ad_terminates(A: WeylAlgebra, payload: TruncatedSeries) -> bool:
-    """Structural termination test for the adjoint series.
-
-    Allowed: filtration-raising terms (degree >= 3), central terms, and
-    low-degree terms supported on one side only (pure position or pure
-    momentum), whose adjoint strictly lowers the opposite degree.  Mixed
-    low-degree terms generate rotations with non-terminating series.
-    """
-    ctx = A.ctx
-    x_idx = [ctx.index(v) for v in A.x]
-    xi_idx = [ctx.index(v) for v in A.xi]
-    side = 0  # +1 position-only lows, -1 momentum-only lows
-    for e in payload.terms:
-        d = ctx.weighted_degree(e)
-        xdeg = sum(e[i] for i in x_idx)
-        vdeg = sum(e[i] for i in xi_idx)
-        if d >= 3 or (xdeg == 0 and vdeg == 0):
-            continue
-        if vdeg == 0:
-            this = 1
-        elif xdeg == 0:
-            this = -1
-        else:
-            return False
-        if side == 0:
-            side = this
-        elif side != this:
-            return False
-    return True
-
-
 def exp_ad(h: LieElement, w: TruncatedSeries) -> TruncatedSeries:
-    """sum_k ad(h)^k w / k!; raises when the payload shape cannot make
-    the series terminate under truncation."""
+    """sum_k ad(h)^k w / k!, summed until a term vanishes; raises
+    :class:`NonTerminatingAdError` when truncation does not end the sum."""
     A = h.algebra
-    if not _ad_terminates(A, h.payload):
-        raise NonTerminatingAdError(
-            "adjoint series does not terminate: payload neither raises the "
-            "filtration nor is of one-sided low-degree type")
     result = power_sum(w, lambda t, k: h.ad(t) * (1.0 / k), (A.cap + 2) * (A.cap + 2))
     if result is None:
         raise NonTerminatingAdError("adjoint series did not terminate")
@@ -326,9 +291,8 @@ class KGroupElement:
             raise SeriesError("multiplier must involve position jets only")
         a = np.array([[self.images[xv].coefficient({uv: 1}) for uv in A.x]
                       for xv in A.x], dtype=complex)
-        if is_singular(a, DEFAULT_EPS):
+        if is_singular(a):
             raise SeriesError("non-invertible linear part")
-        self.linear = a
         self._multiplier = None  # made on first use, or given by the group law
 
     @staticmethod

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from weyljet.series import OscillatoryScalar
+from weyljet.series import OscillatoryScalar, SeriesError
 from weyljet.weil import (Central, Fourier, GaussianJet, Linear, Shear,
                           UndefinedWeilActionError, act_fourier, act_gl,
                           act_shear, act_word, factor_sp, jet_context,
@@ -223,3 +223,44 @@ def test_json_round_trip():
     jet = rand_weil_jet(2, 6, rng)
     jet2 = GaussianJet.from_json(jet.to_json())
     assert jet2.is_close(jet, 1e-12)
+
+
+def test_gl_keeps_the_amplitude_at_any_scale():
+    ctx = jet_context(1, 6)
+    jet = basic_jet(amp=ctx.one() + ctx.variable("u1", 2))
+    out = act_gl([[1e16]], jet)
+    assert abs(out.amplitude.coefficient({"u1": 2}) - 1e-32) <= 1e-45
+
+
+def test_symmetry_and_realness_checks_are_scale_free():
+    ctx = jet_context(2, 4)
+    with pytest.raises(SeriesError, match="symmetric"):
+        GaussianJet("weil0", 1e-13 * np.array([[1.0, 1.0], [0.0, 1.0]]), ctx.one())
+    with pytest.raises(SeriesError, match="symmetric"):
+        act_shear(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]), basic_jet(n=2, cap=4))
+    with pytest.raises(SeriesError, match="real T"):
+        GaussianJet("weil0", 1e-13 * np.array([[1.0, 1j], [1j, 1.0]]), ctx.one())
+    # rounding-level asymmetry of a large T is symmetric
+    T = 1e6 * np.array([[1.0, 0.3], [0.3, 2.0]]) + 1j * np.eye(2)
+    T[0, 1] += 3e-11
+    assert GaussianJet("weil", T, ctx.one()).T[0, 1] == T[0, 1]
+
+
+def test_factor_sp_of_large_shears():
+    rng = random.Random(12)
+
+    def shear_entries():
+        a = np.array([[rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) * 1e8
+                       for _ in range(2)] for _ in range(2)])
+        return tuple(map(tuple, (a + a.T) / 2))
+
+    for _ in range(50):
+        while True:
+            B = np.array([[rng.uniform(-1.5, 1.5) for _ in range(2)] for _ in range(2)])
+            if np.linalg.cond(B) < 8:
+                break
+        word = [Shear(shear_entries()), Fourier(None), Linear(tuple(map(tuple, B))),
+                Shear(shear_entries())]
+        M = word_matrix(word, 2)
+        back = word_matrix(factor_sp(M), 2)
+        assert np.max(np.abs(back - M)) <= 1e-9 * np.max(np.abs(M))

@@ -252,7 +252,7 @@ def test_exp_ad_zero_identity():
 def test_exp_ad_non_terminating_rejected():
     A = algebra()
     rotation = A.ctx.monomial({"u1": 1, "v1": 1})
-    with pytest.raises(NonTerminatingAdError):
+    with pytest.raises(NonTerminatingAdError, match="did not terminate"):
         exp_ad(LieElement(A, rotation), A.var("u1"))
 
 
@@ -416,3 +416,52 @@ def test_k_inverse_undoes_the_action_at_every_degree(n):
         f = rand_position_series(A, rng)
         assert k.inverse().act(k.act(f)).distance(f) < 1e-8
         assert k.act(k.inverse().act(f)).distance(f) < 1e-8
+
+
+def rand_symbol(A, rng, with_inverse_h):
+    """Five seeded monomials in u, v and h within the cap; with
+    ``with_inverse_h`` one of them carries h^-1."""
+    w = A.zero()
+    powers = [-1] if with_inverse_h else []
+    while len(w.terms) < 5:
+        e = {v: rng.randint(0, 2) for v in A.x + A.xi}
+        e["h"] = powers.pop() if powers else rng.randint(0, 1)
+        if 0 <= sum(e[v] for v in A.x + A.xi) + 2 * e["h"] <= A.cap:
+            w = w + A.ctx.monomial(e, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    return w
+
+
+@pytest.mark.parametrize("cap", [6, 4])
+def test_nilpotent_payload_ties_the_three_routes(cap):
+    # (1/ih) u1 v2 generates u2 -> u2 + u1: its adjoint series ends although
+    # the payload has a mixed term of degree 2
+    rng = random.Random(cap)
+    A = WeylAlgebra(2, cap)
+    X = LieElement(A, A.var("u1") * A.var("v2"))
+    k = KGroupElement(A, {"u1": A.var("u1"), "u2": A.var("u2") + A.var("u1")})
+    for trial in range(6):
+        w = rand_symbol(A, rng, with_inverse_h=trial % 2 == 1)
+        assert exp_ad(X, w).distance(k_conjugate(k, w)) <= 1e-13 * max(1.0, w.max_abs())
+    for _ in range(4):
+        f = rand_position_series(A, rng)
+        assert exp_lie_apply(X, f).distance(k.act(f)) <= 1e-13
+
+
+@pytest.mark.parametrize("cap", [6, 4])
+def test_heisenberg_payload_translates(cap):
+    # (1/ih)(0.5 u1 + 0.25 v1) maps w(u, v) to w(u1 + 0.25, v1 - 0.5)
+    rng = random.Random(10 + cap)
+    A = WeylAlgebra(2, cap)
+    Y = LieElement(A, 0.5 * A.var("u1") + 0.25 * A.var("v1"))
+    shifted = {"u1": A.var("u1") + 0.25, "v1": A.var("v1") - 0.5}
+    for trial in range(4):
+        w = rand_symbol(A, rng, with_inverse_h=trial % 2 == 1)
+        want = A.zero()
+        for e, c in w.terms.items():
+            # the h power first, so no partial product passes the cap
+            term = A.ctx.monomial({"h": e[A.ctx.index("h")]}, c)
+            for v, p in zip(A.x + A.xi, e):
+                term = term * (shifted.get(v, A.var(v)) ** p)
+            want = want + term
+        assert exp_ad(Y, w).distance(want) <= 1e-13 * max(1.0, w.max_abs())
+
