@@ -1,12 +1,20 @@
 """Exact Maslov cocycle arithmetic.
 
-Everything in this module runs over exact rationals: signatures are
-computed by fraction-free symmetric elimination, cocycle values are
-half-integers stored as doubled integers, and phase-difference cocycles
-evaluate to exact fractions.  Generating functions are
+Everything in this module runs over exact rationals: signatures come from
+symmetric Gaussian elimination on ``Fraction`` entries, cocycle values
+are half-integers stored as doubled integers, and phase-difference
+cocycles evaluate to exact fractions.  Generating functions are
 :class:`~weyljet.series.TruncatedSeries` with ``Fraction`` coefficients,
 which the series kernel keeps exact and drops only when zero.  No
 tolerance enters any statement here.
+
+One rule gives every Maslov cocycle value.  On the chart U_I a
+Lagrangian is generated by F_I(x_I, xi_Ibar); on U_I and U_J the doubled
+cocycle c_IJ is the signature of the Hessian of F_I over the coordinates
+the two charts exchange, x_{I-J} then xi_{J-I}, and the Lagrangian lies
+in U_J exactly when that block is nondegenerate.  For a linear
+Lagrangian F_I = y.Hy/2 with y = (x_I, xi_Ibar) and the chart Hessian
+H = [[A, B], [B^t, C]] of :class:`LagrangianFrame`.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ def signature(S) -> int:
     by symmetric elimination with symmetric pivoting."""
     M = [[Fraction(x) for x in row] for row in S]
     n = len(M)
+    if any(len(row) != n for row in M):
+        raise MaslovError("signature: the matrix is not square")
     if any(M[i][j] != M[j][i] for i in range(n) for j in range(n)):
         raise MaslovError("matrix is not symmetric")
     sig = 0
@@ -83,7 +93,30 @@ def signature(S) -> int:
     return sig
 
 
+def _exchange_signature(entry, I, J, message: str) -> int:
+    """The cocycle rule: the signature of the Hessian ``entry(p, q)`` over
+    the coordinates that U_I and U_J exchange, x_{I-J} then e_{J-I}; 0
+    when they exchange none.  A degenerate block raises ``message``."""
+    labels = [f"x{j+1}" for j in sorted(I - J)] + [f"e{j+1}" for j in sorted(J - I)]
+    if not labels:
+        return 0
+    try:
+        return signature([[entry(p, q) for q in labels] for p in labels])
+    except MaslovError:
+        raise MaslovError(message) from None
+
+
 # --- linear Grassmannian charts -------------------------------------------------
+
+
+def _chart(n: int, I):
+    """Sorted I, its sorted complement and the names of the free
+    coordinates (x_I, then e_Ibar) of the chart U_I in dimension n."""
+    Ilist = sorted({int(i) for i in I})
+    if any(not 0 <= i < n for i in Ilist):
+        raise MaslovError(f"chart index outside range({n})")
+    Ibar = [j for j in range(n) if j not in Ilist]
+    return Ilist, Ibar, [f"x{j+1}" for j in Ilist] + [f"e{j+1}" for j in Ibar]
 
 
 @dataclass(frozen=True)
@@ -96,131 +129,84 @@ class LagrangianFrame:
     B: tuple
     C: tuple
 
+    def hessian(self) -> list[list[Fraction]]:
+        """H = [[A, B], [B^t, C]] over the free coordinates (x_I, xi_Ibar):
+        the Hessian of the generating quadratic, and diag(1, -1) H maps the
+        free coordinates to the dependent ones (xi_I, x_Ibar)."""
+        rows = [list(a) + list(b) for a, b in zip(self.A, self.B)]
+        rows += [[b[j] for b in self.B] + list(c) for j, c in enumerate(self.C)]
+        return [[Fraction(x) for x in row] for row in rows]
+
 
 def chart_parameters(basis: Sequence[Sequence], I) -> LagrangianFrame:
     """Frame of the span of ``basis`` (rows (x, xi) of length 2n) in the
     chart U_I; raises when the projection is singular."""
-    I = frozenset(int(i) for i in I)
     rows = [[Fraction(x) for x in row] for row in basis]
     n = len(rows)
     if any(len(r) != 2 * n for r in rows):
         raise MaslovError("basis rows must have length 2n")
-    Ibar = [j for j in range(n) if j not in I]
-    Ilist = sorted(I)
-    free_cols = [j for j in Ilist] + [n + j for j in Ibar]
-    dep_cols = [n + j for j in Ilist] + [j for j in Ibar]
-    U = [[r[c] for c in free_cols] for r in rows]
-    D = [[r[c] for c in dep_cols] for r in rows]
+    Ilist, Ibar, _ = _chart(n, I)
+    k = len(Ilist)
+    free_cols = Ilist + [n + j for j in Ibar]
+    dep_cols = [n + j for j in Ilist] + Ibar
     try:
-        Mt = _solve_rational(U, D)  # M^t with d = M u
+        Mt = _solve_rational([[r[c] for c in free_cols] for r in rows],
+                             [[r[c] for c in dep_cols] for r in rows])  # M^t, d = M u
     except MaslovError:
         raise MaslovError("subspace lies outside the chart U_I") from None
-    M = [[Mt[j][i] for j in range(n)] for i in range(n)]
-    k = len(Ilist)
-    A = [row[:k] for row in M[:k]]
-    B = [row[k:] for row in M[:k]]
-    mBt = [row[:k] for row in M[k:]]
-    mC = [row[k:] for row in M[k:]]
-    for i in range(k):
-        for j in range(k):
-            if A[i][j] != A[j][i]:
-                raise MaslovError("chart solve produced nonsymmetric A: not Lagrangian")
-    for i in range(n - k):
-        for j in range(n - k):
-            if mC[i][j] != mC[j][i]:
-                raise MaslovError("chart solve produced nonsymmetric C: not Lagrangian")
-    for i in range(n - k):
-        for j in range(k):
-            if mBt[i][j] != -B[j][i]:
-                raise MaslovError("chart solve inconsistent: not Lagrangian")
-    C = [[-x for x in row] for row in mC]
-    return LagrangianFrame(n, I, tuple(map(tuple, A)), tuple(map(tuple, B)),
-                           tuple(map(tuple, C)))
+    H = [[Mt[j][i] if i < k else -Mt[j][i] for j in range(n)] for i in range(n)]
+    if any(H[i][j] != H[j][i] for i in range(n) for j in range(i)):
+        raise MaslovError("chart Hessian is not symmetric: not Lagrangian")
+    return LagrangianFrame(n, frozenset(Ilist), tuple(tuple(r[:k]) for r in H[:k]),
+                           tuple(tuple(r[k:]) for r in H[:k]),
+                           tuple(tuple(r[k:]) for r in H[k:]))
 
 
 def frame_basis(frame: LagrangianFrame) -> list[list[Fraction]]:
     """Basis rows regenerating the subspace of a frame: one row per free
-    coordinate (x_I then xi_Ibar), dependents filled from the equations."""
+    coordinate (x_I then xi_Ibar), dependents read from the columns of H."""
     n = frame.n
-    Ilist = sorted(frame.I)
-    Ibar = [j for j in range(n) if j not in frame.I]
-    A = [[Fraction(x) for x in r] for r in frame.A]
-    B = [[Fraction(x) for x in r] for r in frame.B]
-    C = [[Fraction(x) for x in r] for r in frame.C]
-    k = len(Ilist)
+    Ilist, Ibar, _ = _chart(n, frame.I)
+    H = frame.hessian()
     rows = []
     for s in range(n):
-        xI = [Fraction(1) if t == s else Fraction(0) for t in range(k)]
-        eI = [Fraction(1) if k + t == s else Fraction(0) for t in range(n - k)]
         x = [Fraction(0)] * n
         xi = [Fraction(0)] * n
         for a, i in enumerate(Ilist):
-            x[i] = xI[a]
-            xi[i] = sum(A[a][b] * xI[b] for b in range(k)) \
-                + sum(B[a][b] * eI[b] for b in range(n - k))
-        for a, j in enumerate(Ibar):
-            xi[j] = eI[a]
-            x[j] = -sum(B[b][a] * xI[b] for b in range(k)) \
-                - sum(C[a][b] * eI[b] for b in range(n - k))
+            x[i] = Fraction(int(a == s))
+            xi[i] = H[a][s]
+        for a, j in enumerate(Ibar, len(Ilist)):
+            xi[j] = Fraction(int(a == s))
+            x[j] = -H[a][s]
         rows.append(x + xi)
     return rows
 
 
 def generating_quadratic(frame: LagrangianFrame) -> TruncatedSeries:
-    """F_I(x_I, xi_Ibar) = x.Ax/2 + x.B xi + xi.C xi/2 generating the frame."""
+    """F_I(x_I, xi_Ibar) = y.Hy/2, y = (x_I, xi_Ibar), generating the frame."""
     n = frame.n
-    Ilist = sorted(frame.I)
-    Ibar = [j for j in range(n) if j not in frame.I]
-    names = [f"x{j+1}" for j in Ilist] + [f"e{j+1}" for j in Ibar]
-    k = len(Ilist)
+    names = _chart(n, frame.I)[2]
     terms: dict[tuple, Fraction] = {}
-
-    def add(i, j, c):
-        e = [0] * n
-        e[i] += 1
-        e[j] += 1
-        terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + Fraction(c)
-
-    for a in range(k):
-        for b in range(k):
-            add(a, b, Fraction(frame.A[a][b], 2))
-    for a in range(k):
-        for b in range(n - k):
-            add(a, k + b, frame.B[a][b])
-    for a in range(n - k):
-        for b in range(n - k):
-            add(k + a, k + b, Fraction(frame.C[a][b], 2))
+    for i, row in enumerate(frame.hessian()):
+        for j, h in enumerate(row):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + h / 2
     return SeriesContext(names, [1] * n, 2).from_terms(terms)
 
 
 def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:
     """Doubled half-integer cocycle value c_{IJ} for a linear Lagrangian:
-    the signature of the exchanged-block Hessian of the U_I generating
-    quadratic.  Requires the subspace to lie in both charts; it lies in
-    U_J exactly when that Hessian is nondegenerate."""
-    I = frozenset(int(i) for i in I)
-    J = frozenset(int(j) for j in J)
+    the cocycle rule on the chart Hessian H of U_I.  Requires the
+    subspace to lie in both charts; it lies in U_J exactly when the
+    exchanged block of H is nondegenerate."""
     frame = chart_parameters(basis, I)
-    n = frame.n
-    Ilist = sorted(I)
-    Ibar = [j for j in range(n) if j not in I]
-    x_ex = sorted(I - J)           # x free in U_I, not in U_J
-    xi_ex = sorted(J - I)          # xi free in U_I, x free in U_J
-    pos = {("x", j): Ilist.index(j) for j in Ilist}
-    pos.update({("e", j): len(Ilist) + Ibar.index(j) for j in Ibar})
-    labels = [("x", j) for j in x_ex] + [("e", j) for j in xi_ex]
-    if not labels:
-        return 0
-    k = len(Ilist)
-    M = [[Fraction(frame.A[a][b]) for b in range(k)] + [Fraction(frame.B[a][b]) for b in range(n - k)]
-         for a in range(k)]
-    M += [[Fraction(frame.B[b][a]) for b in range(k)] + [Fraction(frame.C[a][b]) for b in range(n - k)]
-          for a in range(n - k)]
-    H = [[M[pos[p]][pos[q]] for q in labels] for p in labels]
-    try:
-        return signature(H)
-    except MaslovError:
-        raise MaslovError("subspace lies outside the chart U_J") from None
+    names = _chart(frame.n, frame.I)[2]
+    H = frame.hessian()
+    return _exchange_signature(lambda p, q: H[names.index(p)][names.index(q)],
+                               frame.I, frozenset(_chart(frame.n, J)[0]),
+                               "subspace lies outside the chart U_J")
 
 
 # --- submanifold charts ---------------------------------------------------------
@@ -310,30 +296,25 @@ def submanifold_cocycle(beta: SubdivisionChart, gamma: SubdivisionChart,
         raise MaslovError("dimension mismatch")
     if beta.base_chart != gamma.base_chart:
         return 0
-    ex_x = sorted(set(beta.base_free) - set(gamma.base_free))
-    ex_e = sorted(set(gamma.base_free) - set(beta.base_free))
-    labels = [f"x{j+1}" for j in ex_x] + [f"e{j+1}" for j in ex_e]
-    if not labels:
-        return 0
     vals = beta.point_free_values(point)
-    H = [[(beta.F.diff(p).diff(q)).evaluate(vals) for q in labels] for p in labels]
-    try:
-        return signature(H)
-    except MaslovError:
-        raise MaslovError("degenerate mixed Hessian at the point") from None
+    return _exchange_signature(lambda p, q: beta.F.diff(p).diff(q).evaluate(vals),
+                               set(beta.base_free), set(gamma.base_free),
+                               "degenerate mixed Hessian at the point")
 
 
-def alpha_cocycle(beta: SubdivisionChart, gamma: SubdivisionChart, point,
-                  samples: int = 3) -> Fraction:
+ALPHA_SAMPLES = 3  # nearby points per free coordinate in alpha_cocycle
+
+
+def alpha_cocycle(beta: SubdivisionChart, gamma: SubdivisionChart, point) -> Fraction:
     """phi_beta - phi_gamma on L near the point; exact and locally
-    constant.  A nonconstant difference across sampled nearby points
-    signals inconsistent chart data."""
+    constant.  A nonconstant difference across ``ALPHA_SAMPLES`` nearby
+    points per free coordinate signals inconsistent chart data."""
     if not beta.contains_point(point) or not gamma.contains_point(point):
         raise MaslovError("point does not satisfy both chart descriptions")
     base = beta.phase_on_l(point) - gamma.phase_on_l(point)
     vals = beta.point_free_values(point)
     names = list(vals)
-    for s in range(1, samples + 1):
+    for s in range(1, ALPHA_SAMPLES + 1):
         shift = Fraction(1, 7 + 3 * s)
         for v in names:
             pert = dict(vals)

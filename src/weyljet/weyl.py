@@ -277,8 +277,12 @@ class KGroupElement:
         A = algebra
         self.algebra = A
         ctx = A.ctx
+        if any(v not in images for v in A.x):
+            raise SeriesError("an image is missing for a position variable")
         self.images = {v: images[v] for v in A.x}
         self.q = ctx.zero() if q is None else q
+        if any(s.ctx != ctx for s in [*self.images.values(), self.q]):
+            raise SeriesError("images and multiplier exponent must live in the algebra's context")
         bad_vars = list(A.xi) + [HBAR]
         for v, s in self.images.items():
             if not negligible(s.constant_term(), s.max_abs()):

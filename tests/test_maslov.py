@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyljet.maslov import (LagrangianFrame, MaslovError, SubdivisionChart,
                             alpha_cocycle, chart_parameters, frame_basis,
@@ -74,6 +76,11 @@ def test_signature_block_additivity():
 def test_signature_degenerate_rejected():
     with pytest.raises(MaslovError):
         signature([[1, 1], [1, 1]])
+
+
+def test_signature_rejects_a_non_square_matrix():
+    with pytest.raises(MaslovError, match="not square"):
+        signature([[1, 2, 3], [2, 1, 0]])
 
 
 # --- charts ----------------------------------------------------------------------
@@ -186,6 +193,14 @@ def raises(fn, *args):
     return False
 
 
+def outcome(fn, *args):
+    """The value of the call, or "raise" when it raises MaslovError."""
+    try:
+        return fn(*args)
+    except MaslovError:
+        return "raise"
+
+
 def test_linear_cocycle_outside_second_chart_rejected():
     # linear_cocycle decides membership in U_J from the exchanged Hessian
     # alone; it must reject exactly what chart_parameters places outside U_J
@@ -219,6 +234,122 @@ def test_generating_quadratic_matches_frame():
     # the point satisfies xi = S x
     for i in range(2):
         assert xi[i] == sum(Fraction(S[i][j]) * x[j] for j in range(2))
+
+
+def test_chart_indices_outside_the_dimension_rejected():
+    basis = [[1, 0, 2, 0], [0, 1, 0, 3]]
+    for I in ({2}, {-1}, {0, 5}):
+        with pytest.raises(MaslovError, match="chart index outside range"):
+            chart_parameters(basis, I)
+    with pytest.raises(MaslovError, match="chart index outside range"):
+        linear_cocycle(graph_basis([[Fraction(1)]]), {0}, {7})
+
+
+def exact_det(M):
+    """Determinant by the Leibniz formula, exact on Fractions."""
+    total = Fraction(0)
+    for p in itertools.permutations(range(len(M))):
+        term = Fraction(-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+        for i, j in enumerate(p):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+def test_chart_parameters_rejects_exactly_the_non_lagrangian_bases():
+    # in every chart where the projection onto the free coordinates is
+    # invertible, chart_parameters returns a frame exactly when the basis
+    # spans an isotropic subspace
+    rng = random.Random(6)
+    rejected = accepted = 0
+    for n in (1, 2, 3):
+        subsets = [frozenset(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)]
+        for trial in range(30):
+            if trial % 2:
+                basis = [[Fraction(rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(n)]
+            else:
+                basis = frame_basis(rand_frame(rng, n, rng.choice(subsets)))
+            omega = any(sum(r[i] * s[n + i] - r[n + i] * s[i] for i in range(n)) != 0
+                        for r in basis for s in basis)
+            for I in subsets:
+                free = sorted(I) + [n + j for j in range(n) if j not in I]
+                if exact_det([[r[c] for c in free] for r in basis]) == 0:
+                    with pytest.raises(MaslovError, match="outside the chart"):
+                        chart_parameters(basis, I)
+                elif omega:
+                    with pytest.raises(MaslovError, match="not Lagrangian"):
+                        chart_parameters(basis, I)
+                    rejected += 1
+                else:
+                    chart_parameters(basis, I)
+                    accepted += 1
+    assert rejected and accepted
+
+
+def test_hessian_is_the_second_derivative_of_the_generating_quadratic():
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        subsets = [frozenset(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)]
+        for _ in range(10):
+            frame = rand_frame(rng, n, rng.choice(subsets))
+            F = generating_quadratic(frame)
+            names = F.ctx.variables
+            assert frame.hessian() == [[F.diff(p).diff(q).evaluate({}) for q in names]
+                                       for p in names]
+
+
+def test_linear_cocycle_is_the_submanifold_cocycle_at_the_origin():
+    rng = random.Random(9)
+    for n in (1, 2, 3):
+        subsets = [frozenset(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)]
+        origin = ((Fraction(0),) * n, (Fraction(0),) * n)
+        for _ in range(8):
+            basis = frame_basis(rand_frame(rng, n, rng.choice(subsets)))
+            charts = {}
+            for J in subsets:
+                # the cocycle reads only the base_free of its second chart,
+                # so a chart outside which L lies keeps a zero generating function
+                F = (generating_quadratic(chart_parameters(basis, J))
+                     if not raises(chart_parameters, basis, J) else poly(["x1"]))
+                charts[J] = SubdivisionChart(str(sorted(J)), "base", n, tuple(sorted(J)), F)
+            for I, J in itertools.product(subsets, subsets):
+                if raises(chart_parameters, basis, I):
+                    continue
+                want = outcome(submanifold_cocycle, charts[I], charts[J], origin)
+                assert outcome(linear_cocycle, basis, I, J) == want, (basis, I, J)
+
+
+MALFORMED = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+RATIONALS = st.fractions(-4, 4, max_denominator=3)
+
+
+def _graph_of(S):
+    n = len(S)
+    return graph_basis([[S[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+MATRICES = st.one_of(
+    st.lists(st.lists(RATIONALS, max_size=6), max_size=3),  # any shape, ragged included
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(RATIONALS, min_size=2 * n, max_size=2 * n), min_size=n, max_size=n)),
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)).map(_graph_of),
+)
+INDEX_SETS = st.sets(st.integers(-2, 5), max_size=4)
+
+
+@MALFORMED
+@given(MATRICES, INDEX_SETS, INDEX_SETS)
+def test_malformed_input_raises_maslov_error_only(M, I, J):
+    for fn, args in ((signature, (M,)), (chart_parameters, (M, I)),
+                     (linear_cocycle, (M, I, J))):
+        try:
+            fn(*args)
+        except MaslovError:
+            pass
 
 
 # --- submanifold cocycle ----------------------------------------------------------

@@ -1,6 +1,11 @@
-"""The tolerance policy, read from the source: a decision on float data
-compares against a scale through ``series.negligible`` or
-``series.is_singular``, never against a small literal."""
+"""Policies read from the source.
+
+- Tolerance: a decision on float data compares against a scale through
+  ``series.negligible`` or ``series.is_singular``, never against a small
+  literal.
+- Errors: invalid input raises a typed error, ``SeriesError``,
+  ``MaslovError`` or a subclass of either defined in the package.
+"""
 
 import ast
 from pathlib import Path
@@ -8,16 +13,54 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "weyljet"
 
 
+def modules():
+    """``(file name, syntax tree)`` of every module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
 def literal_tolerances():
     """``(file, line)`` of every comparison that holds a float literal
     ``x`` with ``0 < |x| < 1e-6``."""
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, tree in modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Compare) and any(
                     isinstance(c, ast.Constant) and isinstance(c.value, float)
                     and 0 < abs(c.value) < 1e-6 for c in ast.walk(node)):
-                yield path.name, node.lineno
+                yield name, node.lineno
+
+
+def typed_errors() -> set[str]:
+    """``SeriesError``, ``MaslovError`` and every class of the package
+    derived from them, directly or through another such class."""
+    classes = [node for _, tree in modules() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    typed = {"SeriesError", "MaslovError"}
+    while True:
+        derived = {c.name for c in classes
+                   if any(isinstance(b, ast.Name) and b.id in typed for b in c.bases)}
+        if derived <= typed:
+            return typed
+        typed |= derived
+
+
+def untyped_raises():
+    """``(file, line)`` of every ``raise`` that is neither a bare re-raise
+    nor names a typed error."""
+    typed = typed_errors()
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in typed):
+                    yield name, node.lineno
 
 
 def test_no_comparison_against_a_small_literal():
     assert not sorted(literal_tolerances())
+
+
+def test_every_raise_names_a_typed_error():
+    assert {"DegenerateHessianError", "NonTerminatingAdError",
+            "UndefinedWeilActionError"} <= typed_errors()
+    assert not sorted(untyped_raises())

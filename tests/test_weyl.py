@@ -357,6 +357,17 @@ def test_input_checks_are_scale_free(s):
     assert compose(A.var("u1", 2), {"u1": u * s}) == A.ctx.monomial({"u1": 2}, s * s)
 
 
+def test_k_group_element_validates_its_images():
+    A = algebra(n=2)
+    with pytest.raises(SeriesError, match="missing"):
+        KGroupElement(A, {"u1": A.var("u1")})
+    X = A.extended(2)
+    with pytest.raises(SeriesError, match="context"):
+        KGroupElement(A, {"u1": X.var("u1"), "u2": X.var("u2")})
+    with pytest.raises(SeriesError, match="context"):
+        KGroupElement(A, {v: A.var(v) for v in A.x}, X.ctx.monomial({"u1": 2}, 0.5))
+
+
 def test_exp_lie_apply_matches_exp_ad_conjugation():
     # exp(h-hat) (w-hat) exp(-h-hat) f agrees with quantize(exp_ad(h,w)) f
     rng = random.Random(9)
