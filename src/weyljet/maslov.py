@@ -19,11 +19,12 @@ H = [[A, B], [B^t, C]] of :class:`LagrangianFrame`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .series import SeriesContext, TruncatedSeries
+from .series import SeriesContext, TruncatedSeries, quadratic_series
 
 
 class MaslovError(ValueError):
@@ -111,8 +112,12 @@ def _exchange_signature(entry, I, J, message: str) -> int:
 
 def _chart(n: int, I):
     """Sorted I, its sorted complement and the names of the free
-    coordinates (x_I, then e_Ibar) of the chart U_I in dimension n."""
-    Ilist = sorted({int(i) for i in I})
+    coordinates (x_I, then e_Ibar) of the chart U_I in dimension n.
+    Indices are what ``operator.index`` accepts."""
+    try:
+        Ilist = sorted({operator.index(i) for i in I})
+    except TypeError:
+        raise MaslovError("chart indices must be integers") from None
     if any(not 0 <= i < n for i in Ilist):
         raise MaslovError(f"chart index outside range({n})")
     Ibar = [j for j in range(n) if j not in Ilist]
@@ -184,16 +189,8 @@ def frame_basis(frame: LagrangianFrame) -> list[list[Fraction]]:
 
 def generating_quadratic(frame: LagrangianFrame) -> TruncatedSeries:
     """F_I(x_I, xi_Ibar) = y.Hy/2, y = (x_I, xi_Ibar), generating the frame."""
-    n = frame.n
-    names = _chart(n, frame.I)[2]
-    terms: dict[tuple, Fraction] = {}
-    for i, row in enumerate(frame.hessian()):
-        for j, h in enumerate(row):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + h / 2
-    return SeriesContext(names, [1] * n, 2).from_terms(terms)
+    names = _chart(frame.n, frame.I)[2]
+    return quadratic_series(SeriesContext(names, [1] * frame.n, 2), frame.hessian(), names)
 
 
 def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:
@@ -229,29 +226,31 @@ class SubdivisionChart:
     F: TruncatedSeries
     phase_shift: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        _chart(self.n, self.base_free)  # rejects indices outside range(n)
+
     @property
     def fiber_free(self):
-        return tuple(j for j in range(self.n) if j not in self.base_free)
+        return tuple(_chart(self.n, self.base_free)[1])
 
     def point_free_values(self, point) -> dict:
         x, xi = point
-        vals = {f"x{j+1}": Fraction(x[j]) for j in self.base_free}
-        vals.update({f"e{j+1}": Fraction(xi[j]) for j in self.fiber_free})
-        return vals
+        Ilist, Ibar, names = _chart(self.n, self.base_free)
+        return dict(zip(names, [Fraction(x[j]) for j in Ilist]
+                        + [Fraction(xi[j]) for j in Ibar]))
 
     def point_on_chart(self, free_vals: Mapping[str, Fraction]):
         """Reconstruct the full phase-space point from free values via
         the chart equations xi_1 = F_x, x_2 = -F_e."""
+        Ilist, Ibar, names = _chart(self.n, self.base_free)
         x = [Fraction(0)] * self.n
         xi = [Fraction(0)] * self.n
-        for j in self.base_free:
-            x[j] = Fraction(free_vals[f"x{j+1}"])
-        for j in self.fiber_free:
-            xi[j] = Fraction(free_vals[f"e{j+1}"])
-        for j in self.base_free:
-            xi[j] = Fraction(self.F.diff(f"x{j+1}").evaluate(free_vals))
-        for j in self.fiber_free:
-            x[j] = -Fraction(self.F.diff(f"e{j+1}").evaluate(free_vals))
+        for j, v in zip(Ilist, names):
+            x[j] = Fraction(free_vals[v])
+            xi[j] = Fraction(self.F.diff(v).evaluate(free_vals))
+        for j, v in zip(Ibar, names[len(Ilist):]):
+            xi[j] = Fraction(free_vals[v])
+            x[j] = -Fraction(self.F.diff(v).evaluate(free_vals))
         return tuple(x), tuple(xi)
 
     def contains_point(self, point) -> bool:

@@ -22,11 +22,15 @@ Admission contract: the public constructors (``TruncatedSeries(ctx,
 terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``
 and ``map_vars``) check arity, the cap, the Laurent signs and the
 coefficient type of every term.  Operations closed over admitted terms
-(``*``, ``+``, ``-``, ``diff``, ``filter_terms``, ``graded_component``,
-``exp_second_order``, ``contract_product``, ``compose`` and
-``linear_combination``) trust their operands and only drop the zero
+(``*``, ``+``, ``-``, ``diff``, ``filter_degree``, ``exp_second_order``,
+``contract_product``, ``compose``, ``linear_combination`` and
+``quadratic_series``) trust their operands and only drop the zero
 coefficients of their result; a scalar factor is converted once, as the
 constructors convert coefficients.
+
+One exponent format: terms are selected and measured by their weighted
+degree in a set of variables (``filter_degree`` and ``degrees``), so no
+module outside this one reads exponent tuples to pick terms.
 
 One truncation rule: only the cap cuts a series.  The Laurent part of an
 :class:`OscillatoryScalar` is a series in ``h`` alone and truncates as
@@ -211,14 +215,10 @@ class TruncatedSeries:
 
     def min_degree(self) -> int:
         """Smallest weighted degree present (0 for the zero series)."""
-        if not self.terms:
-            return 0
-        return min(self.ctx.weighted_degree(e) for e in self.terms)
+        return min(self.degrees(self.ctx.variables), default=0)
 
     def max_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.ctx.weighted_degree(e) for e in self.terms)
+        return max(self.degrees(self.ctx.variables), default=0)
 
     def min_exponent(self, var: str) -> int:
         i = self.ctx.index(var)
@@ -230,14 +230,22 @@ class TruncatedSeries:
         i = self.ctx.index(var)
         return any(e[i] != 0 for e in self.terms)
 
-    def graded_component(self, degree: int) -> "TruncatedSeries":
-        wd = self.ctx.weighted_degree
-        return _admitted(self.ctx, {e: c for e, c in self.terms.items()
-                                    if wd(e) == degree})
+    def _degree_in(self, variables: Iterable[str]):
+        """The weighted degree of an exponent tuple in ``variables``."""
+        ctx = self.ctx
+        idx = [ctx.index(v) for v in variables]
+        w = [ctx.weights[i] for i in idx]
+        return lambda e: sum(map(mul, map(e.__getitem__, idx), w))
 
-    def filter_terms(self, pred) -> "TruncatedSeries":
-        """Keep the terms whose exponent tuple satisfies ``pred``."""
-        return _admitted(self.ctx, {e: c for e, c in self.terms.items() if pred(e)})
+    def degrees(self, variables: Iterable[str]) -> set[int]:
+        """The weighted degrees in ``variables`` of the terms present."""
+        degree = self._degree_in(variables)
+        return {degree(e) for e in self.terms}
+
+    def filter_degree(self, variables: Iterable[str], keep) -> "TruncatedSeries":
+        """The terms whose weighted degree in ``variables`` satisfies ``keep``."""
+        degree = self._degree_in(variables)
+        return _admitted(self.ctx, {e: c for e, c in self.terms.items() if keep(degree(e))})
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -361,12 +369,13 @@ class TruncatedSeries:
         return result
 
     def _unit_part(self, what: str):
-        """``(c0, u)`` with ``self = c0 (1 + u)``; ``u`` is the rest of
-        ``self / c0`` taken by position, so it has no constant term."""
+        """``(c0, u)`` with ``self = c0 (1 + u)``; ``u`` is ``self / c0``
+        less its constant term, which cancels to an exact zero."""
         c0 = self.constant_term()
         if negligible(c0, self.max_abs()):
             raise SeriesError(f"{what} of a non-unit series")
-        return c0, (self * (1.0 / c0)).filter_terms(any)
+        t = self * (1.0 / c0)
+        return c0, t - t.constant_term()
 
     def unit_inverse(self) -> "TruncatedSeries":
         c0, u = self._unit_part("inverse")
@@ -685,6 +694,16 @@ def linear_combination(ctx: SeriesContext,
         for e, c in s.terms.items():
             out[e] = get(e, 0) + c * k
     return _admitted(ctx, out)
+
+
+def quadratic_series(ctx: SeriesContext, Q, variables: Sequence[str]) -> TruncatedSeries:
+    """``(1/2) z.Qz`` over the named variables, exact when ``Q`` is."""
+    terms = []
+    for i, a in enumerate(variables):
+        terms.append((ctx.monomial({a: 2}), Q[i][i] / 2))
+        terms += [(ctx.monomial({a: 1, b: 1}), Q[i][j])
+                  for j, b in enumerate(variables) if j > i]
+    return linear_combination(ctx, terms)
 
 
 def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeries]:

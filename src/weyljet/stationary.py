@@ -96,16 +96,6 @@ def gaussian_prefactor(Q) -> complex:
 # --- the fiber engine --------------------------------------------------------
 
 
-def quadratic_series(ctx: SeriesContext, Q, variables: Sequence[str]) -> TruncatedSeries:
-    """Build ``(1/2) z.Qz`` as a series over the named variables."""
-    terms = []
-    for i, a in enumerate(variables):
-        terms.append((ctx.monomial({a: 2}), complex(Q[i][i]) / 2.0))
-        terms += [(ctx.monomial({a: 1, b: 1}), Q[i][j])
-                  for j, b in enumerate(variables) if j > i]
-    return linear_combination(ctx, terms)
-
-
 def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
                            z_vars: Sequence[str]):
     """Integrate ``exp(i phase / h) * amplitude`` over the ``z_vars`` block.
@@ -123,21 +113,19 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     z_vars = list(z_vars)
     if not z_vars:
         return phase, 1.0 + 0.0j, amplitude, {}
-    zidx = [ctx.index(v) for v in z_vars]
     for v in z_vars:
         if ctx.weights[ctx.index(v)] != 1:
             raise SeriesError("integration variables must have weight 1")
     if phase.depends_on(HBAR):
         raise SeriesError("phase must not depend on the deformation parameter")
 
-    def z_degree(exp):
-        return sum(exp[i] for i in zidx)
-
+    # a term survives at the base point only when it is free of parameters
+    # (they weigh at least 1; h is absent): below z-degree 2 that leaves
+    # the constant and the z-linear terms
     scale = phase.max_abs()
-    for e, c in phase.terms.items():
-        total = ctx.weighted_degree(e)
-        if total - z_degree(e) == 0 and z_degree(e) <= 1 and not negligible(c, scale):
-            raise SeriesError("phase has constant or z-linear part at the base point")
+    base = [phase.constant_term()] + [phase.coefficient({v: 1}) for v in z_vars]
+    if not all(negligible(c, scale) for c in base):
+        raise SeriesError("phase has constant or z-linear part at the base point")
 
     Q = hessian_matrix(phase, z_vars)
     pref = gaussian_prefactor(Q)
@@ -165,9 +153,9 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     # is the rest: z-degree >= 2 and weighted degree >= 3
     shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
     shifted = compose(phase, shift)
-    reduced = shifted.filter_terms(lambda e: not z_degree(e))
-    wd = ctx.weighted_degree
-    delta = shifted.filter_terms(lambda e: z_degree(e) >= 2 and wd(e) >= 3)
+    reduced = shifted.filter_degree(z_vars, lambda d: d == 0)
+    delta = (shifted.filter_degree(z_vars, lambda d: d >= 2)
+             .filter_degree(ctx.variables, lambda d: d >= 3))
 
     a_centered = compose(amplitude, shift)
     # exp(i delta / h): multiply by i, shift hbar exponent down by one
@@ -180,9 +168,9 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
 
     # Wick contraction of the z-block, keeping the z-free part: each power
     # lowers the z-degree by two, so terms of odd z-degree never reach it
-    integrand = integrand.filter_terms(lambda e: not z_degree(e) % 2)
+    integrand = integrand.filter_degree(z_vars, lambda d: d % 2 == 0)
     contracted = exp_second_order(integrand, _wick_pairs(z_vars, Qinv))
-    out = contracted.filter_terms(lambda e: not z_degree(e))
+    out = contracted.filter_degree(z_vars, lambda d: d == 0)
     return reduced, pref, out, zstar
 
 
@@ -197,10 +185,9 @@ def legendre_transform(F: TruncatedSeries,
     The result is expressed in the input variable names again, so the
     double transform can be compared with the parity-reflected input.
     """
-    scale = F.max_abs()
-    for e, c in F.terms.items():
-        if F.ctx.weighted_degree(e) <= 1 and not negligible(c, scale):
-            raise SeriesError("Legendre input must lack constant and linear terms")
+    low = F.filter_degree(F.ctx.variables, lambda d: d <= 1)
+    if not negligible(low.max_abs(), F.max_abs()):
+        raise SeriesError("Legendre input must lack constant and linear terms")
     return stationary_phase(F, F.ctx.one(), variables)[0]
 
 

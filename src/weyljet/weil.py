@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, is_singular, linear_combination, negligible)
-from .stationary import hessian_matrix, quadratic_series, stationary_phase
+                     compose, is_singular, linear_combination, negligible,
+                     quadratic_series)
+from .stationary import DegenerateHessianError, hessian_matrix, stationary_phase
 
 
 class UndefinedWeilActionError(SeriesError):
@@ -187,34 +188,30 @@ def act_gl(B, jet: GaussianJet) -> GaussianJet:
 def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     """(Partial) Fourier transform on a block of position jets.
 
-    In mode ``weil0`` the transformed block of ``T`` must be invertible;
-    otherwise the representation is undefined at this element and an
-    :class:`UndefinedWeilActionError` is raised.
+    The engine decides degeneracy: in mode ``weil0`` a degenerate
+    transformed block of ``T`` leaves the representation undefined at this
+    element and raises :class:`UndefinedWeilActionError`; in mode ``weil``
+    the engine's :class:`DegenerateHessianError` propagates.
     """
     uvars = jet.vars()
     block = list(uvars if variables is None else variables)
     if not block:
         return jet
-    sel = [uvars.index(v) for v in block]
-    Tss = jet.T[np.ix_(sel, sel)]
-    if is_singular(Tss):
+    ctx = jet.ctx
+    try:
+        reduced, pref, out = stationary_phase(quadratic_series(ctx, jet.T, uvars),
+                                              jet.amplitude, block)
+    except DegenerateHessianError:
         if jet.mode == "weil0":
             raise UndefinedWeilActionError(
-                "Fourier block of T is degenerate: action undefined at this element")
-        raise SeriesError("degenerate Fourier block in mode weil")
-
-    ctx = jet.ctx
-    reduced, pref, out = stationary_phase(quadratic_series(ctx, jet.T, uvars),
-                                          jet.amplitude, block)
+                "Fourier block of T is degenerate: action undefined at this element") from None
+        raise
     # the prefactor carries the pinned branch for the block
     T2 = hessian_matrix(reduced, uvars)
     quad_check = reduced - quadratic_series(ctx, T2, uvars)
     if not negligible(quad_check.max_abs(), 1e3 * reduced.max_abs()):
         raise SeriesError("Fourier of a Gaussian jet produced a non-quadratic phase")
-    mode = jet.mode
-    if mode == "weil0" and not negligible(np.max(np.abs(T2.imag)), np.max(np.abs(T2))):
-        mode = "weil"
-    return GaussianJet(mode, T2, out, jet.scalar * pref)
+    return GaussianJet(jet.mode, T2, out, jet.scalar * pref)
 
 
 def act_central(power: int, jet: GaussianJet) -> GaussianJet:

@@ -151,9 +151,8 @@ class NormalOperator:
         A = self.algebra
         if any(f.depends_on(kv) for kv in A.xi):
             raise SeriesError("operator argument depends on momentum jets")
-        xi_idx = [A.ctx.index(kv) for kv in A.xi]
         composed = self.compose(NormalOperator(A, f)).symbol
-        return composed.filter_terms(lambda e: not any(e[i] for i in xi_idx))
+        return composed.filter_degree(A.xi, lambda d: d == 0)
 
 
 def weyl_quantize(A: WeylAlgebra, w: TruncatedSeries) -> NormalOperator:
@@ -204,8 +203,7 @@ class LieElement:
             raise SeriesError("tag must be g or gtilde")
         if self.tag == "g":
             A = self.algebra
-            idx = [A.ctx.index(v) for v in A.x + A.xi]
-            cleaned = self.payload.filter_terms(lambda e: any(e[i] for i in idx))
+            cleaned = self.payload.filter_degree(A.x + A.xi, lambda d: d != 0)
             object.__setattr__(self, "payload", cleaned)
 
     def ad(self, w: TruncatedSeries) -> TruncatedSeries:
@@ -217,9 +215,7 @@ class LieElement:
         return LieElement(self.algebra, self.ad(other.payload), "gtilde")
 
     def graded_profile(self) -> list[int]:
-        degs = sorted({self.algebra.ctx.weighted_degree(e) - 2
-                       for e in self.payload.terms})
-        return degs
+        return sorted(d - 2 for d in self.payload.degrees(self.algebra.ctx.variables))
 
 
 def exp_ad(h: LieElement, w: TruncatedSeries) -> TruncatedSeries:
@@ -372,8 +368,7 @@ def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
     terms of negative degree pull its missing top terms under the cap.
     """
     A = k.algebra
-    order = max((sum(e[A.ctx.index(v)] for v in A.xi)
-                 for e in w.terms), default=0)
+    order = max(w.degrees(A.xi), default=0)
     extra = order + max(0, -w.min_degree())
     Ax = A.extended(extra)
     kx = KGroupElement(Ax, {v: A.lift(s, extra) for v, s in k.images.items()},

@@ -5,6 +5,9 @@
   literal.
 - Errors: invalid input raises a typed error, ``SeriesError``,
   ``MaslovError`` or a subclass of either defined in the package.
+- Exponent format: only ``series.py`` reads exponent tuples; every other
+  module selects and measures terms through ``filter_degree`` and
+  ``degrees``, except the readers named in ``EXPONENT_READERS``.
 """
 
 import ast
@@ -56,6 +59,28 @@ def untyped_raises():
                     yield name, node.lineno
 
 
+# (module, function) allowed to read exponent tuples outside series.py:
+# lie_classify classifies monomial by monomial, and jets_equal_mod_center
+# divides the leading coefficients of two jets
+EXPONENT_READERS = {("weyl.py", "lie_classify"), ("weil.py", "jets_equal_mod_center")}
+EXPONENT_ACCESS = {"terms", "from_terms", "weighted_degree"}
+
+
+def exponent_reads():
+    """``(file, line)`` of every ``.terms`` read and every ``from_terms`` or
+    ``weighted_degree`` call outside ``series.py`` and ``EXPONENT_READERS``."""
+    for name, tree in modules():
+        if name == "series.py":
+            continue
+        allowed = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and (name, f.name) in EXPONENT_READERS
+                   for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in EXPONENT_ACCESS
+                    and id(node) not in allowed):
+                yield name, node.lineno
+
+
 def test_no_comparison_against_a_small_literal():
     assert not sorted(literal_tolerances())
 
@@ -64,3 +89,7 @@ def test_every_raise_names_a_typed_error():
     assert {"DegenerateHessianError", "NonTerminatingAdError",
             "UndefinedWeilActionError"} <= typed_errors()
     assert not sorted(untyped_raises())
+
+
+def test_exponent_tuples_are_read_in_series_only():
+    assert not sorted(exponent_reads())

@@ -95,10 +95,10 @@ def test_compose_identity_and_associativity():
     ident = {v: c.variable(v) for v in ("u1", "u2")}
     assert compose(f, ident).is_close(f, 1e-12)
     # associativity against direct expansion on random cubics
-    g = {v: rand_poly(c, rng, degree=3, nterms=4).filter_terms(
-        lambda e: c.weighted_degree(e) >= 1) for v in ("u1", "u2")}
-    h = {v: rand_poly(c, rng, degree=3, nterms=4).filter_terms(
-        lambda e: c.weighted_degree(e) >= 1) for v in ("u1", "u2")}
+    g = {v: rand_poly(c, rng, degree=3, nterms=4).filter_degree(
+        c.variables, lambda d: d >= 1) for v in ("u1", "u2")}
+    h = {v: rand_poly(c, rng, degree=3, nterms=4).filter_degree(
+        c.variables, lambda d: d >= 1) for v in ("u1", "u2")}
     gh = {v: compose(g[v], h) for v in g}
     assert compose(compose(f, g), h).is_close(compose(f, gh), 1e-8)
 
@@ -160,8 +160,8 @@ def test_invert_map_round_trip_random():
             lin[0][1] += 1
         for i, v in enumerate(("u1", "u2")):
             s = lin[i][0] * c.variable("u1") + lin[i][1] * c.variable("u2")
-            s = s + rand_poly(c, rng, 3, 3).filter_terms(
-                lambda e: c.weighted_degree(e) >= 2 and e[2] == 0)
+            s = s + rand_poly(c, rng, 3, 3).filter_degree(
+                ["h"], lambda d: d == 0).filter_degree(c.variables, lambda d: d >= 2)
             imgs[v] = s
         h = invert_map(imgs)
         hh = invert_map(h)
@@ -385,7 +385,7 @@ def laurent_series(draw, ctx, min_degree=None):
         terms[exp] = draw(coefficient())
     s = TruncatedSeries(ctx, terms)
     if min_degree is not None:
-        s = s.filter_terms(lambda e: ctx.weighted_degree(e) >= min_degree)
+        s = s.filter_degree(ctx.variables, lambda d: d >= min_degree)
     return s
 
 
@@ -432,7 +432,8 @@ def test_closed_operations_return_admitted_series(fg, data):
     pairs = [(a, b, 0.5j) for i, a in enumerate(u) for b in u[i:]]
     images = {v: data.draw(laurent_series(ctx, min_degree=1)) for v in u}
     results = [f * g, f + g, f - g, -f, g - 3, 1 + f,
-               f.filter_terms(lambda e: e[-1] >= 0), f.graded_component(2),
+               f.filter_degree(["h"], lambda d: d >= 0),
+               f.filter_degree(ctx.variables, lambda d: d == 2),
                exp_second_order(f, pairs), compose(f, images),
                contract_product(f, g, pairs[:1]),
                contract_product(f, g, [(a, b, Fraction(1, 2)) for a, b in zip(u, u[::-1])]),

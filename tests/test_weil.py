@@ -91,6 +91,12 @@ def test_fourier_degenerate_undefined_in_weil0():
         act_fourier(None, jet)
 
 
+def test_fourier_of_an_unknown_variable_is_a_series_error():
+    for mode, T in (("weil0", [[2.0]]), ("weil", [[1j]])):
+        with pytest.raises(SeriesError, match="unknown variable 'u9'"):
+            act_fourier(["u9"], basic_jet(T=T, mode=mode))
+
+
 def test_fourier_conjugation_rule():
     # under the pinned kernel exp(+i x.xi/h): Fourier o (x.) = (-ih d) o Fourier,
     # so Fourier(e^{iTu^2/2h} f(u)) = f(-ih d) Fourier(e^{iTu^2/2h})
