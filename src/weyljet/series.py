@@ -28,6 +28,10 @@ coefficient type of every term.  Operations closed over admitted terms
 coefficients of their result; a scalar factor is converted once, as the
 constructors convert coefficients.
 
+One product kernel: ``*`` on two series is :func:`contract_product` with
+no pairs, so one walk over the monomial pairs, in order of weighted
+degree, makes the plain and the contracted products.
+
 One exponent format: terms are selected and measured by their weighted
 degree in a set of variables (``filter_degree`` and ``degrees``), so no
 module outside this one reads exponent tuples to pick terms.
@@ -297,28 +301,7 @@ class TruncatedSeries:
             if other.__class__ not in _KEPT:
                 other = complex(other)
             return _admitted(self.ctx, {e: v * other for e, v in self.terms.items()})
-        self._check(other)
-        ctx = self.ctx
-        w = ctx.weights
-        # (weighted degree, exponent, coefficient), lowest degree first
-        a = sorted([(sum(map(mul, e, w)), e, c) for e, c in self.terms.items()])
-        b = sorted([(sum(map(mul, e, w)), e, c) for e, c in other.terms.items()])
-        out: dict[tuple[int, ...], complex] = {}
-        if not a or not b:
-            return _admitted(ctx, out)
-        cap = ctx.cap
-        bmin = b[0][0]
-        get = out.get
-        for da, ea, ca in a:
-            room = cap - da
-            if bmin > room:
-                break
-            for db, eb, cb in b:
-                if db > room:
-                    break
-                e = tuple(map(add, ea, eb))
-                out[e] = get(e, 0) + ca * cb
-        return _admitted(ctx, out)
+        return contract_product(self, other, ())
 
     __rmul__ = __mul__
 
@@ -540,6 +523,7 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
                      pairs: Iterable[tuple[str, str, complex]]) -> TruncatedSeries:
     """``exp(h sum c d_a d_b) f(x) g(y)`` at ``y = x``, over ``(a, b, c)``
     in ``pairs``: ``d_a`` differentiates ``f`` alone and ``d_b`` ``g`` alone.
+    With no pairs this is the product ``f * g``, which ``*`` computes here.
 
     On a pair of monomials with ``a``-exponent ``p`` in ``f`` and
     ``b``-exponent ``q`` in ``g``, one pair contributes
@@ -551,40 +535,42 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     """
     f._check(g)
     ctx = f.ctx
-    ih = ctx.index(HBAR)
     idx = [(ctx.index(a), ctx.index(b), c if c.__class__ in _KEPT else complex(c))
-           for a, b, c in pairs if c]
-    if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
-        raise SeriesError("contract_product contracts weight-1 variables only")
-    if len({i for i, _, _ in idx}) < len(idx) or len({j for _, j, _ in idx}) < len(idx):
-        raise SeriesError("contract_product names a variable twice on one side")
+           for a, b, c in pairs if c] if pairs else ()
+    if idx:
+        ih = ctx.index(HBAR)
+        if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
+            raise SeriesError("contract_product contracts weight-1 variables only")
+        if len({i for i, _, _ in idx}) < len(idx) or len({j for _, j, _ in idx}) < len(idx):
+            raise SeriesError("contract_product names a variable twice on one side")
     w = ctx.weights
-    # (weighted degree, exponent, coefficient, contracted exponents), lowest
-    # degree first; f lists its nonzero ones by pair, g all of them
-    a = sorted([(sum(map(mul, e, w)), e, c,
-                 [(t, e[i]) for t, (i, _, _) in enumerate(idx) if e[i]])
-                for e, c in f.terms.items()])
-    b = sorted([(sum(map(mul, e, w)), e, c, [e[j] for _, j, _ in idx])
-                for e, c in g.terms.items()])
+    # (weighted degree, exponent, coefficient), lowest degree first
+    a = sorted([(sum(map(mul, e, w)), e, c) for e, c in f.terms.items()])
+    b = sorted([(sum(map(mul, e, w)), e, c) for e, c in g.terms.items()])
     out: dict[tuple[int, ...], complex] = {}
     if not a or not b:
         return _admitted(ctx, out)
     cap = ctx.cap
     bmin = b[0][0]
     get = out.get
-    for da, ea, ca, ps in a:
+    for da, ea, ca in a:
         room = cap - da
         if bmin > room:
             break
-        for db, eb, cb, qs in b:
+        for db, eb, cb in b:
             if db > room:
                 break
-            terms = [(tuple(map(add, ea, eb)), ca * cb)]
-            for t, p in ps:
-                q = qs[t]
-                if not q:
+            # the rung k = 0 of every ladder: the plain product of the pair
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+            if not idx:
+                continue
+            terms = [(e, ca * cb)]
+            for i, j, c in idx:
+                p = ea[i]
+                q = eb[j]
+                if not p or not q:
                     continue
-                i, j, c = idx[t]
                 ladder = _ladder(p, q)
                 grown = []
                 for e, ce in terms:
@@ -597,7 +583,7 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
                         ck *= c
                         grown.append((tuple(e2), ce * (ck * ladder[k])))
                 terms += grown
-            for e, ce in terms:
+            for e, ce in terms[1:]:
                 out[e] = get(e, 0) + ce
     return _admitted(ctx, out)
 

@@ -130,19 +130,19 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     Q = hessian_matrix(phase, z_vars)
     pref = gaussian_prefactor(Q)
 
-    # critical point z*(params) by jet iteration; the gradient at z* is
-    # judged against the phase's largest coefficient
+    # critical point z*(params) by jet iteration from z* = 0, where the
+    # gradient is its z-free part; the gradient at z* is judged against
+    # the phase's largest coefficient
     grad = [phase.diff(v) for v in z_vars]
     Qinv = np.linalg.inv(Q)
     zstar = {v: ctx.zero() for v in z_vars}
+    gvals = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
     for _ in range(ctx.cap + 1):
-        gvals = [compose(g, zstar) for g in grad]
         if all(negligible(g.max_abs(), scale) for g in gvals):
             break  # a negligible gradient leaves z* fixed from here on
         # Newton step with the constant Hessian: z <- z - Q^{-1} grad(z)
         zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
                  for i, v in enumerate(z_vars)}
-    else:  # every pass ran: the residual at the last z*
         gvals = [compose(g, zstar) for g in grad]
     if not all(negligible(g.max_abs(), 1e3 * scale) for g in gvals):
         raise SeriesError("critical point iteration did not converge")
@@ -180,14 +180,12 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
 def legendre_transform(F: TruncatedSeries,
                        variables: Sequence[str] | None = None) -> TruncatedSeries:
     """Legendre transform ``G(eta) = eta.y + F(y)`` at ``eta + F'(y) = 0``:
-    the phase that :func:`stationary_phase` returns for amplitude 1.
+    the phase that :func:`stationary_phase` returns for amplitude 1, whose
+    base-point check rejects constant and linear terms in ``variables``.
 
     The result is expressed in the input variable names again, so the
     double transform can be compared with the parity-reflected input.
     """
-    low = F.filter_degree(F.ctx.variables, lambda d: d <= 1)
-    if not negligible(low.max_abs(), F.max_abs()):
-        raise SeriesError("Legendre input must lack constant and linear terms")
     return stationary_phase(F, F.ctx.one(), variables)[0]
 
 

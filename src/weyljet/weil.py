@@ -195,8 +195,6 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     """
     uvars = jet.vars()
     block = list(uvars if variables is None else variables)
-    if not block:
-        return jet
     ctx = jet.ctx
     try:
         reduced, pref, out = stationary_phase(quadratic_series(ctx, jet.T, uvars),

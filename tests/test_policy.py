@@ -8,10 +8,15 @@
 - Exponent format: only ``series.py`` reads exponent tuples; every other
   module selects and measures terms through ``filter_degree`` and
   ``degrees``, except the readers named in ``EXPONENT_READERS``.
+- Admission contract: every operation the ``series`` docstring names in
+  it exists.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from weyljet import series
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weyljet"
 
@@ -93,3 +98,20 @@ def test_every_raise_names_a_typed_error():
 
 def test_exponent_tuples_are_read_in_series_only():
     assert not sorted(exponent_reads())
+
+
+def contract_names() -> list[str]:
+    """The names in double backquotes of the "Admission contract" paragraph
+    of the ``series`` docstring, operator symbols skipped; a call such as
+    ``TruncatedSeries(ctx, terms)`` names its callee."""
+    paragraph = next(p for p in series.__doc__.split("\n\n")
+                     if p.startswith("Admission contract"))
+    quoted = re.findall(r"``(.+?)``", paragraph, re.DOTALL)
+    return [m.group() for m in map(re.compile(r"[A-Za-z_]\w*").match, quoted) if m]
+
+
+def test_admission_contract_names_resolve():
+    names = contract_names()
+    assert {"TruncatedSeries", "from_terms", "contract_product", "compose"} <= set(names)
+    owners = (series, series.TruncatedSeries, series.SeriesContext)
+    assert [n for n in names if not any(hasattr(o, n) for o in owners)] == []

@@ -46,18 +46,27 @@ def test_truncation_contract():
 
 
 def test_multiply_against_naive_expansion():
+    # a context without h multiplies too, exactly on Fraction coefficients
     rng = random.Random(7)
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 8)
-    for _ in range(20):
-        a = rand_poly(c, rng)
-        b = rand_poly(c, rng)
-        naive = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if c.weighted_degree(e) <= c.cap:
-                    naive[e] = naive.get(e, 0) + c1 * c2
-        assert (a * b).is_close(c.from_terms(naive), 1e-12)
+    for c, exact in ((SeriesContext(["u1", "u2", "h"], [1, 1, 2], 8), False),
+                     (SeriesContext(["u1", "u2"], [1, 1], 8), False),
+                     (SeriesContext(["u1", "u2"], [1, 1], 8), True)):
+        for _ in range(20):
+            a, b = (rand_poly(c, rng) for _ in range(2))
+            if exact:
+                a, b = (c.from_terms({e: Fraction(round(4 * v.real), 3)
+                                      for e, v in s.terms.items()}) for s in (a, b))
+            naive = {}
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    if c.weighted_degree(e) <= c.cap:
+                        naive[e] = naive.get(e, 0) + c1 * c2
+            if exact:
+                assert_exact(a * b)
+                assert a * b == c.from_terms(naive)
+            else:
+                assert (a * b).is_close(c.from_terms(naive), 1e-12)
 
 
 def test_multiplication_insertion_order_independent():

@@ -169,6 +169,17 @@ def test_legendre_rejects_linear_part():
         legendre_transform(c.variable("y1") + c.monomial({"y1": 2}))
 
 
+def test_legendre_keeps_parameter_terms():
+    # a term linear in a parameter is no linear part in y1: the engine's
+    # base-point check passes it, and the transform keeps it
+    c = SeriesContext(["y1", "p1", "h"], [1, 1, 2], 6, laurent={"h"})
+    F = (c.monomial({"y1": 2}, 0.5) + c.monomial({"y1": 3}, 0.2)
+         + c.monomial({"y1": 1, "p1": 1}, 0.4) + c.monomial({"p1": 1}, 0.3))
+    G = legendre_transform(F, ["y1"])
+    assert G == stationary_phase(F, c.one(), ["y1"])[0]
+    assert abs(G.coefficient({"p1": 1}) - 0.3) < 1e-12
+
+
 # --- stationary phase ---------------------------------------------------------
 
 def test_pure_gaussian_exact():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def test_partial_fourier_block():
     assert abs(out.T[1, 1] + 1.0 / 3.0) < 1e-12
     lead = out.scalar.leading()[1]
     assert abs(lead - np.exp(1j * math.pi / 4) / math.sqrt(3.0)) < 1e-12
+
+
+def test_fourier_of_an_empty_block_is_the_identity():
+    # the engine's own empty-block rule: T, amplitude and scalar come back
+    rng = random.Random(4)
+    for mode in ("weil", "weil0"):
+        jet = rand_weil_jet(2, 6, rng)
+        scalar = OscillatoryScalar(Fraction(1, 3), {-1: 0.5j, 0: 2.0}, 1, cap=6)
+        jet = GaussianJet(mode, jet.T if mode == "weil" else jet.T.real, jet.amplitude, scalar)
+        for block in ((), []):
+            out = act_fourier(block, jet)
+            assert np.array_equal(out.T, jet.T) and out.amplitude == jet.amplitude
+            assert (out.scalar.exponent, out.scalar.exact, out.scalar.i_power) == \
+                (Fraction(1, 3), True, 1)
+            assert out.scalar.laurent == scalar.laurent
 
 
 def test_word_empty_identity_and_central():
