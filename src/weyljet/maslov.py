@@ -1,12 +1,14 @@
 """Exact Maslov cocycle arithmetic.
 
-Everything in this module runs over exact rationals: signatures come from
-symmetric Gaussian elimination on ``Fraction`` entries, cocycle values
-are half-integers stored as doubled integers, and phase-difference
-cocycles evaluate to exact fractions.  Generating functions are
-:class:`~weyljet.series.TruncatedSeries` with ``Fraction`` coefficients,
-which the series kernel keeps exact and drops only when zero.  No
-tolerance enters any statement here.
+Everything in this module is exact.  Its linear algebra runs on Python
+integers: a rational matrix is scaled to integers by the lcm of its
+denominators and solved, or its signature read off, by fraction-free
+(Bareiss) elimination, every division of which is exact; rationals appear
+only at the boundary, in inputs and results.  Cocycle values are doubled
+half-integers, phase-difference cocycles exact fractions, and generating
+functions :class:`~weyljet.series.TruncatedSeries` with ``Fraction``
+coefficients, which the series kernel keeps exact and drops only when
+zero.  No tolerance enters any statement here.
 
 One rule gives every Maslov cocycle value.  On the chart U_I a
 Lagrangian is generated by F_I(x_I, xi_Ibar); on U_I and U_J the doubled
@@ -19,6 +21,7 @@ H = [[A, B], [B^t, C]] of :class:`LagrangianFrame`.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,63 +37,65 @@ class MaslovError(ValueError):
 # --- exact linear algebra -----------------------------------------------------
 
 
+def _scaled(row, L=0) -> list[int]:
+    """The rational ``row`` times ``L``, by default the lcm of its denominators."""
+    L = L or math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (L // x.denominator) for x in row]
+
+
 def _solve_rational(A: list[list[Fraction]], B: list[list[Fraction]]):
-    """Solve A X = B exactly; raises MaslovError when A is singular."""
+    """Solve A X = B exactly; raises MaslovError when A is singular.  Runs
+    fraction-free Gauss-Jordan elimination on the rows of [A | B] scaled to
+    integers; every diagonal entry ends as the last pivot, det(A) up to sign."""
     n = len(A)
-    m = len(B[0]) if B else 0
-    M = [row[:] + Brow[:] for row, Brow in zip(A, B)]
+    M = [_scaled(a + b) for a, b in zip(A, B)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if M[r][col]), None)
         if piv is None:
             raise MaslovError("singular system")
         M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
+        prow, p = M[col], M[col][col]
         for r in range(n):
-            if r != col and M[r][col] != 0:
+            if r != col:
                 f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+                M[r] = [(p * a - f * b) // prev for a, b in zip(M[r], prow)]
+        prev = p
+    return [[Fraction(x, prev) for x in row[n:]] for row in M]
 
 
 def signature(S) -> int:
-    """Exact signature of a nondegenerate rational symmetric matrix,
-    by symmetric elimination with symmetric pivoting."""
+    """Exact signature of a nondegenerate rational symmetric matrix, by
+    fraction-free symmetric elimination with symmetric pivoting: each pivot
+    is a leading principal minor D_k, and Jacobi's rule adds sign(D_k D_{k-1})."""
     M = [[Fraction(x) for x in row] for row in S]
     n = len(M)
     if any(len(row) != n for row in M):
         raise MaslovError("signature: the matrix is not square")
-    if any(M[i][j] != M[j][i] for i in range(n) for j in range(n)):
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    M = [_scaled(row, L) for row in M]
+    if any(M[i][j] != M[j][i] for i in range(n) for j in range(i)):
         raise MaslovError("matrix is not symmetric")
-    sig = 0
-    idx = list(range(n))
+    sig, prev, idx = 0, 1, list(range(n))
     while idx:
         # find a nonzero diagonal entry, else create one by a congruence
-        d = next((i for i in idx if M[i][i] != 0), None)
+        d = next((i for i in idx if M[i][i]), None)
         if d is None:
-            pair = next(((i, j) for i in idx for j in idx
-                         if i != j and M[i][j] != 0), None)
+            pair = next(((i, j) for i in idx for j in idx if i != j and M[i][j]), None)
             if pair is None:
                 raise MaslovError("degenerate matrix")
             i, j = pair
-            for k in range(n):
-                M[i][k] = M[i][k] + M[j][k]
-            for k in range(n):
-                M[k][i] = M[k][i] + M[k][j]
+            M[i] = [a + b for a, b in zip(M[i], M[j])]
+            for row in M:
+                row[i] += row[j]
             d = i
-        pivot = M[d][d]
-        sig += 1 if pivot > 0 else -1
+        p = M[d][d]
+        sig += 1 if (p > 0) == (prev > 0) else -1
         idx.remove(d)
-        # exact symmetric Schur complement on the remaining block
-        col = {r: M[r][d] for r in idx}
-        for r in idx:
-            if col[r] != 0:
-                fr = col[r] / pivot
-                for s in idx:
-                    M[r][s] -= fr * M[d][s]
-        for r in idx:
-            M[r][d] = Fraction(0)
-            M[d][r] = Fraction(0)
+        for r in idx:  # the bordered minors; row and column d are not read again
+            for s in idx:
+                M[r][s] = (p * M[r][s] - M[r][d] * M[d][s]) // prev
+        prev = p
     return sig
 
 
@@ -139,8 +144,7 @@ class LagrangianFrame:
         the Hessian of the generating quadratic, and diag(1, -1) H maps the
         free coordinates to the dependent ones (xi_I, x_Ibar)."""
         rows = [list(a) + list(b) for a, b in zip(self.A, self.B)]
-        rows += [[b[j] for b in self.B] + list(c) for j, c in enumerate(self.C)]
-        return [[Fraction(x) for x in row] for row in rows]
+        return rows + [[b[j] for b in self.B] + list(c) for j, c in enumerate(self.C)]
 
 
 def chart_parameters(basis: Sequence[Sequence], I) -> LagrangianFrame:
@@ -363,13 +367,8 @@ def verify_cech_cocycle(values: Mapping[tuple, object],
                     if total != 0:
                         failures.append({"kind": "triple", "triple": [b, g, d],
                                          "sum": str(total)})
-    report = {
-        "charts": charts,
-        "pairs": len(values),
-        "triples_checked": triples_checked,
-        "cocycle": not failures,
-        "failures": failures,
-    }
+    report = {"charts": charts, "pairs": len(values), "triples_checked": triples_checked,
+              "cocycle": not failures, "failures": failures}
     if zero_cochain is not None:
         coboundary_ok = all(
             sym[(b, g)] == zero_cochain[b] - zero_cochain[g]

@@ -53,7 +53,6 @@ of degree <= cap.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -484,10 +483,12 @@ def exp_second_order(s: TruncatedSeries,
     to the cap, inverse powers of ``h`` included.
     """
     ctx = s.ctx
-    ih = ctx.index(HBAR)
     idx = [(ctx.index(a), ctx.index(b), complex(c)) for a, b, c in pairs if c]
+    if not idx:
+        return s
     if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
         raise SeriesError("exp_second_order contracts weight-1 variables only")
+    ih = ctx.index(HBAR)
     out = dict(s.terms)
     term = s.terms
     k = 0
@@ -838,11 +839,3 @@ class OscillatoryScalar:
         return (f"<osc exp={self.exponent} i^{self.i_power} "
                 f"laurent={ {k: round(abs(v), 6) for k, v in sorted(self.laurent.items())} }>")
 
-
-def dump_canonical_json(obj, path=None) -> str:
-    """Deterministic JSON encoding used for reports and fixtures."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from weyljet.maslov import (LagrangianFrame, MaslovError, SubdivisionChart,
-                            alpha_cocycle, chart_parameters, frame_basis,
+                            _solve_rational, alpha_cocycle, chart_parameters, frame_basis,
                             generating_quadratic, linear_cocycle, signature,
                             submanifold_cocycle, verify_cech_cocycle)
 from weyljet.series import SeriesContext, TruncatedSeries
@@ -84,6 +84,150 @@ def test_signature_rejects_a_non_square_matrix():
         signature([[1, 2, 3], [2, 1, 0]])
 
 
+# --- the integer elimination against the Fraction one ------------------------------
+
+
+def fraction_solve(A, B):
+    """Gauss-Jordan on Fraction entries: the reference for _solve_rational."""
+    n = len(A)
+    M = [row[:] + Brow[:] for row, Brow in zip(A, B)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise MaslovError("singular system")
+        M[col], M[piv] = M[piv], M[col]
+        inv = Fraction(1) / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def fraction_signature(S):
+    """Symmetric elimination on Fraction entries: the reference for signature."""
+    M = [[Fraction(x) for x in row] for row in S]
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise MaslovError("signature: the matrix is not square")
+    if any(M[i][j] != M[j][i] for i in range(n) for j in range(n)):
+        raise MaslovError("matrix is not symmetric")
+    sig = 0
+    idx = list(range(n))
+    while idx:
+        d = next((i for i in idx if M[i][i] != 0), None)
+        if d is None:
+            pair = next(((i, j) for i in idx for j in idx
+                         if i != j and M[i][j] != 0), None)
+            if pair is None:
+                raise MaslovError("degenerate matrix")
+            i, j = pair
+            for k in range(n):
+                M[i][k] = M[i][k] + M[j][k]
+            for k in range(n):
+                M[k][i] = M[k][i] + M[k][j]
+            d = i
+        pivot = M[d][d]
+        sig += 1 if pivot > 0 else -1
+        idx.remove(d)
+        col = {r: M[r][d] for r in idx}
+        for r in idx:
+            if col[r] != 0:
+                fr = col[r] / pivot
+                for s in idx:
+                    M[r][s] -= fr * M[d][s]
+        for r in idx:
+            M[r][d] = Fraction(0)
+            M[d][r] = Fraction(0)
+    return sig
+
+
+def outcome_or_error(fn, *args):
+    """The value of the call, or the message of the MaslovError it raises."""
+    try:
+        return fn(*args)
+    except MaslovError as e:
+        return ("MaslovError", str(e))
+
+
+EXACT = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+NONZERO = st.builds(Fraction, st.integers(1, 4), st.integers(1, 6)) | \
+    st.builds(Fraction, st.integers(-4, -1), st.integers(1, 6))
+ENTRIES = st.one_of(st.just(Fraction(0)), NONZERO, NONZERO)  # zero in one branch of three
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, B) with A n x n, n <= 6; a drawn row of A is often a multiple of an
+    earlier one (a zero row included), so many systems are singular."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    A = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    B = [[draw(ENTRIES) for _ in range(m)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        k = draw(ENTRIES)
+        A[i] = [k * x for x in A[draw(st.integers(0, i - 1))]]
+    return A, B
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n, n <= 6, often with a zero diagonal, and often
+    degenerate: row and column i made k times row and column j."""
+    n = draw(st.integers(0, 6))
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            S[i][j] = S[j][i] = draw(ENTRIES)
+    if draw(st.booleans()):
+        for i in range(n):
+            S[i][i] = Fraction(0)
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        j, k = draw(st.integers(0, i - 1)), draw(ENTRIES)
+        for t in range(n):
+            S[i][t] = S[t][i] = k * S[j][t]
+        S[i][i] = k * k * S[j][j]
+    return S
+
+
+@EXACT
+@given(rational_systems())
+def test_integer_solve_is_the_fraction_solve(system):
+    A, B = system
+    got = outcome_or_error(_solve_rational, A, B)
+    assert got == outcome_or_error(fraction_solve, A, B)
+    assert got == ("MaslovError", "singular system") or all(
+        type(x) is Fraction for row in got for x in row)
+
+
+@EXACT
+@given(symmetric_matrices())
+def test_integer_signature_is_the_fraction_signature(S):
+    assert outcome_or_error(signature, S) == outcome_or_error(fraction_signature, S)
+    if len(S) > 1:  # one entry off the symmetry
+        T = [row[:] for row in S]
+        T[0][-1] += 1
+        assert outcome_or_error(signature, T) == ("MaslovError", "matrix is not symmetric")
+        assert outcome_or_error(fraction_signature, T) == outcome_or_error(signature, T)
+
+
+def test_the_exact_strategies_reach_every_case():
+    # singular and regular systems, degenerate forms and nondegenerate forms
+    # with a zero diagonal (the congruence step) all occur among the inputs
+    def zero_diagonal(S):
+        return len(S) > 1 and all(S[i][i] == 0 for i in range(len(S)))
+
+    cases = [(rational_systems(), lambda s: raises(_solve_rational, *s)),
+             (rational_systems(), lambda s: len(s[0]) > 3 and not raises(_solve_rational, *s)),
+             (symmetric_matrices(), lambda S: len(S) > 3 and raises(signature, S)),
+             (symmetric_matrices(), lambda S: zero_diagonal(S) and not raises(signature, S))]
+    for strategy, condition in cases:
+        find(strategy, condition, settings=settings(derandomize=True, database=None,
+                                                     phases=[Phase.generate]))
+
+
 # --- charts ----------------------------------------------------------------------
 
 
@@ -109,6 +253,30 @@ def test_chart_parameters_outside_chart():
     basis = [[0, 0, 1, 0], [0, 0, 0, 1]]  # vertical: xi-plane, not in U_{1,2}
     with pytest.raises(MaslovError):
         chart_parameters(basis, {0, 1})
+
+
+def test_chart_parameters_takes_mixed_exact_scalars():
+    # int, Fraction and exactly representable float entries give the frame
+    # of the all-Fraction basis, and the frame holds Fractions only
+    S = [[Fraction(1, 2), Fraction(-3), Fraction(5, 4)],
+         [Fraction(-3), Fraction(0), Fraction(3, 8)],
+         [Fraction(5, 4), Fraction(3, 8), Fraction(-7, 2)]]
+    exact = graph_basis(S)
+    mixed = [[1, 0.0, 0, 0.5, Fraction(-3), 1.25],
+             [0.0, 1, 0, -3, 0.0, Fraction(3, 8)],
+             [0, 0, 1.0, Fraction(5, 4), 0.375, -3.5]]
+    assert mixed == exact
+    outside = set()
+    for I in ({0, 1, 2}, {0}, {2}, {0, 2}, set()):
+        got = outcome(chart_parameters, mixed, I)
+        assert got == outcome(chart_parameters, exact, I)
+        outside.add(got == "raise")
+        if got == "raise":
+            continue
+        assert all(type(x) is Fraction for block in (got.A, got.B, got.C)
+                   for row in block for x in row)
+        assert chart_parameters(frame_basis(got), I) == got
+    assert outside == {False, True}
 
 
 def test_chart_round_trip_random():

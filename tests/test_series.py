@@ -492,6 +492,17 @@ def test_exp_second_order_contracts_weight_one_variables_only():
             exp_second_order(c.variable("u1"), [pair])
 
 
+def test_no_pairs_need_no_h():
+    # with no pairs there is nothing to contract, so a context without h
+    # serves exp_second_order as it serves contract_product
+    s = SeriesContext(["u1"], [1], 4).variable("u1")
+    assert exp_second_order(s, []) == s
+    assert exp_second_order(s, [("u1", "u1", 0)]) == s
+    assert contract_product(s, s, []) == s * s
+    with pytest.raises(SeriesError, match="unknown variable 'h'"):
+        exp_second_order(s, [("u1", "u1", 1)])
+
+
 def test_series_value_equality_and_unhashable():
     c = laurent_ctx(1, 4)
     s = c.from_terms({(1, -1): Fraction(1, 2)})
