@@ -37,6 +37,17 @@ class MaslovError(ValueError):
 # --- exact linear algebra -----------------------------------------------------
 
 
+def _rational(x):
+    """``x`` as an exact rational: ``int`` and ``Fraction`` as given, any
+    other value (a float, a string such as ``'1/2'``) through ``Fraction``."""
+    if x.__class__ in (int, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise MaslovError(f"entry {x!r} is not a finite rational number") from None
+
+
 def _scaled(row, L=0) -> list[int]:
     """The rational ``row`` times ``L``, by default the lcm of its denominators."""
     L = L or math.lcm(*(x.denominator for x in row))
@@ -68,7 +79,7 @@ def signature(S) -> int:
     """Exact signature of a nondegenerate rational symmetric matrix, by
     fraction-free symmetric elimination with symmetric pivoting: each pivot
     is a leading principal minor D_k, and Jacobi's rule adds sign(D_k D_{k-1})."""
-    M = [[Fraction(x) for x in row] for row in S]
+    M = [[_rational(x) for x in row] for row in S]
     n = len(M)
     if any(len(row) != n for row in M):
         raise MaslovError("signature: the matrix is not square")
@@ -150,7 +161,7 @@ class LagrangianFrame:
 def chart_parameters(basis: Sequence[Sequence], I) -> LagrangianFrame:
     """Frame of the span of ``basis`` (rows (x, xi) of length 2n) in the
     chart U_I; raises when the projection is singular."""
-    rows = [[Fraction(x) for x in row] for row in basis]
+    rows = [[_rational(x) for x in row] for row in basis]
     n = len(rows)
     if any(len(r) != 2 * n for r in rows):
         raise MaslovError("basis rows must have length 2n")

@@ -30,7 +30,10 @@ constructors convert coefficients.
 
 One product kernel: ``*`` on two series is :func:`contract_product` with
 no pairs, so one walk over the monomial pairs, in order of weighted
-degree, makes the plain and the contracted products.
+degree, makes the plain and the contracted products.  One rung rule:
+``contract_product`` and :func:`exp_second_order` climb the same
+closed-form ladders, whose rung k differentiates k times by each
+variable of a pair and gives ``h^k``.
 
 One exponent format: terms are selected and measured by their weighted
 degree in a set of variables (``filter_degree`` and ``degrees``), so no
@@ -129,19 +132,19 @@ class SeriesContext:
         return TruncatedSeries(self, {(0,) * len(self.variables): c})
 
     def variable(self, name: str, power: int = 1) -> "TruncatedSeries":
-        i = self.index(name)
-        exp = tuple(power if j == i else 0 for j in range(len(self.variables)))
-        return TruncatedSeries(self, {exp: 1})
+        return self.monomial({name: power})
 
     def monomial(self, exp: Mapping[str, int] | Sequence[int], coeff=1) -> "TruncatedSeries":
+        return TruncatedSeries(self, {self._exponent(exp): coeff})
+
+    def _exponent(self, exp: Mapping[str, int] | Sequence[int]) -> tuple[int, ...]:
+        """An exponent tuple, from a sequence or from a map ``name -> power``."""
         if isinstance(exp, Mapping):
             e = [0] * len(self.variables)
             for v, p in exp.items():
                 e[self.index(v)] = int(p)
-            exp = tuple(e)
-        else:
-            exp = tuple(int(p) for p in exp)
-        return TruncatedSeries(self, {exp: coeff})
+            return tuple(e)
+        return tuple(int(p) for p in exp)
 
     def from_terms(self, terms: Mapping[tuple[int, ...], complex]) -> "TruncatedSeries":
         return TruncatedSeries(self, dict(terms))
@@ -204,14 +207,7 @@ class TruncatedSeries:
         return not self.terms
 
     def coefficient(self, exp: Mapping[str, int] | Sequence[int]) -> complex:
-        if isinstance(exp, Mapping):
-            e = [0] * len(self.ctx.variables)
-            for v, p in exp.items():
-                e[self.ctx.index(v)] = int(p)
-            exp = tuple(e)
-        else:
-            exp = tuple(exp)
-        return self.terms.get(exp, 0)
+        return self.terms.get(self.ctx._exponent(exp), 0)
 
     def constant_term(self) -> complex:
         return self.terms.get((0,) * len(self.ctx.variables), 0)
@@ -473,51 +469,73 @@ def power_sum(x: TruncatedSeries, step, limit: int) -> TruncatedSeries | None:
     return None
 
 
+def _pair_indices(ctx: SeriesContext, pairs, op: str) -> tuple[list, int | None]:
+    """The pairs ``(a, b, c)`` with ``c`` nonzero as ``(index of a, index
+    of b, c)``, ``c`` kept exact when exact, and the index of ``h``, which
+    their rungs raise (``None`` without pairs); ``a`` and ``b`` weigh 1."""
+    idx = [(ctx.index(a), ctx.index(b), c if c.__class__ in _KEPT else complex(c))
+           for a, b, c in pairs if c]
+    if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
+        raise SeriesError(f"{op} contracts weight-1 variables only")
+    return idx, ctx.index(HBAR) if idx else None
+
+
+@functools.cache
+def _ladder(p: int, q: int, step: int = 1) -> tuple[int, ...]:
+    """The rungs k = 0, 1, ... of one ladder: ``C(p, k) (q)_k`` with step
+    1, and ``(p)_(2k) / k!`` with step 2 and ``q = p - 1``.  Rung k is rung
+    k - 1 times ``p q / k``, an exact division, p and q lowered by step."""
+    out = [1]
+    while p > 0 and q > 0:
+        out.append(out[-1] * p * q // len(out))
+        p -= step
+        q -= step
+    return tuple(out)
+
+
+def _climb(terms: list, i: int, j: int, ih: int, c, ladder: tuple[int, ...]):
+    """The rung rule: append to ``terms`` the rungs k >= 1 of the pair
+    ``(i, j, c)`` above each term held.  Rung k lowers exponents i and j
+    by k each (i by 2k when i == j), raises that of ``h`` by k and
+    multiplies the coefficient by ``c^k ladder[k]``."""
+    for e, ce in terms[:]:
+        e2 = list(e)
+        ck = 1
+        for k in range(1, len(ladder)):
+            e2[i] -= 1
+            e2[j] -= 1
+            e2[ih] += 1
+            ck *= c
+            terms.append((tuple(e2), ce * (ck * ladder[k])))
+
+
 def exp_second_order(s: TruncatedSeries,
                      pairs: Iterable[tuple[str, str, complex]]) -> TruncatedSeries:
     """``exp(h sum c d_a d_b) s`` over ``(a, b, c)`` in ``pairs``.
 
-    ``a`` and ``b`` are weight-1 variables, so each power lowers their
-    degree by two and raises the power of ``h`` by one, keeping the
-    weighted degree: the sum runs until a power vanishes and is exact up
-    to the cap, inverse powers of ``h`` included.
+    The pairs commute, so each acts in turn on the terms the earlier ones
+    grew, and the terms with exponents ``p`` of ``a`` and ``q`` of ``b``
+    climb one ladder of :func:`_climb`: ``C(p, k) (q)_k`` for ``a != b``,
+    and ``(p)_(2k) / k!`` for ``a = b``.  ``a`` and ``b`` weigh 1, so each
+    rung keeps the weighted degree: the result is exact up to the cap,
+    inverse powers of ``h`` included, and exact pairs keep exact terms exact.
     """
     ctx = s.ctx
-    idx = [(ctx.index(a), ctx.index(b), complex(c)) for a, b, c in pairs if c]
+    idx, ih = _pair_indices(ctx, pairs, "exp_second_order")
     if not idx:
         return s
-    if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
-        raise SeriesError("exp_second_order contracts weight-1 variables only")
-    ih = ctx.index(HBAR)
-    out = dict(s.terms)
-    term = s.terms
-    k = 0
-    while term:
-        k += 1
-        nxt: dict[tuple[int, ...], complex] = {}
-        for e, c in term.items():
-            for i, j, w in idx:
-                mult = e[i] * (e[j] - (i == j))
-                if mult > 0:
-                    e2 = list(e)
-                    e2[i] -= 1
-                    e2[j] -= 1
-                    e2[ih] += 1
-                    key = tuple(e2)
-                    nxt[key] = nxt.get(key, 0) + c * (w * mult / k)
-        term = _admitted(ctx, nxt).terms
-        for e, c in term.items():
-            out[e] = out.get(e, 0) + c
-    return _admitted(ctx, out)
-
-
-@functools.cache
-def _ladder(p: int, q: int) -> tuple[int, ...]:
-    """``C(p, k) * q (q - 1) ... (q - k + 1)`` for ``k = 0 .. min(p, q)``."""
-    out = [1]
-    for k in range(1, min(p, q) + 1):
-        out.append(out[-1] * (p - k + 1) * (q - k + 1) // k)
-    return tuple(out)
+    terms = dict(s.terms)
+    for i, j, c in idx:
+        ladders: dict[tuple[int, int], list] = {}
+        for e, ce in terms.items():
+            if e[i] > (i == j) and e[j] > 0:  # the ladder has rungs k >= 1
+                ladders.setdefault((e[i], e[j]), []).append((e, ce))
+        for (p, q), group in ladders.items():
+            n = len(group)
+            _climb(group, i, j, ih, c, _ladder(p, q - 1, 2) if i == j else _ladder(p, q))
+            for e, ce in group[n:]:
+                terms[e] = terms.get(e, 0) + ce
+    return _admitted(ctx, terms)
 
 
 def contract_product(f: TruncatedSeries, g: TruncatedSeries,
@@ -526,22 +544,17 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     in ``pairs``: ``d_a`` differentiates ``f`` alone and ``d_b`` ``g`` alone.
     With no pairs this is the product ``f * g``, which ``*`` computes here.
 
-    On a pair of monomials with ``a``-exponent ``p`` in ``f`` and
-    ``b``-exponent ``q`` in ``g``, one pair contributes
-    ``sum_k c^k C(p, k) (q)_k h^k`` times the product with both exponents
-    lowered by ``k``.  ``a`` and ``b`` are weight-1 variables, and no
-    variable is named twice on one side, so the pairs act independently
-    and each term keeps the weighted degree of its monomial pair: the
-    product is exact up to the cap, inverse powers of ``h`` included.
+    A monomial pair with ``a``-exponent ``p`` in ``f`` and ``b``-exponent
+    ``q`` in ``g`` climbs the ladder ``C(p, k) (q)_k`` of :func:`_climb`.
+    ``a`` and ``b`` weigh 1, and no variable is named twice on one side,
+    so the pairs act independently and each term keeps the weighted degree
+    of its monomial pair: the product is exact up to the cap, inverse
+    powers of ``h`` included.
     """
     f._check(g)
     ctx = f.ctx
-    idx = [(ctx.index(a), ctx.index(b), c if c.__class__ in _KEPT else complex(c))
-           for a, b, c in pairs if c] if pairs else ()
+    idx, ih = _pair_indices(ctx, pairs, "contract_product") if pairs else ((), None)
     if idx:
-        ih = ctx.index(HBAR)
-        if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
-            raise SeriesError("contract_product contracts weight-1 variables only")
         if len({i for i, _, _ in idx}) < len(idx) or len({j for _, j, _ in idx}) < len(idx):
             raise SeriesError("contract_product names a variable twice on one side")
     w = ctx.weights
@@ -568,22 +581,8 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
                 continue
             terms = [(e, ca * cb)]
             for i, j, c in idx:
-                p = ea[i]
-                q = eb[j]
-                if not p or not q:
-                    continue
-                ladder = _ladder(p, q)
-                grown = []
-                for e, ce in terms:
-                    e2 = list(e)
-                    ck = 1
-                    for k in range(1, len(ladder)):
-                        e2[i] -= 1
-                        e2[j] -= 1
-                        e2[ih] += 1
-                        ck *= c
-                        grown.append((tuple(e2), ce * (ck * ladder[k])))
-                terms += grown
+                if ea[i] and eb[j]:
+                    _climb(terms, i, j, ih, c, _ladder(ea[i], eb[j]))
             for e, ce in terms[1:]:
                 out[e] = get(e, 0) + ce
     return _admitted(ctx, out)

@@ -84,6 +84,21 @@ def test_signature_rejects_a_non_square_matrix():
         signature([[1, 2, 3], [2, 1, 0]])
 
 
+def test_entries_are_read_as_exact_rationals():
+    # strings and exact floats are read through Fraction; ints and
+    # Fractions pass as they are
+    assert signature([["1/2", 0], [0, "-3"]]) == 0
+    assert signature([[0.25, Fraction(1, 3)], [Fraction(1, 3), 1]]) == 2
+    frame = chart_parameters([[1, "1/2"]], {0})
+    assert frame.A == ((Fraction(1, 2),),)
+    assert frame == chart_parameters([[Fraction(1), Fraction(1, 2)]], {0})
+    for bad in (None, "x", float("nan"), float("inf"), 1j):
+        with pytest.raises(MaslovError, match="not a finite rational"):
+            signature([[1, 0], [0, bad]])
+        with pytest.raises(MaslovError, match="not a finite rational"):
+            chart_parameters([[1, 0, 0, 0], [0, 1, 0, bad]], {0, 1})
+
+
 # --- the integer elimination against the Fraction one ------------------------------
 
 

@@ -337,6 +337,8 @@ def test_fraction_series_stay_exact_and_match_complex_image(f, g, q, x):
     ops = [(f * g, fc * gc), (f + g, fc + gc), (f - g, fc - gc),
            (f * q, fc * q), (f * 3, fc * 3), (3 * f - 1, 3 * fc - 1)]
     ops += [(f.diff(v), fc.diff(v)) for v in QCTX.variables]
+    ops.append((exp_second_order(f, [("x", "x", q), ("x", "y", Fraction(1, 3))]),
+                exp_second_order(fc, [("x", "x", complex(q)), ("x", "y", 1 / 3)])))
     for exact, approx in ops:
         assert_exact(exact)
         assert_float_image(exact, approx)
@@ -474,6 +476,96 @@ def test_compose_matches_partial_sums(fg, data):
     listed = data.draw(st.lists(st.sampled_from(ctx.variables[:-1]), unique=True))
     images = {v: data.draw(laurent_series(ctx, min_degree=1)) for v in listed}
     assert_near(compose(f, images), compose_by_partial_sums(f, images))
+
+
+# --- the rung rule against the power sum ------------------------------------------
+
+
+def exp_second_order_by_powers(s, pairs):
+    """``exp(h sum c d_a d_b) s`` summed power by power, each power of the
+    operator divided by k, until a power vanishes: an independent reference
+    for the ladders that ``exp_second_order`` climbs.  Exact pairs and an
+    exact series give an exact sum."""
+    ctx = s.ctx
+    idx = [(ctx.index(a), ctx.index(b), c) for a, b, c in pairs if c]
+    if not idx:
+        return s
+    ih = ctx.index("h")
+    out = dict(s.terms)
+    term = s.terms
+    k = 0
+    while term:
+        k += 1
+        nxt = {}
+        for e, c in term.items():
+            for i, j, w in idx:
+                mult = e[i] * (e[j] - (i == j))
+                if mult > 0:
+                    e2 = list(e)
+                    e2[i] -= 1
+                    e2[j] -= 1
+                    e2[ih] += 1
+                    key = tuple(e2)
+                    nxt[key] = nxt.get(key, 0) + c * w * Fraction(mult, k)
+        term = {e: c for e, c in nxt.items() if c}
+        for e, c in term.items():
+            out[e] = out.get(e, 0) + c
+    return TruncatedSeries(ctx, out)
+
+
+@st.composite
+def series_and_pairs(draw):
+    """An exact series in up to three weight-1 variables with h^-2 .. h^2
+    terms, and a pair set over its variables: diagonal pairs, mixed pairs
+    and Wick pairs such as (u1, u1), (u1, u2), (u2, u2) that share one."""
+    n = draw(st.integers(1, 3))
+    ctx = laurent_ctx(n, draw(st.integers(0, 8)))
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = tuple(draw(st.integers(0, 4)) for _ in range(n)) + (draw(st.integers(-2, 2)),)
+        terms[exp] = draw(fractions)
+    u = ctx.variables[:-1]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(u), st.sampled_from(u), fractions),
+                          max_size=4))
+    return TruncatedSeries(ctx, terms), pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(series_and_pairs())
+def test_ladders_equal_the_power_sum(sp):
+    s, pairs = sp
+    exact = exp_second_order(s, pairs)
+    assert exact == exp_second_order_by_powers(s, pairs)
+    assert_exact(exact)
+    sc = s.ctx.from_terms({e: complex(c) for e, c in s.terms.items()})
+    cpairs = [(a, b, complex(c)) for a, b, c in pairs]
+    approx = exp_second_order(sc, cpairs)
+    assert_near(approx, exp_second_order_by_powers(sc, cpairs))
+    assert_near(approx, s.ctx.from_terms({e: complex(c) for e, c in exact.terms.items()}))
+
+
+def test_ladder_strategy_reaches_every_pair_shape():
+    """The pair sets drawn above hold diagonal pairs, mixed pairs, Wick
+    pairs sharing a variable, and series with h^-1 terms that contract."""
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(series_and_pairs())
+    def record(sp):
+        s, pairs = sp
+        negative = s.filter_degree(["h"], lambda d: d < 0)
+        if any(a == b for a, b, c in pairs if c):
+            seen.add("diagonal")
+        if any(a != b for a, b, c in pairs if c):
+            seen.add("mixed")
+        named = [v for a, b, c in pairs if c and a != b for v in (a, b)]
+        if any(a == b and a in named for a, b, c in pairs if c):
+            seen.add("shared")
+        if exp_second_order(negative, pairs) != negative:
+            seen.add("inverse h contracted")
+    record()
+    assert seen == {"diagonal", "mixed", "shared", "inverse h contracted"}
 
 
 def test_linear_combination_checks_contexts():

@@ -51,6 +51,32 @@ def test_moment_singular_rejected():
         gaussian_moment([[0.0]], [2])
 
 
+def test_gaussian_forms_are_checked():
+    eye = np.eye(2)
+    for fn, args, check in [
+            # the form of [[1, 2], [0, 1]] is [[1, 1], [1, 1]], singular
+            (gaussian_prefactor, ([[1, 2], [0, 1]],), "not symmetric"),
+            (gaussian_moment, ([[1, 0.5], [0.2, 1]], [1, 1]), "not symmetric"),
+            (gaussian_prefactor, ([[1, 2]],), "not square"),
+            (gaussian_moment, ([[1, 2]], [1, 1]), "not square"),
+            (gaussian_prefactor, ([[1], [2, 3]],), "not a numeric matrix"),
+            (gaussian_prefactor, ([[1, np.inf], [np.inf, 1]],), "not finite"),
+            (gaussian_moment, ([[np.nan]], [2]), "not finite"),
+            (gaussian_moment, (eye, [1, 1, 2]), "one entry per row"),
+            (gaussian_moment, (eye, [2]), "one entry per row"),
+            (gaussian_moment, ([[1.0]], [-2]), "nonnegative integers"),
+            (gaussian_moment, ([[1.0]], [2.0]), "nonnegative integers")]:
+        with pytest.raises(SeriesError, match=check):
+            fn(*args)
+    # symmetric means Q = Q^t, not Q = Q^H, and is judged against max|Q|
+    Q = np.array([[2 + 1j, 0.5 - 0.5j], [0.5 - 0.5j, 1 + 2j]])
+    assert gaussian_moment(Q, [1, 1])[0] == pytest.approx(1j * np.linalg.inv(Q)[0, 1])
+    nearly = [[1e6, 5e5], [5e5 + 1e-6, 1e6]]
+    assert gaussian_prefactor(nearly) == pytest.approx(gaussian_prefactor([[1e6, 5e5],
+                                                                           [5e5, 1e6]]))
+    assert gaussian_moment(np.eye(2, dtype=np.int64), np.array([2, 0]))[1] == 1
+
+
 # --- prefactor branch ---------------------------------------------------------
 
 def test_prefactor_real_branch():

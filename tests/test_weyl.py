@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyljet.series import (SeriesContext, SeriesError, TruncatedSeries, compose,
-                            exp_second_order, invert_map)
+from weyljet.series import SeriesContext, SeriesError, TruncatedSeries, compose, invert_map
 from weyljet.weyl import (KGroupElement, LieElement, NonTerminatingAdError,
                           NormalOperator, WeylAlgebra, _multi_indices, commutator,
                           exp_ad, exp_lie_apply, k_conjugate, lie_classify,
                           moyal_star, operator_from_action, poisson_bracket,
                           weyl_quantize)
+
+from test_series import exp_second_order_by_powers
 
 
 def algebra(n=1, cap=6):
@@ -85,14 +86,15 @@ def test_star_of_monomials_matches_closed_form_exactly():
 
 def on_diagonal_by_doubling(A, f, g, pairs):
     """exp(h sum c d_a d_b) f g on the diagonal through a doubled context:
-    g's jets renamed to copies, the product taken there, contracted by
-    exp_second_order and renamed back."""
+    g's jets renamed to copies, the product taken there, contracted by the
+    power sum of the operator (not the rung rule the products share) and
+    renamed back."""
     jets = A.x + A.xi
     copy = {v: f"_c{v}" for v in jets}
     D = SeriesContext(A.ctx.variables + tuple(copy.values()),
                       A.ctx.weights + (1,) * len(jets), A.cap, A.ctx.laurent)
     fg = f.map_vars({}, D) * g.map_vars(copy, D)
-    contracted = exp_second_order(fg, [(a, copy[b], c) for a, b, c in pairs])
+    contracted = exp_second_order_by_powers(fg, [(a, copy[b], c) for a, b, c in pairs])
     return contracted.map_vars({c: v for v, c in copy.items()}, A.ctx)
 
 
