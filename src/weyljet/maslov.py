@@ -115,8 +115,6 @@ def _exchange_signature(entry, I, J, message: str) -> int:
     the coordinates that U_I and U_J exchange, x_{I-J} then e_{J-I}; 0
     when they exchange none.  A degenerate block raises ``message``."""
     labels = [f"x{j+1}" for j in sorted(I - J)] + [f"e{j+1}" for j in sorted(J - I)]
-    if not labels:
-        return 0
     try:
         return signature([[entry(p, q) for q in labels] for p in labels])
     except MaslovError:
@@ -354,18 +352,18 @@ def verify_cech_cocycle(values: Mapping[tuple, object],
     doubled Maslov data, Fractions for phase cocycles).  When a 0-cochain
     is supplied, also reports whether it trivializes the cocycle."""
     charts = sorted({c for pair in values for c in pair})
-    sym = {}
+    sym = dict(values)
     failures = []
+    # each failure once: a diagonal pair is not checked for antisymmetry,
+    # and a pair given both ways is checked in its sorted order only
     for (b, g), v in values.items():
-        if b == g and v != 0:
-            failures.append({"kind": "diagonal", "pair": [b, g]})
-        sym[(b, g)] = v
-    for (b, g), v in list(sym.items()):
-        if (g, b) in sym:
-            if sym[(g, b)] != -v:
-                failures.append({"kind": "antisymmetry", "pair": [b, g]})
-        else:
+        if b == g:
+            if v != 0:
+                failures.append({"kind": "diagonal", "pair": [b, g]})
+        elif (g, b) not in values:
             sym[(g, b)] = -v
+        elif b < g and values[(g, b)] != -v:
+            failures.append({"kind": "antisymmetry", "pair": [b, g]})
     triples_checked = 0
     for i, b in enumerate(charts):
         for g in charts[i + 1:]:

@@ -219,12 +219,6 @@ class TruncatedSeries:
     def max_degree(self) -> int:
         return max(self.degrees(self.ctx.variables), default=0)
 
-    def min_exponent(self, var: str) -> int:
-        i = self.ctx.index(var)
-        if not self.terms:
-            return 0
-        return min(e[i] for e in self.terms)
-
     def depends_on(self, var: str) -> bool:
         i = self.ctx.index(var)
         return any(e[i] != 0 for e in self.terms)
@@ -522,8 +516,6 @@ def exp_second_order(s: TruncatedSeries,
     """
     ctx = s.ctx
     idx, ih = _pair_indices(ctx, pairs, "exp_second_order")
-    if not idx:
-        return s
     terms = dict(s.terms)
     for i, j, c in idx:
         ladders: dict[tuple[int, int], list] = {}
@@ -562,15 +554,10 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     a = sorted([(sum(map(mul, e, w)), e, c) for e, c in f.terms.items()])
     b = sorted([(sum(map(mul, e, w)), e, c) for e, c in g.terms.items()])
     out: dict[tuple[int, ...], complex] = {}
-    if not a or not b:
-        return _admitted(ctx, out)
     cap = ctx.cap
-    bmin = b[0][0]
     get = out.get
     for da, ea, ca in a:
         room = cap - da
-        if bmin > room:
-            break
         for db, eb, cb in b:
             if db > room:
                 break
@@ -590,9 +577,9 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
 
 def is_singular(M) -> bool:
     """Scale-free degeneracy test: the smallest singular value of ``M`` is
-    at most ``DEFAULT_EPS`` times its largest."""
+    at most ``DEFAULT_EPS`` times its largest; an empty matrix is regular."""
     sv = np.linalg.svd(np.asarray(M), compute_uv=False)
-    return bool(sv[-1] <= DEFAULT_EPS * sv[0])
+    return bool(sv.size) and bool(sv[-1] <= DEFAULT_EPS * sv[0])
 
 
 def negligible(c, scale: float) -> bool:
@@ -657,8 +644,6 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
             while len(cache) <= p:
                 cache.append(cache[-1] * cache[1])
             term = term * cache[p]
-            if term.is_zero():
-                break
         for e2, c2 in term.terms.items():
             out[e2] = get(e2, 0) + c2
     if depth:
@@ -803,19 +788,11 @@ class OscillatoryScalar:
 
     def leading(self) -> tuple[int, complex]:
         """(hbar power, coefficient) of the lowest surviving order."""
-        if self.series.is_zero():
-            return (0, 0.0 + 0.0j)
-        k = self.series.min_exponent(HBAR)
+        k = min(self.laurent, default=0)
         return k, self.coefficient(k)
 
     def coefficient(self, k: int) -> complex:
         return self.series.terms.get((k,), 0.0 + 0.0j) * (1j ** self.i_power)
-
-    def is_close(self, other: "OscillatoryScalar", tol: float) -> bool:
-        if abs(float(self.exponent) - float(other.exponent)) > tol:
-            return False
-        keys = set(self.laurent) | set(other.laurent)
-        return all(abs(self.coefficient(k) - other.coefficient(k)) <= tol for k in keys)
 
     def to_json(self) -> dict:
         return {

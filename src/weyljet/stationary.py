@@ -106,8 +106,6 @@ def gaussian_prefactor(Q) -> complex:
     when its angle is within ``DEFAULT_EPS`` of pi.
     """
     Qm = _gaussian_form(Q)
-    if Qm.shape[0] == 0:
-        return 1.0 + 0.0j
     if is_singular(Qm):
         raise DegenerateHessianError("degenerate Hessian")
     lam = np.linalg.eigvals(-1j * Qm)

@@ -71,9 +71,8 @@ class GaussianJet:
     def vars(self) -> list[str]:
         return [v for v in self.ctx.variables if v != HBAR]
 
-    def with_parts(self, T=None, amplitude=None, scalar=None, mode=None) -> "GaussianJet":
-        return GaussianJet(self.mode if mode is None else mode,
-                           self.T if T is None else T,
+    def with_parts(self, T=None, amplitude=None, scalar=None) -> "GaussianJet":
+        return GaussianJet(self.mode, self.T if T is None else T,
                            self.amplitude if amplitude is None else amplitude,
                            self.scalar if scalar is None else scalar)
 
@@ -236,8 +235,7 @@ def act_word(word: Sequence, jet: GaussianJet) -> GaussianJet:
         try:
             out = act_generator(g, out)
         except UndefinedWeilActionError as exc:
-            raise UndefinedWeilActionError(str(exc.args[0]).split(" (word step")[0],
-                                           step=k) from None
+            raise UndefinedWeilActionError(str(exc), step=k) from None
     return out
 
 

@@ -81,13 +81,6 @@ def _multi_indices(n: int, total: int):
         yield tuple(alpha)
 
 
-def _factorial_multi(alpha):
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
-
-
 def moyal_star(A: WeylAlgebra, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Moyal product of Weyl symbols, truncated at the cap.
 
@@ -176,7 +169,7 @@ def operator_from_action(A: WeylAlgebra, action: Callable[[TruncatedSeries], Tru
             residual = action(mono) - N.apply(mono)
             if residual.is_zero():
                 continue
-            scale = (1.0 / ((1j ** order) * _factorial_multi(gamma)))
+            scale = (1.0 / ((1j ** order) * math.prod(map(math.factorial, gamma))))
             block = (residual * scale).shift_exponent(HBAR, -order)
             vmono = ctx.monomial({v: g for v, g in zip(A.xi, gamma)}, 1.0)
             N = NormalOperator(A, N.symbol + block * vmono)
@@ -209,10 +202,6 @@ class LieElement:
     def ad(self, w: TruncatedSeries) -> TruncatedSeries:
         # dividing the payload by h first keeps the product exact up to the cap
         return commutator(self.algebra, self.payload.shift_exponent(HBAR, -1), w) * -1j
-
-    def bracket(self, other: "LieElement") -> "LieElement":
-        """g-tilde bracket: (1/ih)f, (1/ih)g -> (1/ih)((1/ih)[f,g])."""
-        return LieElement(self.algebra, self.ad(other.payload), "gtilde")
 
     def graded_profile(self) -> list[int]:
         return sorted(d - 2 for d in self.payload.degrees(self.algebra.ctx.variables))
@@ -325,10 +314,7 @@ class KGroupElement:
         Inverse and composite elements take theirs from the group law: their
         images are cut at the cap, so their Jacobian lacks its top degree."""
         if self._multiplier is None:
-            factor = self.half_density_factor()
-            if not self.q.is_zero():
-                factor = factor * self.q.exp()
-            self._multiplier = factor
+            self._multiplier = self.half_density_factor() * self.q.exp()
         return self._multiplier
 
     def act(self, f: TruncatedSeries) -> TruncatedSeries:

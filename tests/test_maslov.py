@@ -41,6 +41,7 @@ def rand_sym(rng, n, denom=5):
 def test_signature_identity_and_split():
     assert signature([[1, 0], [0, 1]]) == 2
     assert signature([[1, 0], [0, -1]]) == 0
+    assert signature([]) == 0
 
 
 def test_signature_congruence_invariance():
@@ -321,6 +322,15 @@ def test_linear_cocycle_sign_example():
 def test_linear_cocycle_identity_overlap():
     basis = graph_basis([[Fraction(2)]])
     assert linear_cocycle(basis, {0}, {0}) == 0
+    # a chart exchanges no coordinate with itself
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            for I in map(frozenset, itertools.combinations(range(n), k)):
+                basis = frame_basis(rand_frame(rng, n, I))
+                assert linear_cocycle(basis, I, I) == 0
+    beta = graph_chart(3)
+    assert submanifold_cocycle(beta, beta, ((Fraction(1),), (Fraction(3),))) == 0
 
 
 def test_linear_cocycle_triples_random_r4():
@@ -688,6 +698,16 @@ def test_cech_cocycle_pass_and_trivialization():
     rep = verify_cech_cocycle(vals, zero_cochain={"a": 3, "b": 2, "c": 0})
     assert rep["cocycle"]
     assert rep["trivialized_by_cochain"]
+
+
+def test_cech_reports_each_failure_once():
+    rep = verify_cech_cocycle({("a", "b"): 1, ("b", "a"): 1})
+    assert rep["failures"] == [{"kind": "antisymmetry", "pair": ["a", "b"]}]
+    rep = verify_cech_cocycle({("a", "a"): 2, ("a", "b"): 1})
+    assert rep["failures"] == [{"kind": "diagonal", "pair": ["a", "a"]}]
+    assert (rep["cocycle"], rep["pairs"], rep["triples_checked"]) == (False, 2, 0)
+    rep = verify_cech_cocycle({("a", "b"): 1, ("b", "a"): -1, ("b", "b"): 0})
+    assert rep["cocycle"] and rep["failures"] == []
 
 
 def test_cech_perturbed_fails_with_triple():

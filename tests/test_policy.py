@@ -10,15 +10,19 @@
   ``degrees``, except the readers named in ``EXPONENT_READERS``.
 - Admission contract: every operation the ``series`` docstring names in
   it exists.
+- No dead code: every public function, method and class of the package is
+  referenced outside its own definition.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 from weyljet import series
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "weyljet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weyljet"
 
 
 def modules():
@@ -115,3 +119,52 @@ def test_admission_contract_names_resolve():
     assert {"TruncatedSeries", "from_terms", "contract_product", "compose"} <= set(names)
     owners = (series, series.TruncatedSeries, series.SeriesContext)
     assert [n for n in names if not any(hasattr(o, n) for o in owners)] == []
+
+
+def references(tree) -> Counter:
+    """How often each name is read as a name, an attribute or an import."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
+    return found
+
+
+def public_definitions():
+    """``(file, qualified name, node)`` of every public module-level function
+    and class of the package and every public method of its classes."""
+    for name, tree in modules():
+        for node in tree.body:
+            defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [(node.name, node)] + [(f"{node.name}.{f.name}", f)
+                                              for f in node.body
+                                              if isinstance(f, ast.FunctionDef)]
+            for qualified, d in defs:
+                if not d.name.startswith("_"):
+                    yield name, qualified, d
+
+
+def unreferenced_definitions():
+    """``(file, qualified name)`` of every public definition whose name is
+    read nowhere in ``src``, ``tests`` or ``perfbench`` but inside itself.
+
+    Names are matched, not resolved: a name that several classes or
+    modules share counts as used when any of them is used."""
+    everywhere = Counter()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            everywhere += references(ast.parse(path.read_text(), str(path)))
+    for name, qualified, node in public_definitions():
+        if everywhere[node.name] <= references(node)[node.name]:
+            yield name, qualified
+
+
+def test_every_public_definition_is_used():
+    assert ("weyl.py", "KGroupElement.multiplier") in {
+        (f, q) for f, q, _ in public_definitions()}
+    assert not sorted(unreferenced_definitions())

@@ -95,6 +95,11 @@ def test_compose_weighted():
     expected = (c.monomial({"u1": 2}) + 2 * c.monomial({"u1": 1, "h": 1})
                 + c.monomial({"h": 2}))
     assert out.is_close(expected)
+    # u1^2 u2 goes to zero with the first factor, u2^4 beyond the cap
+    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 3)
+    u2 = c.variable("u2")
+    f = c.monomial({"u1": 2, "u2": 1}) + u2
+    assert compose(f, {"u1": u2 * u2, "u2": u2}) == u2
 
 
 def test_compose_identity_and_associativity():
@@ -201,6 +206,7 @@ def test_singularity_is_scale_free():
         assert is_singular(scale * M)
         assert not is_singular(scale * np.eye(2))
     assert is_singular(np.zeros((2, 2)))
+    assert not is_singular(np.zeros((0, 0)))
 
 
 def test_laurent_guard_and_shift():
@@ -295,6 +301,8 @@ def test_oscillatory_i_power():
     s = OscillatoryScalar.one().mul_i_power(3)
     assert s.leading() == (0, 1j ** 3)
     assert (s.mul_i_power(1)).leading()[1] == 1.0
+    assert OscillatoryScalar(0, {-2: 3.0, 1: 1.0}, 1).leading() == (-2, 3j)
+    assert OscillatoryScalar(0, {}).leading() == (0, 0)
 
 
 
@@ -616,3 +624,16 @@ def test_contract_product_checks_contexts_and_weights():
         contract_product(u1, u2, [("u1", "u1", 1), ("u1", "u2", 1)])
     # d_u1 of u1 times d_u2 of u2 contracts to h
     assert contract_product(u1, u2, [("u1", "u2", 1)]) == u1 * u2 + c.variable("h")
+
+
+def test_products_with_a_zero_or_a_capped_operand():
+    # the monomial-pair walk itself answers an operand with no terms and a
+    # term with no room under the cap, with and without pairs, h^-1 included
+    c = laurent_ctx(2, 4)
+    f = c.from_terms({(1, 0, -1): 2, (0, 1, 0): 1j, (4, 0, 0): 3})
+    for pairs in ([], [("u1", "u2", 1), ("u2", "u1", 0.5)]):
+        assert contract_product(f, c.zero(), pairs) == c.zero()
+        assert contract_product(c.zero(), f, pairs) == c.zero()
+    assert f * c.zero() == c.zero() == c.zero() * f
+    # u1^4 has no room for u2, the lowest term of the other operand
+    assert f * c.variable("u2") == c.from_terms({(1, 1, -1): 2, (0, 2, 0): 1j})

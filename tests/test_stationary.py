@@ -46,6 +46,14 @@ def test_moment_q_dependence_homogeneous():
     assert abs(c1 / c2 - 2.0 ** 3) < 1e-12
 
 
+def test_the_empty_form_is_the_unit():
+    # no variables: the moment of the empty monomial and the Gaussian
+    # constant are both 1, through the general rule
+    empty = np.zeros((0, 0))
+    assert gaussian_moment(empty, []) == ((1 + 0j), 0)
+    assert gaussian_prefactor(empty) == 1
+
+
 def test_moment_singular_rejected():
     with pytest.raises(DegenerateHessianError):
         gaussian_moment([[0.0]], [2])

@@ -160,6 +160,12 @@ def test_word_dense_subset_defined_on_T0():
     with pytest.raises(UndefinedWeilActionError) as err:
         act_word([Fourier(None)], jet)
     assert err.value.step == 0
+    # the step is named once, in the suffix of the re-raised message
+    with pytest.raises(UndefinedWeilActionError) as err:
+        act_word([Central(1), Shear(((0.0,),)), Fourier(None)], jet)
+    assert err.value.step == 2
+    assert str(err.value).endswith(" (word step 2)")
+    assert str(err.value).count(" (word step") == 1
 
 
 def test_mixed_relation_gl_shear():

@@ -294,6 +294,8 @@ def test_k_act_linear_scaling():
     got = k.act(f)
     import math
     assert got.is_close(math.sqrt(2) * 2 * A.var("u1"), 1e-12)
+    # with no multiplier exponent, exp(q) = exp(0) = 1
+    assert k.multiplier() == k.half_density_factor()
 
 
 def test_k_identity_and_inverse():
