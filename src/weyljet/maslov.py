@@ -203,7 +203,7 @@ def frame_basis(frame: LagrangianFrame) -> list[list[Fraction]]:
 def generating_quadratic(frame: LagrangianFrame) -> TruncatedSeries:
     """F_I(x_I, xi_Ibar) = y.Hy/2, y = (x_I, xi_Ibar), generating the frame."""
     names = _chart(frame.n, frame.I)[2]
-    return quadratic_series(SeriesContext(names, [1] * frame.n, 2), frame.hessian(), names)
+    return quadratic_series(SeriesContext(names, 2), frame.hessian(), names)
 
 
 def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:

@@ -1,12 +1,13 @@
 """Sparse truncated multivariate formal power series.
 
-Every series lives in a :class:`SeriesContext` that fixes the variable
-names, their filtration weights and the truncation cap.  Jet coordinates
-weigh 1 and the deformation parameter ``h`` weighs 2; a term is kept only
-while its weighted degree stays at or below the cap.  Variables listed in
-``laurent`` may carry negative exponents (bounded below through the
-filtration), which realizes the completed coefficient rings with inverse
-powers of ``h``.
+Every series lives in a :class:`SeriesContext`, which is its variable
+names and its truncation cap.  One filtration holds for every context:
+the deformation parameter ``h`` weighs 2 and every other variable (a jet
+coordinate) weighs 1, so the weighted degree of a term is its total
+degree plus the exponent of ``h``, and a term is kept only while that
+stays at or below the cap.  Only ``h`` may carry a negative exponent
+(bounded below through the filtration), which realizes the completed
+coefficient rings with inverse powers of ``h``.
 
 Coefficients are complex floats, or exact rationals (``int`` and
 ``Fraction``) that stay exact through construction, ``+``, ``-``, ``*``,
@@ -20,13 +21,13 @@ term zero, has the iteration converged) compares against
 
 Admission contract: the public constructors (``TruncatedSeries(ctx,
 terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``
-and ``map_vars``) check arity, the cap, the Laurent signs and the
-coefficient type of every term.  Operations closed over admitted terms
-(``*``, ``+``, ``-``, ``diff``, ``filter_degree``, ``exp_second_order``,
-``contract_product``, ``compose``, ``linear_combination`` and
-``quadratic_series``) trust their operands and only drop the zero
-coefficients of their result; a scalar factor is converted once, as the
-constructors convert coefficients.
+and ``map_vars``) check arity, the cap, the exponent signs (only h goes
+negative) and the coefficient type of every term.  Operations closed
+over admitted terms (``*``, ``+``, ``-``, ``diff``, ``filter_degree``,
+``exp_second_order``, ``contract_product``, ``compose``,
+``linear_combination`` and ``quadratic_series``) trust their operands and
+only drop the zero coefficients of their result; a scalar factor is
+converted once, as the constructors convert coefficients.
 
 One product kernel: ``*`` on two series is :func:`contract_product` with
 no pairs, so one walk over the monomial pairs, in order of weighted
@@ -78,29 +79,19 @@ class SeriesContext:
     fields agree, and series operations require equal contexts.
     """
 
-    __slots__ = ("variables", "weights", "cap", "laurent", "_index", "_key")
+    __slots__ = ("variables", "weights", "cap", "_index", "_key")
 
-    def __init__(self, variables: Sequence[str], weights: Sequence[int],
-                 cap: int, laurent: Iterable[str] = ()):
+    def __init__(self, variables: Sequence[str], cap: int):
         variables = tuple(variables)
-        weights = tuple(int(w) for w in weights)
-        if len(variables) != len(weights):
-            raise SeriesError("variables and weights length mismatch")
         if len(set(variables)) != len(variables):
             raise SeriesError("duplicate variable names")
-        if any(w < 1 for w in weights):
-            raise SeriesError("weights must be positive")
         if cap < 0:
             raise SeriesError("cap must be nonnegative")
         self.variables = variables
-        self.weights = weights
+        self.weights = tuple(2 if v == HBAR else 1 for v in variables)
         self.cap = int(cap)
-        self.laurent = frozenset(laurent)
-        unknown = self.laurent - set(variables)
-        if unknown:
-            raise SeriesError(f"laurent names not in variables: {sorted(unknown)}")
         self._index = {v: i for i, v in enumerate(variables)}
-        self._key = (variables, weights, self.cap, self.laurent)
+        self._key = (variables, self.cap)
 
     def __eq__(self, other):
         return isinstance(other, SeriesContext) and self._key == other._key
@@ -156,7 +147,7 @@ _KEPT = frozenset((complex, int, Fraction))
 
 def _admitted(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
     """A series over terms that a closed operation built from admitted
-    ones: arity, cap, Laurent signs and coefficient types already hold,
+    ones: arity, cap, exponent signs and coefficient types already hold,
     so only the zero coefficients are dropped."""
     s = object.__new__(TruncatedSeries)
     s.ctx = ctx
@@ -193,8 +184,8 @@ class TruncatedSeries:
                 continue
             if min(exp, default=0) < 0:
                 for e, v in zip(exp, ctx.variables):
-                    if e < 0 and v not in ctx.laurent:
-                        raise SeriesError(f"negative exponent on non-laurent variable {v!r}")
+                    if e < 0 and v != HBAR:
+                        raise SeriesError(f"negative exponent on variable {v!r}")
             clean[exp] = c
         self.terms = clean
 
@@ -321,7 +312,7 @@ class TruncatedSeries:
 
     def shift_exponent(self, var: str, k: int) -> "TruncatedSeries":
         """Multiply by var**k at the exponent level (k may be negative
-        for laurent variables)."""
+        for ``h``)."""
         i = self.ctx.index(var)
         out = {}
         for e, c in self.terms.items():
@@ -387,22 +378,21 @@ class TruncatedSeries:
 
     def map_vars(self, mapping: Mapping[str, str], new_ctx: SeriesContext) -> "TruncatedSeries":
         """Rename variables into another context (shared names keep their
-        name); weights must agree variable-by-variable.  Source variables
+        name); ``h`` maps to ``h`` and nothing else does.  Source variables
         absent from the target are allowed while unused."""
         src = self.ctx
         used = [any(e[i] for e in self.terms) for i in range(len(src.variables))]
         targets: list[int | None] = []
-        for i, (v, w) in enumerate(zip(src.variables, src.weights)):
+        for i, v in enumerate(src.variables):
             tv = mapping.get(v, v)
             if tv not in new_ctx._index:
                 if used[i]:
                     raise SeriesError(f"unknown variable {tv!r}")
                 targets.append(None)
                 continue
-            j = new_ctx.index(tv)
-            if new_ctx.weights[j] != w:
-                raise SeriesError(f"weight mismatch mapping {v!r} to {tv!r}")
-            targets.append(j)
+            if (v == HBAR) != (tv == HBAR):
+                raise SeriesError(f"h maps to h only: cannot map {v!r} to {tv!r}")
+            targets.append(new_ctx.index(tv))
         n = len(new_ctx.variables)
         out: dict[tuple[int, ...], complex] = {}
         for e, c in self.terms.items():
@@ -421,9 +411,7 @@ class TruncatedSeries:
         items = sorted(self.terms.items(), key=lambda t: t[0])
         return {
             "variables": list(ctx.variables),
-            "weights": list(ctx.weights),
             "cap": ctx.cap,
-            "laurent": sorted(ctx.laurent),
             "terms": [{"exp": list(e), "re": c.real, "im": c.imag}
                       if isinstance(c, complex) else
                       {"exp": list(e), "num": c.numerator, "den": c.denominator}
@@ -432,8 +420,7 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(data: dict) -> "TruncatedSeries":
-        ctx = SeriesContext(data["variables"], data["weights"], data["cap"],
-                            data["laurent"])
+        ctx = SeriesContext(data["variables"], data["cap"])
         terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) if "num" in t
                  else complex(t["re"], t["im"]) for t in data["terms"]}
         return TruncatedSeries(ctx, terms)
@@ -628,8 +615,7 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
         if min(start, default=0) < 0:
             depth = max(depth, -sum(map(mul, start, w)))
         split.append((tuple(start), c, factors))
-    wide = ctx if not depth else SeriesContext(ctx.variables, w, cap + depth,
-                                               ctx.laurent)
+    wide = ctx if not depth else SeriesContext(ctx.variables, cap + depth)
     # the powers of each image made in this call, the first power at index 1
     powers = {v: [None, _admitted(wide, images[v].terms)] for _, v in listed}
     out: dict[tuple[int, ...], complex] = {}
@@ -671,7 +657,9 @@ def quadratic_series(ctx: SeriesContext, Q, variables: Sequence[str]) -> Truncat
     """``(1/2) z.Qz`` over the named variables, exact when ``Q`` is."""
     terms = []
     for i, a in enumerate(variables):
-        terms.append((ctx.monomial({a: 2}), Q[i][i] / 2))
+        q = Q[i][i]
+        half = Fraction(q, 2) if q.__class__ in (int, Fraction) else q / 2
+        terms.append((ctx.monomial({a: 2}), half))
         terms += [(ctx.monomial({a: 1, b: 1}), Q[i][j])
                   for j, b in enumerate(variables) if j > i]
     return linear_combination(ctx, terms)
@@ -747,7 +735,7 @@ class OscillatoryScalar:
             self.exact = False
         self.i_power = int(i_power) % 4
         if not isinstance(laurent, TruncatedSeries):
-            ctx = SeriesContext((HBAR,), (2,), cap, laurent={HBAR})
+            ctx = SeriesContext((HBAR,), cap)
             laurent = TruncatedSeries(ctx, {(int(k),): c for k, c in (laurent or {}).items()})
         elif laurent.ctx.variables != (HBAR,):
             raise SeriesError("the Laurent part must be a series in h alone")
@@ -813,5 +801,5 @@ class OscillatoryScalar:
 
     def __repr__(self):
         return (f"<osc exp={self.exponent} i^{self.i_power} "
-                f"laurent={ {k: round(abs(v), 6) for k, v in sorted(self.laurent.items())} }>")
+                f"laurent { {k: round(abs(v), 6) for k, v in sorted(self.laurent.items())} }>")
 

@@ -75,7 +75,7 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
         raise DegenerateHessianError("singular quadratic form")
     z = [f"z{j}" for j in range(len(alpha))]
     order = sum(int(a) for a in alpha)
-    ctx = SeriesContext(z + [HBAR], [1] * len(z) + [2], order)
+    ctx = SeriesContext(z + [HBAR], order)
     zalpha = ctx.monomial(dict(zip(z, alpha)))
     moment = exp_second_order(zalpha, _wick_pairs(z, np.linalg.inv(Qm)))
     return complex(moment.coefficient({HBAR: order // 2})), order // 2
@@ -122,8 +122,8 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     """Integrate ``exp(i phase / h) * amplitude`` over the ``z_vars`` block.
 
     ``phase`` must vanish to second order in ``z`` at the origin of the
-    remaining (parameter) variables, with nondegenerate ``z``-Hessian; all
-    parameter variables must carry positive weight.  Returns
+    remaining (parameter) variables, with nondegenerate ``z``-Hessian; the
+    ``z_vars`` are jet variables, not ``h``.  Returns
     ``(reduced_phase, prefactor, out_amplitude, critical_map)`` where the
     integral equals ``exp(i reduced_phase/h) * prefactor * out_amplitude``
     under the pinned kernel normalization.
@@ -134,9 +134,8 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     z_vars = list(z_vars)
     if not z_vars:
         return phase, 1.0 + 0.0j, amplitude, {}
-    for v in z_vars:
-        if ctx.weights[ctx.index(v)] != 1:
-            raise SeriesError("integration variables must have weight 1")
+    if HBAR in z_vars:
+        raise SeriesError("integration variables must be jet variables, not h")
     if phase.depends_on(HBAR):
         raise SeriesError("phase must not depend on the deformation parameter")
 
@@ -180,8 +179,6 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
 
     a_centered = compose(amplitude, shift)
     # exp(i delta / h): multiply by i, shift hbar exponent down by one
-    if HBAR not in ctx.laurent and not delta.is_zero():
-        raise SeriesError("context must allow inverse powers of h")
     integrand = a_centered
     if not delta.is_zero():
         interaction = (delta * 1j).shift_exponent(HBAR, -1)
@@ -221,19 +218,15 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
     """
     ctx = F.ctx
     if variables is None:
-        variables = [v for v, w in zip(ctx.variables, ctx.weights)
-                     if w == 1 and (F.depends_on(v) or a.depends_on(v))]
-        if not variables:
-            variables = [v for v, w in zip(ctx.variables, ctx.weights) if w == 1]
+        jets = [v for v in ctx.variables if v != HBAR]
+        variables = [v for v in jets if F.depends_on(v) or a.depends_on(v)] or jets
     # the input context with h added when it lacks h, then the joint
-    # context with the dual slots, in which h is laurent
+    # context with the dual slots
     hctx = ctx
     if HBAR not in ctx.variables:
-        hctx = SeriesContext(ctx.variables + (HBAR,), ctx.weights + (2,), ctx.cap,
-                             laurent=ctx.laurent)
+        hctx = SeriesContext(ctx.variables + (HBAR,), ctx.cap)
     duals = [f"_dual_{v}" for v in variables]
-    joint = SeriesContext(hctx.variables + tuple(duals), hctx.weights + (1,) * len(duals),
-                          ctx.cap, laurent=hctx.laurent | {HBAR})
+    joint = SeriesContext(hctx.variables + tuple(duals), ctx.cap)
     phase = F.map_vars({}, joint)
     for v, d in zip(variables, duals):
         phase = phase + joint.monomial({v: 1, d: 1}, 1.0)

@@ -33,7 +33,15 @@ class UndefinedWeilActionError(SeriesError):
 
 def jet_context(n: int, cap: int) -> SeriesContext:
     names = [f"u{i+1}" for i in range(n)] + [HBAR]
-    return SeriesContext(names, [1] * n + [2], cap, laurent={HBAR})
+    return SeriesContext(names, cap)
+
+
+def _mat(x, n, dtype=float) -> np.ndarray:
+    """``x`` as an ``n`` by ``n`` matrix."""
+    m = np.asarray(x, dtype=dtype)
+    if m.size != n * n:
+        raise SeriesError(f"expected an {n}x{n} matrix, got {m.size} entries")
+    return m.reshape(n, n)
 
 
 def _asymmetric(X) -> bool:
@@ -53,7 +61,7 @@ class GaussianJet:
         self.mode = mode
         self.ctx = amplitude.ctx
         self.n = len([v for v in self.ctx.variables if v != HBAR])
-        T = np.asarray(T, dtype=complex).reshape(self.n, self.n)
+        T = _mat(T, self.n, complex)
         if _asymmetric(T):
             raise SeriesError("T must be symmetric")
         if mode == "weil":
@@ -125,7 +133,9 @@ class Linear:
     B: tuple  # real invertible, row tuples
 
     def matrix(self, n):
-        B = np.asarray(self.B, dtype=float).reshape(n, n)
+        B = _mat(self.B, n)
+        if is_singular(B):
+            raise SeriesError("singular linear substitution")
         Binv = np.linalg.inv(B)
         return np.block([[B, np.zeros((n, n))], [np.zeros((n, n)), Binv.T]])
 
@@ -154,10 +164,6 @@ def word_matrix(word: Sequence, n: int) -> np.ndarray:
             continue
         M = g.matrix(n) @ M
     return M
-
-
-def _mat(x, n):
-    return np.asarray(x, dtype=float).reshape(n, n)
 
 
 def act_shear(A, jet: GaussianJet) -> GaussianJet:

@@ -32,8 +32,7 @@ class WeylAlgebra:
         self.n = n
         self.x = tuple(f"u{i+1}" for i in range(n))
         self.xi = tuple(f"v{i+1}" for i in range(n))
-        self.ctx = SeriesContext(self.x + self.xi + (HBAR,), [1] * (2 * n) + [2],
-                                 cap, laurent={HBAR})
+        self.ctx = SeriesContext(self.x + self.xi + (HBAR,), cap)
         self._ext: dict[int, "WeylAlgebra"] = {}
 
     @property

@@ -42,8 +42,7 @@ def series(draw, ctx, min_h=-2):
 @st.composite
 def contexts(draw):
     n = draw(st.integers(1, 2))
-    return SeriesContext([f"u{i + 1}" for i in range(n)] + ["h"], [1] * n + [2],
-                         draw(st.integers(0, 8)), laurent={"h"})
+    return SeriesContext([f"u{i + 1}" for i in range(n)] + ["h"], draw(st.integers(0, 8)))
 
 
 @st.composite
@@ -74,7 +73,7 @@ def charts(draw):
     n = draw(st.integers(1, 2))
     base_free = tuple(j for j in range(n) if draw(st.booleans()))
     names = [f"x{j + 1}" if j in base_free else f"e{j + 1}" for j in range(n)]
-    ctx = SeriesContext(names, [1] * n, 2)
+    ctx = SeriesContext(names, 2)
     F = ctx.from_terms({tuple(draw(st.integers(0, 1)) for _ in range(n)):
                         Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
                         for _ in range(draw(st.integers(0, 3)))})

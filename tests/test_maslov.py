@@ -12,7 +12,7 @@ from weyljet.maslov import (LagrangianFrame, MaslovError, SubdivisionChart,
                             _solve_rational, alpha_cocycle, chart_parameters, frame_basis,
                             generating_quadratic, linear_cocycle, signature,
                             submanifold_cocycle, verify_cech_cocycle)
-from weyljet.series import SeriesContext, TruncatedSeries
+from weyljet.series import SeriesContext, TruncatedSeries, quadratic_series
 
 
 def graph_basis(S):
@@ -444,7 +444,7 @@ def test_chart_indices_outside_the_dimension_rejected():
 
 
 def test_subdivision_chart_rejects_base_indices_outside_the_dimension():
-    F = SeriesContext(["x1"], [1], 2).monomial({"x1": 2}, Fraction(1, 2))
+    F = SeriesContext(["x1"], 2).monomial({"x1": 2}, Fraction(1, 2))
     with pytest.raises(MaslovError, match="chart index outside range"):
         SubdivisionChart("bad", "base", 1, (3,), F)
     with pytest.raises(MaslovError, match="chart index outside range"):
@@ -568,7 +568,7 @@ def test_malformed_input_raises_maslov_error_only(M, I, J):
 
 def poly(names, terms=None):
     """Exact polynomial of degree at most 2 over ``names``."""
-    return SeriesContext(names, [1] * len(names), 2).from_terms(terms or {})
+    return SeriesContext(names, 2).from_terms(terms or {})
 
 
 def graph_chart(k, chart_id="beta", shift=0):
@@ -642,6 +642,12 @@ def test_generating_quadratic_is_exact_series():
     assert isinstance(F, TruncatedSeries)
     assert all(isinstance(c, (int, Fraction)) for c in F.terms.values())
     assert F.coefficient({"x1": 2}) == Fraction(1, 2) * fr.A[0][0]
+    # an int Hessian stays exact too: its halved diagonal is a Fraction
+    F = generating_quadratic(LagrangianFrame(1, frozenset({0}), ((3,),), ((),), ()))
+    assert F.terms == {(2,): Fraction(3, 2)} and type(F.terms[(2,)]) is Fraction
+    q = quadratic_series(SeriesContext(["x1", "x2"], 2), [[3, 1], [1, 0]], ["x1", "x2"])
+    assert q.terms == {(2, 0): Fraction(3, 2), (1, 1): 1}
+    assert [type(c) for c in q.terms.values()] == [Fraction, int]
 
 
 def test_subdivision_chart_json_round_trip():

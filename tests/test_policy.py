@@ -8,6 +8,8 @@
 - Exponent format: only ``series.py`` reads exponent tuples; every other
   module selects and measures terms through ``filter_degree`` and
   ``degrees``, except the readers named in ``EXPONENT_READERS``.
+- One filtration: only ``series.py`` reads a context's ``weights``; every
+  other module tells ``h`` from the jet variables by its name.
 - Admission contract: every operation the ``series`` docstring names in
   it exists.
 - No dead code: every public function, method and class of the package is
@@ -102,6 +104,19 @@ def test_every_raise_names_a_typed_error():
 
 def test_exponent_tuples_are_read_in_series_only():
     assert not sorted(exponent_reads())
+
+
+def weight_reads():
+    """``(file, line)`` of every ``.weights`` read outside ``series.py``."""
+    for name, tree in modules():
+        if name != "series.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr == "weights":
+                    yield name, node.lineno
+
+
+def test_weights_are_read_in_series_only():
+    assert not sorted(weight_reads())
 
 
 def contract_names() -> list[str]:

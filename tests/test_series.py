@@ -12,8 +12,8 @@ from weyljet.series import (OscillatoryScalar, SeriesContext, SeriesError,
                             invert_map, is_singular, linear_combination)
 
 
-def ctx1(cap=6, **kw):
-    return SeriesContext(["u1", "h"], [1, 2], cap, **kw)
+def ctx1(cap=6):
+    return SeriesContext(["u1", "h"], cap)
 
 
 def rand_poly(ctx, rng, degree=3, nterms=6):
@@ -48,9 +48,9 @@ def test_truncation_contract():
 def test_multiply_against_naive_expansion():
     # a context without h multiplies too, exactly on Fraction coefficients
     rng = random.Random(7)
-    for c, exact in ((SeriesContext(["u1", "u2", "h"], [1, 1, 2], 8), False),
-                     (SeriesContext(["u1", "u2"], [1, 1], 8), False),
-                     (SeriesContext(["u1", "u2"], [1, 1], 8), True)):
+    for c, exact in ((SeriesContext(["u1", "u2", "h"], 8), False),
+                     (SeriesContext(["u1", "u2"], 8), False),
+                     (SeriesContext(["u1", "u2"], 8), True)):
         for _ in range(20):
             a, b = (rand_poly(c, rng) for _ in range(2))
             if exact:
@@ -80,7 +80,7 @@ def test_multiplication_insertion_order_independent():
 
 def test_associativity_commutativity_random():
     rng = random.Random(3)
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 6)
+    c = SeriesContext(["u1", "u2", "h"], 6)
     for _ in range(10):
         a, b, d = (rand_poly(c, rng) for _ in range(3))
         assert ((a * b) * d).is_close(a * (b * d), 1e-10)
@@ -96,7 +96,7 @@ def test_compose_weighted():
                 + c.monomial({"h": 2}))
     assert out.is_close(expected)
     # u1^2 u2 goes to zero with the first factor, u2^4 beyond the cap
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 3)
+    c = SeriesContext(["u1", "u2", "h"], 3)
     u2 = c.variable("u2")
     f = c.monomial({"u1": 2, "u2": 1}) + u2
     assert compose(f, {"u1": u2 * u2, "u2": u2}) == u2
@@ -104,7 +104,7 @@ def test_compose_weighted():
 
 def test_compose_identity_and_associativity():
     rng = random.Random(11)
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 6)
+    c = SeriesContext(["u1", "u2", "h"], 6)
     f = rand_poly(c, rng, degree=3)
     ident = {v: c.variable(v) for v in ("u1", "u2")}
     assert compose(f, ident).is_close(f, 1e-12)
@@ -124,7 +124,7 @@ def test_compose_rejects_constant_terms():
 
 
 def test_compose_keeps_terms_reached_through_inverse_powers_of_h():
-    c = ctx1(cap=4, laurent={"h"})
+    c = ctx1(cap=4)
     u = c.variable("u1")
     f = c.monomial({"u1": 3, "h": -1})
     expected = c.from_terms({(3, -1): 1, (4, -1): 3, (5, -1): 3, (6, -1): 1})
@@ -138,10 +138,10 @@ def test_compose_takes_images_in_the_context_of_f():
 
 
 def test_compose_rejects_negative_exponents_on_listed_variables():
-    c = SeriesContext(["u1", "h"], [1, 2], 4, laurent={"u1", "h"})
-    f = c.monomial({"u1": -1, "h": 1})
-    with pytest.raises(SeriesError, match="negative exponent"):
-        compose(f, {"u1": c.variable("u1")})
+    c = ctx1(cap=4)
+    f = c.monomial({"u1": 1, "h": -1})
+    with pytest.raises(SeriesError, match="negative exponent on listed variable 'h'"):
+        compose(f, {"h": c.variable("h")})
     # an unlisted variable carries its negative exponent over
     assert compose(f, {}) == f
 
@@ -153,7 +153,7 @@ def test_invert_map_linear():
 
 
 def test_invert_map_series():
-    c = SeriesContext(["u1", "h"], [1, 2], 5)
+    c = SeriesContext(["u1", "h"], 5)
     g = c.variable("u1") + c.monomial({"u1": 2})
     h = invert_map({"u1": g})
     # iterate and verify g(h) = u to cap
@@ -165,7 +165,7 @@ def test_invert_map_series():
 
 def test_invert_map_round_trip_random():
     rng = random.Random(5)
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 5)
+    c = SeriesContext(["u1", "u2", "h"], 5)
     for _ in range(5):
         imgs = {}
         lin = [[rng.choice([1, 2]), rng.choice([0, 1])],
@@ -191,7 +191,7 @@ def test_invert_singular_rejected():
 
 def test_invert_map_small_scale_accepted():
     # 1e-5 * id has determinant 1e-10 but is perfectly conditioned
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 4)
+    c = SeriesContext(["u1", "u2", "h"], 4)
     imgs = {v: 1e-5 * c.variable(v) for v in ("u1", "u2")}
     inv = invert_map(imgs)
     for v in imgs:
@@ -210,18 +210,41 @@ def test_singularity_is_scale_free():
 
 
 def test_laurent_guard_and_shift():
-    c = SeriesContext(["u1", "h"], [1, 2], 4, laurent={"h"})
+    # h alone takes inverse powers: h^-1 in every context that holds h,
+    # u1^-1 in none
+    for names in (["h"], ["u1"], ["u1", "h"], ["h", "u1"], ["u1", "u2", "h"]):
+        c = SeriesContext(names, 4)
+        if "h" in names:
+            assert c.monomial({"h": -1}).coefficient({"h": -1}) == 1
+        if "u1" in names:
+            with pytest.raises(SeriesError, match="negative exponent on variable 'u1'"):
+                c.monomial({"u1": -1})
+            with pytest.raises(SeriesError, match="negative exponent on variable 'u1'"):
+                c.variable("u1").shift_exponent("u1", -2)
+    c = SeriesContext(["u1", "h"], 4)
     s = c.monomial({"u1": 3}).shift_exponent("h", -1)
     assert s.min_degree() == 1
-    plain = SeriesContext(["u1", "h"], [1, 2], 4)
-    with pytest.raises(SeriesError):
-        TruncatedSeries(plain, {(0, -1): 1.0})
     with pytest.raises(SeriesError, match="arity"):
-        TruncatedSeries(plain, {(1, 0, 0): 1.0})
+        TruncatedSeries(c, {(1, 0, 0): 1.0})
+
+
+def test_the_filtration_is_fixed_by_the_names():
+    # h weighs 2 and every other variable 1, so a context is its names and cap
+    assert SeriesContext(["u1", "h"], 4).weights == (1, 2)
+    assert SeriesContext(["h", "u1", "v1"], 4).weights == (2, 1, 1)
+    assert SeriesContext(["u1", "h"], 4) == SeriesContext(("u1", "h"), 4)
+    # map_vars keeps the filtration: h maps to h and to nothing else
+    c = SeriesContext(["u1", "u2", "h"], 4)
+    s = c.monomial({"u1": 1, "h": 1})
+    assert s.map_vars({"u1": "u2"}, c) == c.monomial({"u2": 1, "h": 1})
+    with pytest.raises(SeriesError, match="h maps to h only"):
+        s.map_vars({"h": "u2", "u1": "u1"}, c)
+    with pytest.raises(SeriesError, match="h maps to h only"):
+        s.map_vars({"u1": "h", "h": "u2"}, c)
 
 
 def test_exp_requires_positive_degree():
-    c = ctx1(laurent={"h"})
+    c = ctx1()
     with pytest.raises(SeriesError, match="degree <= 0"):
         (c.one() + c.variable("u1")).exp()
     # u1^2 h^-1 weighs 0, so its powers never vanish under truncation
@@ -254,7 +277,7 @@ def round_trip(s):
 
 
 def test_json_round_trip_inverse_powers_of_h():
-    c = SeriesContext(["u1", "h"], [1, 2], 4, laurent={"h"})
+    c = SeriesContext(["u1", "h"], 4)
     s = c.monomial({"u1": 3, "h": -1}, 0.5 - 1j) + c.monomial({"h": 1}, 2.0)
     s2 = round_trip(s)
     assert s2.ctx == s.ctx
@@ -309,7 +332,7 @@ def test_oscillatory_i_power():
 # --- exact coefficients ---------------------------------------------------------
 
 EXACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-QCTX = SeriesContext(["x", "y", "h"], [1, 1, 2], 4)
+QCTX = SeriesContext(["x", "y", "h"], 4)
 
 
 @st.composite
@@ -383,8 +406,7 @@ TRUSTED = settings(max_examples=40, deadline=None, derandomize=True, database=No
 
 
 def laurent_ctx(n, cap):
-    return SeriesContext([f"u{i + 1}" for i in range(n)] + ["h"], [1] * n + [2], cap,
-                         laurent={"h"})
+    return SeriesContext([f"u{i + 1}" for i in range(n)] + ["h"], cap)
 
 
 @st.composite
@@ -595,7 +617,7 @@ def test_exp_second_order_contracts_weight_one_variables_only():
 def test_no_pairs_need_no_h():
     # with no pairs there is nothing to contract, so a context without h
     # serves exp_second_order as it serves contract_product
-    s = SeriesContext(["u1"], [1], 4).variable("u1")
+    s = SeriesContext(["u1"], 4).variable("u1")
     assert exp_second_order(s, []) == s
     assert exp_second_order(s, [("u1", "u1", 0)]) == s
     assert contract_product(s, s, []) == s * s

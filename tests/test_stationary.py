@@ -15,7 +15,7 @@ from weyljet.stationary import (DegenerateHessianError, fiber_stationary_phase,
 
 def yctx(cap=8, nvars=1):
     names = [f"y{i+1}" for i in range(nvars)] + ["h"]
-    return SeriesContext(names, [1] * nvars + [2], cap, laurent={"h"})
+    return SeriesContext(names, cap)
 
 
 # --- gaussian moments ---------------------------------------------------------
@@ -183,7 +183,7 @@ def test_legendre_critical_equation():
 
 def test_legendre_without_h_in_the_context():
     # the amplitude expansion needs h: it comes back with h added
-    c = SeriesContext(["y1"], [1], 6)
+    c = SeriesContext(["y1"], 6)
     F = c.monomial({"y1": 2}, 0.5) + c.monomial({"y1": 3}, 0.3)
     G = legendre_transform(F)
     assert G.ctx == c and abs(G.coefficient({"y1": 4}) + 0.405) < 1e-12
@@ -206,7 +206,7 @@ def test_legendre_rejects_linear_part():
 def test_legendre_keeps_parameter_terms():
     # a term linear in a parameter is no linear part in y1: the engine's
     # base-point check passes it, and the transform keeps it
-    c = SeriesContext(["y1", "p1", "h"], [1, 1, 2], 6, laurent={"h"})
+    c = SeriesContext(["y1", "p1", "h"], 6)
     F = (c.monomial({"y1": 2}, 0.5) + c.monomial({"y1": 3}, 0.2)
          + c.monomial({"y1": 1, "p1": 1}, 0.4) + c.monomial({"p1": 1}, 0.3))
     G = legendre_transform(F, ["y1"])
@@ -257,18 +257,25 @@ def test_first_correction_against_pairing_oracle():
 def test_fiber_engine_parametric():
     # reduce z with a parameter y: phase = z^2/2 + z*y^2 gives
     # critical z = -y^2, reduced phase -y^4/2
-    c = SeriesContext(["z1", "y1", "h"], [1, 1, 2], 8, laurent={"h"})
+    c = SeriesContext(["z1", "y1", "h"], 8)
     phase = c.monomial({"z1": 2}, 0.5) + c.monomial({"z1": 1, "y1": 2})
     red, pref, amp, zstar = fiber_stationary_phase(phase, c.one(), ["z1"])
     assert abs(red.coefficient({"y1": 4}) + 0.5) < 1e-12
     assert zstar["z1"].is_close(-c.monomial({"y1": 2}), 1e-12)
     assert amp.is_close(c.one(), 1e-12)
+    # h is no integration variable, and a context without h has none to
+    # carry the h^-1 of the interaction
+    with pytest.raises(SeriesError, match="not h"):
+        fiber_stationary_phase(phase, c.one(), ["z1", "h"])
+    d = SeriesContext(["z1", "y1"], 8)
+    with pytest.raises(SeriesError, match="unknown variable 'h'"):
+        fiber_stationary_phase(phase.map_vars({}, d), d.one(), ["z1"])
 
 
 def test_fiber_engine_relation_annihilation():
     # integration by parts: E(ih da/dz - dphase/dz a) = 0
     rng = random.Random(9)
-    c = SeriesContext(["z1", "y1", "h"], [1, 1, 2], 8, laurent={"h"})
+    c = SeriesContext(["z1", "y1", "h"], 8)
     phase = c.monomial({"z1": 2}, 0.5) + c.monomial({"z1": 3}, 0.2) \
         + c.monomial({"z1": 1, "y1": 2}, 0.4)
     for _ in range(4):
@@ -280,7 +287,7 @@ def test_fiber_engine_relation_annihilation():
 
 
 def test_hessian_matrix_extraction():
-    c = SeriesContext(["y1", "y2", "h"], [1, 1, 2], 6)
+    c = SeriesContext(["y1", "y2", "h"], 6)
     F = c.monomial({"y1": 2}, 1.0) + c.monomial({"y1": 1, "y2": 1}, 3.0)
     Q = hessian_matrix(F, ["y1", "y2"])
     assert np.allclose(Q, np.array([[2.0, 3.0], [3.0, 0.0]]))
@@ -301,7 +308,7 @@ def critical_point_full_loop(phase, z_vars):
 
 
 def test_critical_point_early_exit_matches_full_loop():
-    c = SeriesContext(["z1", "z2", "u1", "u2", "h"], [1, 1, 1, 1, 2], 8, laurent={"h"})
+    c = SeriesContext(["z1", "z2", "u1", "u2", "h"], 8)
     T = [[1.0 + 0.5j, 0.3], [0.3, -2.0 + 1.0j]]
     quadratic = (c.monomial({"z1": 2}, T[0][0] / 2) + c.monomial({"z1": 1, "z2": 1}, T[0][1])
                  + c.monomial({"z2": 2}, T[1][1] / 2)

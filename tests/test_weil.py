@@ -272,6 +272,18 @@ def test_symmetry_and_realness_checks_are_scale_free():
     T = 1e6 * np.array([[1.0, 0.3], [0.3, 2.0]]) + 1j * np.eye(2)
     T[0, 1] += 3e-11
     assert GaussianJet("weil", T, ctx.one()).T[0, 1] == T[0, 1]
+    # a matrix of the wrong size, and a singular linear step, raise typed
+    # errors; a small invertible one is regular
+    with pytest.raises(SeriesError, match="2x2 matrix, got 9"):
+        GaussianJet("weil", 1j * np.eye(3), ctx.one())
+    with pytest.raises(SeriesError, match="2x2 matrix, got 1"):
+        act_shear([[1.0]], basic_jet(n=2, cap=4))
+    with pytest.raises(SeriesError, match="2x2 matrix, got 1"):
+        act_gl([[1.0]], basic_jet(n=2, cap=4))
+    with pytest.raises(SeriesError, match="singular linear substitution"):
+        word_matrix([Linear(((0.0, 0.0), (0.0, 0.0)))], 2)
+    small = word_matrix([Linear(((1e-13, 0.0), (0.0, 1e-13)))], 2)
+    assert np.allclose(small, np.diag([1e-13, 1e-13, 1e13, 1e13]), rtol=1e-12, atol=0)
 
 
 def test_factor_sp_of_large_shears():

@@ -91,8 +91,7 @@ def on_diagonal_by_doubling(A, f, g, pairs):
     renamed back."""
     jets = A.x + A.xi
     copy = {v: f"_c{v}" for v in jets}
-    D = SeriesContext(A.ctx.variables + tuple(copy.values()),
-                      A.ctx.weights + (1,) * len(jets), A.cap, A.ctx.laurent)
+    D = SeriesContext(A.ctx.variables + tuple(copy.values()), A.cap)
     fg = f.map_vars({}, D) * g.map_vars(copy, D)
     contracted = exp_second_order_by_powers(fg, [(a, copy[b], c) for a, b, c in pairs])
     return contracted.map_vars({c: v for v, c in copy.items()}, A.ctx)
@@ -354,7 +353,7 @@ def test_input_checks_are_scale_free(s):
     KGroupElement(A, {"u1": (u + 0.3 * u * u) * s})
     with pytest.raises(SeriesError, match="constant term"):
         KGroupElement(A, {"u1": (u + 1e-3) * s})
-    c = SeriesContext(["u1", "u2", "h"], [1, 1, 2], 4)
+    c = SeriesContext(["u1", "u2", "h"], 4)
     inv = invert_map({v: c.variable(v) * s for v in ("u1", "u2")})
     assert all(inv[v].is_close(c.variable(v) * (1 / s), 1e-15 / s) for v in ("u1", "u2"))
     assert compose(A.var("u1", 2), {"u1": u * s}) == A.ctx.monomial({"u1": 2}, s * s)
