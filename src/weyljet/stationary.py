@@ -1,6 +1,8 @@
 """Formal stationary phase: Legendre transforms, Gaussian moments and the
 fiber-integration engine.  :func:`stationary_phase` is the entry point for
-every Fourier integral, the Weil Fourier generator's included.
+every Fourier integral, the Weil Fourier generator's included.  The
+engine's first stage takes phases of weighted degree at most 2, the Weil
+Fourier steps', and is exact there, not asymptotic.
 
 Conventions, fixed once for the whole package:
 
@@ -92,9 +94,7 @@ def hessian_matrix(F: TruncatedSeries, variables: Sequence[str]) -> np.ndarray:
     for i, vi in enumerate(variables):
         Q[i, i] = 2.0 * F.coefficient({vi: 2})
         for j in range(i + 1, n):
-            c = F.coefficient({vi: 1, variables[j]: 1})
-            Q[i, j] = c
-            Q[j, i] = c
+            Q[i, j] = Q[j, i] = F.coefficient({vi: 1, variables[j]: 1})
     return Q
 
 
@@ -126,7 +126,10 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     ``z_vars`` are jet variables, not ``h``.  Returns
     ``(reduced_phase, prefactor, out_amplitude, critical_map)`` where the
     integral equals ``exp(i reduced_phase/h) * prefactor * out_amplitude``
-    under the pinned kernel normalization.
+    under the pinned kernel normalization.  A phase of weighted degree at
+    most 2 takes the first stage, which is exact, not asymptotic: ``z*`` is
+    one linear step, and ``out_amplitude`` is ``exp((ih/2) d.Q^{-1}d)
+    amplitude`` at ``z*``, since that operator commutes with the shift.
     """
     ctx = phase.ctx
     if amplitude.ctx != ctx:
@@ -149,21 +152,26 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
 
     Q = hessian_matrix(phase, z_vars)
     pref = gaussian_prefactor(Q)
-
-    # critical point z*(params) by jet iteration from z* = 0, where the
-    # gradient is its z-free part; the gradient at z* is judged against
-    # the phase's largest coefficient
-    grad = [phase.diff(v) for v in z_vars]
     Qinv = np.linalg.inv(Q)
+    pairs = _wick_pairs(z_vars, Qinv)
+
+    # critical point z*(params) by Newton steps with the constant Hessian,
+    # z <- z - Q^{-1} grad(z), from z* = 0, where the gradient is its
+    # z-free part; the gradient at z* is judged against the phase's
+    # largest coefficient
+    grad = [phase.diff(v) for v in z_vars]
     zstar = {v: ctx.zero() for v in z_vars}
     gvals = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
+    quadratic = phase.max_degree() <= 2
     for _ in range(ctx.cap + 1):
-        if all(negligible(g.max_abs(), scale) for g in gvals):
-            break  # a negligible gradient leaves z* fixed from here on
-        # Newton step with the constant Hessian: z <- z - Q^{-1} grad(z)
         zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
                  for i, v in enumerate(z_vars)}
+        if quadratic:  # the quadratic stage: z* is this first step
+            return (compose(phase, zstar), pref,
+                    compose(exp_second_order(amplitude, pairs), zstar), zstar)
         gvals = [compose(g, zstar) for g in grad]
+        if all(negligible(g.max_abs(), scale) for g in gvals):
+            break  # a negligible gradient leaves z* fixed from here on
     if not all(negligible(g.max_abs(), 1e3 * scale) for g in gvals):
         raise SeriesError("critical point iteration did not converge")
 
@@ -176,19 +184,13 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     reduced = shifted.filter_degree(z_vars, lambda d: d == 0)
     delta = (shifted.filter_degree(z_vars, lambda d: d >= 2)
              .filter_degree(ctx.variables, lambda d: d >= 3))
-
-    a_centered = compose(amplitude, shift)
     # exp(i delta / h): multiply by i, shift hbar exponent down by one
-    integrand = a_centered
-    if not delta.is_zero():
-        interaction = (delta * 1j).shift_exponent(HBAR, -1)
-        integrand = a_centered * interaction.exp()
+    integrand = compose(amplitude, shift) * (delta * 1j).shift_exponent(HBAR, -1).exp()
 
     # Wick contraction of the z-block, keeping the z-free part: each power
     # lowers the z-degree by two, so terms of odd z-degree never reach it
     integrand = integrand.filter_degree(z_vars, lambda d: d % 2 == 0)
-    contracted = exp_second_order(integrand, _wick_pairs(z_vars, Qinv))
-    out = contracted.filter_degree(z_vars, lambda d: d == 0)
+    out = exp_second_order(integrand, pairs).filter_degree(z_vars, lambda d: d == 0)
     return reduced, pref, out, zstar
 
 
@@ -222,9 +224,7 @@ def stationary_phase(F: TruncatedSeries, a: TruncatedSeries,
         variables = [v for v in jets if F.depends_on(v) or a.depends_on(v)] or jets
     # the input context with h added when it lacks h, then the joint
     # context with the dual slots
-    hctx = ctx
-    if HBAR not in ctx.variables:
-        hctx = SeriesContext(ctx.variables + (HBAR,), ctx.cap)
+    hctx = ctx if HBAR in ctx.variables else SeriesContext(ctx.variables + (HBAR,), ctx.cap)
     duals = [f"_dual_{v}" for v in variables]
     joint = SeriesContext(hctx.variables + tuple(duals), ctx.cap)
     phase = F.map_vars({}, joint)

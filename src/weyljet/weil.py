@@ -37,10 +37,17 @@ def jet_context(n: int, cap: int) -> SeriesContext:
 
 
 def _mat(x, n, dtype=float) -> np.ndarray:
-    """``x`` as an ``n`` by ``n`` matrix."""
-    m = np.asarray(x, dtype=dtype)
+    """``x`` as an ``n`` by ``n`` matrix of ``dtype``, real by default."""
+    try:
+        m = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError):
+        raise SeriesError("expected a numeric matrix") from None
     if m.size != n * n:
         raise SeriesError(f"expected an {n}x{n} matrix, got {m.size} entries")
+    if dtype is float:
+        if m.imag.any():
+            raise SeriesError("expected a real matrix, got complex entries")
+        m = m.real
     return m.reshape(n, n)
 
 
@@ -124,7 +131,7 @@ class Shear:
     A: tuple  # real symmetric, row tuples
 
     def matrix(self, n):
-        A = np.asarray(self.A, dtype=float).reshape(n, n)
+        A = _mat(self.A, n)
         return np.block([[np.eye(n), A], [np.zeros((n, n)), np.eye(n)]])
 
 

@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from weyljet.series import SeriesContext, SeriesError, compose, linear_combination
+from weyljet.series import (SeriesContext, SeriesError, compose, exp_second_order,
+                            linear_combination, negligible, quadratic_series)
 from weyljet.stationary import (DegenerateHessianError, fiber_stationary_phase,
                                 gaussian_moment, gaussian_prefactor,
                                 hessian_matrix, legendre_transform,
@@ -320,3 +323,131 @@ def test_critical_point_early_exit_matches_full_loop():
         assert all(zstar[v].distance(full[v]) < 1e-14 for v in ("z1", "z2"))
         if phase is quadratic:  # a negligible gradient: the iteration stopped early
             assert all(compose(phase.diff(v), zstar).max_abs() < 1e-14 for v in ("z1", "z2"))
+
+
+# --- the quadratic stage --------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def gaussian_integer(draw, nonzero=False):
+    re = draw(st.sampled_from([-2, -1, 1, 2]) if nonzero else st.integers(-2, 2))
+    return complex(re, draw(st.integers(-2, 2)))
+
+
+@st.composite
+def quadratic_problems(draw):
+    """``(phase, amplitude, z_vars)``: a fibre of 1-3 variables ``z``, two
+    parameters ``y`` and a cap of 3-5.  The phase is
+    ``(1/2) z.Qz + z.Ly + (1/2) y.Py + c.y`` with small Gaussian-integer
+    entries and ``Q = A + i(MM^t + 1)``, ``A`` real symmetric, so ``Im Q``
+    is positive definite and ``Q`` nondegenerate.  The amplitude is
+    ``1 + a z1^2 y1 h^-1``, ``a`` a nonzero Gaussian integer, plus up to
+    four monomials in ``z``, ``y`` and ``h^k``, ``k`` in {-1, 0, 1}, each of
+    weighted degree >= 0."""
+    m = draw(st.integers(1, 3))
+    z = [f"z{i+1}" for i in range(m)]
+    y = ["y1", "y2"]
+    ctx = SeriesContext(z + y + ["h"], draw(st.integers(3, 5)))
+    A = np.array([[draw(st.integers(-2, 2)) for _ in z] for _ in z])
+    M = np.array([[draw(st.integers(-1, 1)) for _ in z] for _ in z])
+    Q = (A + A.T) / 2 + 1j * (M @ M.T + np.eye(m))
+    P = np.array([[gaussian_integer(draw) for _ in y] for _ in y])
+    phase = quadratic_series(ctx, Q, z) + quadratic_series(ctx, (P + P.T) / 2, y)
+    for yv in y:
+        phase = phase + ctx.monomial({yv: 1}, gaussian_integer(draw))
+        for zv in z:
+            phase = phase + ctx.monomial({zv: 1, yv: 1}, gaussian_integer(draw))
+    amplitude = ctx.one() + ctx.monomial({"z1": 2, "y1": 1, "h": -1},
+                                         gaussian_integer(draw, nonzero=True))
+    for _ in range(draw(st.integers(0, 4))):
+        exp = {v: draw(st.integers(0, 2)) for v in z + y}
+        exp["h"] = max(draw(st.sampled_from([-1, 0, 1])), -(sum(exp.values()) // 2))
+        amplitude = amplitude + ctx.monomial(exp, gaussian_integer(draw))
+    return phase, amplitude, z
+
+
+def wick_pairs(z_vars, Qinv):
+    """Pairs of ``exp((ih/2) d.Q^{-1}d)`` for ``exp_second_order``."""
+    m = len(z_vars)
+    return [(z_vars[i], z_vars[j], (0.5j if i == j else 1j) * Qinv[i, j])
+            for i in range(m) for j in range(i, m)]
+
+
+def recentering_path(phase, amplitude, z_vars):
+    """The fiber engine's recentering path for every phase: Newton steps
+    for z*, compose by z* + z, the interaction, the Wick contraction and
+    the z-free part.  Returns ``(reduced_phase, out_amplitude, z*)``."""
+    ctx = phase.ctx
+    Qinv = np.linalg.inv(hessian_matrix(phase, z_vars))
+    grad = [phase.diff(v) for v in z_vars]
+    zstar = {v: ctx.zero() for v in z_vars}
+    gvals = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
+    for _ in range(ctx.cap + 1):
+        if all(negligible(g.max_abs(), phase.max_abs()) for g in gvals):
+            break
+        zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
+                 for i, v in enumerate(z_vars)}
+        gvals = [compose(g, zstar) for g in grad]
+    shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
+    shifted = compose(phase, shift)
+    delta = (shifted.filter_degree(z_vars, lambda d: d >= 2)
+             .filter_degree(ctx.variables, lambda d: d >= 3))
+    integrand = compose(amplitude, shift)
+    if not delta.is_zero():
+        integrand = integrand * (delta * 1j).shift_exponent("h", -1).exp()
+    contracted = exp_second_order(integrand, wick_pairs(z_vars, Qinv))
+    return (shifted.filter_degree(z_vars, lambda d: d == 0),
+            contracted.filter_degree(z_vars, lambda d: d == 0), zstar)
+
+
+def quadratic_formula(phase, amplitude, z_vars):
+    """``(phase(z*), (exp((ih/2) d.Q^{-1}d) amplitude)(z*))`` with z* the
+    one linear step ``-Q^{-1}`` times the z-free gradient."""
+    Qinv = np.linalg.inv(hessian_matrix(phase, z_vars))
+    g0 = [phase.diff(v).filter_degree(z_vars, lambda d: d == 0) for v in z_vars]
+    zstar = {v: linear_combination(phase.ctx, list(zip(g0, -Qinv[i])))
+             for i, v in enumerate(z_vars)}
+    return (compose(phase, zstar),
+            compose(exp_second_order(amplitude, wick_pairs(z_vars, Qinv)), zstar))
+
+
+def assert_close(a, b):
+    assert a.distance(b) <= 1e-12 * max(1.0, a.max_abs(), b.max_abs())
+
+
+@PROPERTY
+@given(quadratic_problems(), st.data())
+def test_quadratic_stage_matches_the_recentering_path(problem, data):
+    phase, amplitude, z_vars = problem
+    reduced, _, out, zstar = fiber_stationary_phase(phase, amplitude, z_vars)
+    ref_reduced, ref_out, ref_zstar = recentering_path(phase, amplitude, z_vars)
+    assert_close(reduced, ref_reduced)
+    assert_close(out, ref_out)
+    for v in z_vars:
+        assert_close(zstar[v], ref_zstar[v])
+    # a planted cubic term: the engine still matches the recentering path,
+    # and no longer the quadratic formula, so the stage was not taken
+    cubic = phase + phase.ctx.monomial({z_vars[0]: 3}, gaussian_integer(data.draw, True))
+    reduced, _, out, _ = fiber_stationary_phase(cubic, amplitude, z_vars)
+    ref_reduced, ref_out, _ = recentering_path(cubic, amplitude, z_vars)
+    assert_close(reduced, ref_reduced)
+    assert_close(out, ref_out)
+    q_reduced, q_out = quadratic_formula(cubic, amplitude, z_vars)
+    assert out.distance(q_out) + reduced.distance(q_reduced) > 1e-3
+
+
+@PROPERTY
+@given(quadratic_problems())
+def test_quadratic_stage_keeps_every_term_under_the_cap(problem):
+    # the amplitude has a term with h^-1: the result at cap c is the one
+    # at cap c + 2, lowered
+    phase, amplitude, z_vars = problem
+    ctx = phase.ctx
+    wide = SeriesContext(ctx.variables, ctx.cap + 2)
+    narrow = fiber_stationary_phase(phase, amplitude, z_vars)
+    lifted = fiber_stationary_phase(phase.map_vars({}, wide), amplitude.map_vars({}, wide),
+                                    z_vars)
+    for a, b in [(narrow[0], lifted[0]), (narrow[2], lifted[2])] + [
+            (narrow[3][v], lifted[3][v]) for v in z_vars]:
+        assert_close(a, b.map_vars({}, ctx))

@@ -304,3 +304,36 @@ def test_factor_sp_of_large_shears():
         M = word_matrix(word, 2)
         back = word_matrix(factor_sp(M), 2)
         assert np.max(np.abs(back - M)) <= 1e-9 * np.max(np.abs(M))
+
+
+def test_shear_matrix_reads_its_entries_as_a_checked_matrix():
+    with pytest.raises(SeriesError, match="2x2 matrix, got 1"):
+        word_matrix([Shear(((1.0,),))], 2)
+
+
+def test_complex_or_non_numeric_entries_are_series_errors():
+    jet = basic_jet(n=2, cap=4)
+    for act in (act_shear, act_gl):
+        with pytest.raises(SeriesError, match="real matrix, got complex entries"):
+            act([[1j, 0], [0, 1]], jet)
+        with pytest.raises(SeriesError, match="real matrix, got complex entries"):
+            act(np.array([[1.0, 0.5j], [0.5j, 1.0]]), jet)
+        with pytest.raises(SeriesError, match="numeric matrix"):
+            act([["a", 0], [0, 1]], jet)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fourier_twice_is_the_parity_up_to_the_centre(n):
+    # F^2 f(u) = f(-u) = act_gl(-I); the central factor comes out 1
+    rng = random.Random(40 + n)
+    jet = rand_weil_jet(n, 6, rng)
+    ctx = jet.ctx
+    amp = (jet.amplitude + ctx.monomial({"u1": 1}, 0.7 - 0.1j)
+           + ctx.monomial({f"u{n}": 3, "h": -1}, 0.4 - 0.2j)
+           + ctx.monomial({"u1": 2, "h": -1}, 0.3j))
+    jet = jet.with_parts(amplitude=amp)
+    parity = act_gl(-np.eye(n), jet)
+    assert not parity.is_close(jet)  # the odd terms change sign
+    ok, lam, resid = jets_equal_mod_center(act_fourier(None, act_fourier(None, jet)),
+                                           parity, 1e-12)
+    assert ok and lam == 1, (lam, resid)
