@@ -115,8 +115,9 @@ def _exchange_signature(entry, I, J, message: str) -> int:
     the coordinates that U_I and U_J exchange, x_{I-J} then e_{J-I}; 0
     when they exchange none.  A degenerate block raises ``message``."""
     labels = [f"x{j+1}" for j in sorted(I - J)] + [f"e{j+1}" for j in sorted(J - I)]
+    H = [[_rational(entry(p, q)) for q in labels] for p in labels]
     try:
-        return signature([[entry(p, q) for q in labels] for p in labels])
+        return signature(H)
     except MaslovError:
         raise MaslovError(message) from None
 

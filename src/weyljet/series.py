@@ -15,7 +15,7 @@ Coefficients are complex floats, or exact rationals (``int`` and
 
 One tolerance rule: the kernel drops exact zeros only, so series
 identities hold to rounding.  A decision on float data (is this constant
-term zero, has the iteration converged) compares against
+term zero, is this matrix symmetric) compares against
 ``DEFAULT_EPS`` times the largest coefficient judged, through
 :func:`negligible`; a matrix is singular by :func:`is_singular`.
 
@@ -47,6 +47,12 @@ every series does, and the power sums (``exp``, ``unit_inverse``,
 :func:`power_sum`, which stops only when a term vanishes.  No caller
 pre-screens the argument of a power sum: each raises when ``power_sum``
 reports a sum that truncation does not end.
+
+One jet iteration: :func:`fixed_point` runs ``x <- x0 - A^{-1} rest(x)``,
+where ``rest`` raises the degree of an error in ``x`` by one, so from
+``x0`` exact through degree 1 each pass fixes one degree more: the
+filtration, not a tolerance, ends it after ``cap - 1`` passes.
+:func:`invert_map` and the fiber engine's critical point run it.
 
 One exact substitution: :func:`compose` takes ``f`` and its images in
 one context and builds the image powers at a cap wider by the depth of
@@ -666,12 +672,9 @@ def quadratic_series(ctx: SeriesContext, Q, variables: Sequence[str]) -> Truncat
 
 
 def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeries]:
-    """Invert a formal map ``v -> images[v]`` on its block of variables.
-
-    The images must have zero constant terms and jointly invertible
-    linear part; the inverse is found by jet iteration, one filtration
-    degree per pass.
-    """
+    """Invert the formal map ``y -> images[y] = A y + g_{>=2}(y)`` on its
+    block ``y`` of variables: with zero constant terms and invertible ``A``,
+    the inverse is the fixed point of ``x = A^{-1}(y - g_{>=2}(x))``."""
     names = sorted(images.keys())
     if not names:
         return {}
@@ -695,17 +698,21 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
     if is_singular(A):
         raise SeriesError("singular linear part")
     Ainv = np.linalg.inv(A)
+    x0 = {v: linear_combination(ctx, zip(map(ctx.variable, names), Ainv[i]))
+          for i, v in enumerate(names)}
+    return fixed_point(x0, Ainv, lambda x: [compose(higher[v], x) for v in names])
 
-    def linear_solve(vec: list[TruncatedSeries]) -> dict[str, TruncatedSeries]:
-        return {v: linear_combination(ctx, zip(vec, Ainv[i])) for i, v in enumerate(names)}
 
-    # h = A^-1 x is exact through degree 1, and each pass makes it exact
-    # through one degree more
-    h = linear_solve([ctx.variable(v) for v in names])
+def fixed_point(x0: Mapping[str, TruncatedSeries], Ainv, rest) -> dict[str, TruncatedSeries]:
+    """The jet iteration ``x <- x0 - Ainv . rest(x)`` from ``x = x0``, run
+    ``cap - 1`` times; ``rest(x)`` lists one series per key of ``x0``."""
+    ctx = next(iter(x0.values())).ctx
+    x = x0
     for _ in range(ctx.cap - 1):
-        sub = {v: compose(higher[v], h) for v in names}
-        h = linear_solve([ctx.variable(v) - sub[v] for v in names])
-    return h
+        r = rest(x)
+        x = {v: linear_combination(ctx, [(x0[v], 1)] + list(zip(r, -Ainv[i])))
+             for i, v in enumerate(x0)}
+    return x
 
 
 # --- oscillatory scalars ------------------------------------------------------

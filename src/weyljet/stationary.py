@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, exp_second_order, is_singular, linear_combination,
-                     negligible)
+                     compose, exp_second_order, fixed_point, is_singular,
+                     linear_combination, negligible)
 
 
 class DegenerateHessianError(SeriesError):
@@ -126,10 +126,18 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     ``z_vars`` are jet variables, not ``h``.  Returns
     ``(reduced_phase, prefactor, out_amplitude, critical_map)`` where the
     integral equals ``exp(i reduced_phase/h) * prefactor * out_amplitude``
-    under the pinned kernel normalization.  A phase of weighted degree at
-    most 2 takes the first stage, which is exact, not asymptotic: ``z*`` is
-    one linear step, and ``out_amplitude`` is ``exp((ih/2) d.Q^{-1}d)
-    amplitude`` at ``z*``, since that operator commutes with the shift.
+    under the pinned kernel normalization; the reduced phase is ``phase``
+    at ``z*``.  The gradient is ``g0 + Qz + rest(z)``, with ``g0`` its
+    z-free part and ``rest`` raising the degree of an error in ``z`` by
+    one, so each pass of ``z <- -Q^{-1}(g0 + rest(z))`` from ``-Q^{-1} g0``
+    fixes one degree more, and ``cap - 1`` passes reach the cap; no
+    tolerance decides.  A phase of weighted degree at most 2 has no
+    ``rest`` and takes the first stage, which is exact, not asymptotic:
+    ``z*`` is the first step, and ``out_amplitude`` is ``exp((ih/2)
+    d.Q^{-1}d) amplitude`` at ``z*``, since that operator commutes with the
+    shift.  Otherwise an ``h^-k`` in the amplitude reads ``z*`` and the
+    interaction ``2k`` degrees above its own, so the engine runs at a cap
+    ``2k`` wider and lowers what it returns.
     """
     ctx = phase.ctx
     if amplitude.ctx != ctx:
@@ -145,53 +153,42 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     # a term survives at the base point only when it is free of parameters
     # (they weigh at least 1; h is absent): below z-degree 2 that leaves
     # the constant and the z-linear terms
-    scale = phase.max_abs()
     base = [phase.constant_term()] + [phase.coefficient({v: 1}) for v in z_vars]
-    if not all(negligible(c, scale) for c in base):
+    if not all(negligible(c, phase.max_abs()) for c in base):
         raise SeriesError("phase has constant or z-linear part at the base point")
 
     Q = hessian_matrix(phase, z_vars)
     pref = gaussian_prefactor(Q)
     Qinv = np.linalg.inv(Q)
     pairs = _wick_pairs(z_vars, Qinv)
-
-    # critical point z*(params) by Newton steps with the constant Hessian,
-    # z <- z - Q^{-1} grad(z), from z* = 0, where the gradient is its
-    # z-free part; the gradient at z* is judged against the phase's
-    # largest coefficient
     grad = [phase.diff(v) for v in z_vars]
-    zstar = {v: ctx.zero() for v in z_vars}
-    gvals = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
-    quadratic = phase.max_degree() <= 2
-    for _ in range(ctx.cap + 1):
-        zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
-                 for i, v in enumerate(z_vars)}
-        if quadratic:  # the quadratic stage: z* is this first step
-            return (compose(phase, zstar), pref,
-                    compose(exp_second_order(amplitude, pairs), zstar), zstar)
-        gvals = [compose(g, zstar) for g in grad]
-        if all(negligible(g.max_abs(), scale) for g in gvals):
-            break  # a negligible gradient leaves z* fixed from here on
-    if not all(negligible(g.max_abs(), 1e3 * scale) for g in gvals):
-        raise SeriesError("critical point iteration did not converge")
+    g0 = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
+    zstar = {v: linear_combination(ctx, zip(g0, -Qinv[i])) for i, v in enumerate(z_vars)}
+    if phase.max_degree() <= 2:  # the quadratic stage: z* is this first step
+        return (compose(phase, zstar), pref,
+                compose(exp_second_order(amplitude, pairs), zstar), zstar)
 
-    # recenter: the reduced phase phase(z*) is the z-free part of
-    # phase(z* + z).  Its z-linear part vanishes at z*, and its part of
-    # z-degree 2 and weighted degree 2 is (1/2) z.Qz, so the interaction
-    # is the rest: z-degree >= 2 and weighted degree >= 3
-    shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
-    shifted = compose(phase, shift)
-    reduced = shifted.filter_degree(z_vars, lambda d: d == 0)
-    delta = (shifted.filter_degree(z_vars, lambda d: d >= 2)
-             .filter_degree(ctx.variables, lambda d: d >= 3))
-    # exp(i delta / h): multiply by i, shift hbar exponent down by one
-    integrand = compose(amplitude, shift) * (delta * 1j).shift_exponent(HBAR, -1).exp()
+    wide = SeriesContext(ctx.variables, ctx.cap - min(amplitude.degrees([HBAR]) | {0}))
+    rest = [g.filter_degree(z_vars, lambda d: d >= 1).map_vars({}, wide)
+            .filter_degree(wide.variables, lambda d: d >= 2) for g in grad]
+    zstar = fixed_point({v: z.map_vars({}, wide) for v, z in zstar.items()}, Qinv,
+                        lambda z: [compose(r, z) for r in rest])
+
+    # recenter: (phase/h)(z* + z) has no z-linear part, and z.Qz/2h is its
+    # z-quadratic part of weighted degree 0; the interaction is the rest of
+    # z-degree >= 2.  Dividing before composing keeps terms up to cap + 2
+    shift = {v: zstar[v] + wide.variable(v) for v in z_vars}
+    delta = (compose(phase.shift_exponent(HBAR, -1).map_vars({}, wide), shift)
+             .filter_degree(z_vars, lambda d: d >= 2)
+             .filter_degree(wide.variables, lambda d: d >= 1))
+    integrand = compose(amplitude.map_vars({}, wide), shift) * (delta * 1j).exp()
 
     # Wick contraction of the z-block, keeping the z-free part: each power
     # lowers the z-degree by two, so terms of odd z-degree never reach it
     integrand = integrand.filter_degree(z_vars, lambda d: d % 2 == 0)
     out = exp_second_order(integrand, pairs).filter_degree(z_vars, lambda d: d == 0)
-    return reduced, pref, out, zstar
+    zstar = {v: z.map_vars({}, ctx) for v, z in zstar.items()}
+    return compose(phase, zstar), pref, out.map_vars({}, ctx), zstar
 
 
 # --- spec-level wrappers -----------------------------------------------------

@@ -597,6 +597,22 @@ def test_submanifold_graph_vs_fiber():
         assert submanifold_cocycle(gamma, beta, pt) == (-1 if k > 0 else 1)
 
 
+def test_exchange_translates_only_degeneracy():
+    # an entry that is not rational keeps the message of signature; only a
+    # degenerate block takes the caller's
+    c = SeriesContext(["x1", "e2"], 2)
+    beta = SubdivisionChart("beta", "base", 2, (0,),
+                            c.from_terms({(2, 0): Fraction(1), (0, 2): 1.5j}))
+    gamma = SubdivisionChart("gamma", "base", 2, (0, 1), poly(["x1", "x2"]))
+    with pytest.raises(MaslovError, match="entry 3j is not a finite rational number"):
+        signature([[3j]])
+    with pytest.raises(MaslovError, match="entry 3j is not a finite rational number"):
+        submanifold_cocycle(beta, gamma, ((0, 0), (0, 0)))
+    flat = SubdivisionChart("flat", "base", 2, (0,), c.from_terms({(2, 0): Fraction(1)}))
+    with pytest.raises(MaslovError, match="degenerate mixed Hessian at the point"):
+        submanifold_cocycle(flat, gamma, ((0, 0), (0, 0)))
+
+
 def test_submanifold_triple_sum_quadratic():
     rng = random.Random(4)
     # n=2 graph Lagrangian, charts: full graph, mixed (keep x1), full fiber

@@ -2,7 +2,7 @@
 
 - Tolerance: a decision on float data compares against a scale through
   ``series.negligible`` or ``series.is_singular``, never against a small
-  literal.
+  literal, and no ``negligible`` scale is stretched by a literal factor.
 - Errors: invalid input raises a typed error, ``SeriesError``,
   ``MaslovError`` or a subclass of either defined in the package.
 - Exponent format: only ``series.py`` reads exponent tuples; every other
@@ -42,6 +42,22 @@ def literal_tolerances():
                     isinstance(c, ast.Constant) and isinstance(c.value, float)
                     and 0 < abs(c.value) < 1e-6 for c in ast.walk(node)):
                 yield name, node.lineno
+
+
+def literal_scales(tree):
+    """Line of every ``negligible`` call whose ``scale`` argument multiplies
+    or divides by a numeric literal, such as ``negligible(r, 1e3 * s)``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and "negligible" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))):
+            continue
+        scales = node.args[1:2] + [k.value for k in node.keywords if k.arg == "scale"]
+        if any(isinstance(b, ast.BinOp) and isinstance(b.op, (ast.Mult, ast.Div))
+               and any(isinstance(o, ast.Constant) and type(o.value) in (int, float)
+                       for o in (b.left, b.right))
+               for s in scales for b in ast.walk(s)):
+            yield node.lineno
 
 
 def typed_errors() -> set[str]:
@@ -94,6 +110,14 @@ def exponent_reads():
 
 def test_no_comparison_against_a_small_literal():
     assert not sorted(literal_tolerances())
+
+
+def test_no_negligible_scale_is_scaled_by_a_literal():
+    assert [list(literal_scales(ast.parse(code))) for code in (
+        "negligible(r, 1e3 * s)", "series.negligible(r, scale=s / 2)",
+        "negligible(r, s)", "negligible(r, s * t)")] == [[1], [1], [], []]
+    assert not sorted((name, line) for name, tree in modules()
+                      for line in literal_scales(tree))
 
 
 def test_every_raise_names_a_typed_error():

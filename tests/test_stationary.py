@@ -321,7 +321,7 @@ def test_critical_point_early_exit_matches_full_loop():
         _, _, _, zstar = fiber_stationary_phase(phase, c.one(), ["z1", "z2"])
         full = critical_point_full_loop(phase, ["z1", "z2"])
         assert all(zstar[v].distance(full[v]) < 1e-14 for v in ("z1", "z2"))
-        if phase is quadratic:  # a negligible gradient: the iteration stopped early
+        if phase is quadratic:  # the quadratic stage: z* is one linear step
             assert all(compose(phase.diff(v), zstar).max_abs() < 1e-14 for v in ("z1", "z2"))
 
 
@@ -336,9 +336,9 @@ def gaussian_integer(draw, nonzero=False):
 
 
 @st.composite
-def quadratic_problems(draw):
+def quadratic_problems(draw, caps=(3, 5)):
     """``(phase, amplitude, z_vars)``: a fibre of 1-3 variables ``z``, two
-    parameters ``y`` and a cap of 3-5.  The phase is
+    parameters ``y`` and a cap in ``caps``, 3-5 by default.  The phase is
     ``(1/2) z.Qz + z.Ly + (1/2) y.Py + c.y`` with small Gaussian-integer
     entries and ``Q = A + i(MM^t + 1)``, ``A`` real symmetric, so ``Im Q``
     is positive definite and ``Q`` nondegenerate.  The amplitude is
@@ -348,7 +348,7 @@ def quadratic_problems(draw):
     m = draw(st.integers(1, 3))
     z = [f"z{i+1}" for i in range(m)]
     y = ["y1", "y2"]
-    ctx = SeriesContext(z + y + ["h"], draw(st.integers(3, 5)))
+    ctx = SeriesContext(z + y + ["h"], draw(st.integers(*caps)))
     A = np.array([[draw(st.integers(-2, 2)) for _ in z] for _ in z])
     M = np.array([[draw(st.integers(-1, 1)) for _ in z] for _ in z])
     Q = (A + A.T) / 2 + 1j * (M @ M.T + np.eye(m))
@@ -377,28 +377,36 @@ def wick_pairs(z_vars, Qinv):
 def recentering_path(phase, amplitude, z_vars):
     """The fiber engine's recentering path for every phase: Newton steps
     for z*, compose by z* + z, the interaction, the Wick contraction and
-    the z-free part.  Returns ``(reduced_phase, out_amplitude, z*)``."""
+    the z-free part.  It runs at a cap wider by the depth of the
+    amplitude's h^-k, where it divides the phase by h before composing,
+    and lowers what it returns.  Returns ``(reduced_phase, out_amplitude,
+    z*)``."""
     ctx = phase.ctx
+    depth = max(0, -min(amplitude.degrees(["h"]), default=0))
+    wide = SeriesContext(ctx.variables, ctx.cap + depth)
+    phase, amplitude = phase.map_vars({}, wide), amplitude.map_vars({}, wide)
     Qinv = np.linalg.inv(hessian_matrix(phase, z_vars))
     grad = [phase.diff(v) for v in z_vars]
-    zstar = {v: ctx.zero() for v in z_vars}
+    zstar = {v: wide.zero() for v in z_vars}
     gvals = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
-    for _ in range(ctx.cap + 1):
+    for _ in range(wide.cap + 1):
         if all(negligible(g.max_abs(), phase.max_abs()) for g in gvals):
             break
-        zstar = {v: linear_combination(ctx, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
+        zstar = {v: linear_combination(wide, [(zstar[v], 1)] + list(zip(gvals, -Qinv[i])))
                  for i, v in enumerate(z_vars)}
         gvals = [compose(g, zstar) for g in grad]
-    shift = {v: zstar[v] + ctx.variable(v) for v in z_vars}
+    shift = {v: zstar[v] + wide.variable(v) for v in z_vars}
     shifted = compose(phase, shift)
-    delta = (shifted.filter_degree(z_vars, lambda d: d >= 2)
-             .filter_degree(ctx.variables, lambda d: d >= 3))
+    delta = (compose(phase.shift_exponent("h", -1), shift)
+             .filter_degree(z_vars, lambda d: d >= 2)
+             .filter_degree(wide.variables, lambda d: d >= 1))
     integrand = compose(amplitude, shift)
     if not delta.is_zero():
-        integrand = integrand * (delta * 1j).shift_exponent("h", -1).exp()
+        integrand = integrand * (delta * 1j).exp()
     contracted = exp_second_order(integrand, wick_pairs(z_vars, Qinv))
-    return (shifted.filter_degree(z_vars, lambda d: d == 0),
-            contracted.filter_degree(z_vars, lambda d: d == 0), zstar)
+    return (shifted.filter_degree(z_vars, lambda d: d == 0).map_vars({}, ctx),
+            contracted.filter_degree(z_vars, lambda d: d == 0).map_vars({}, ctx),
+            {v: zstar[v].map_vars({}, ctx) for v in z_vars})
 
 
 def quadratic_formula(phase, amplitude, z_vars):
@@ -437,17 +445,95 @@ def test_quadratic_stage_matches_the_recentering_path(problem, data):
     assert out.distance(q_out) + reduced.distance(q_reduced) > 1e-3
 
 
-@PROPERTY
-@given(quadratic_problems())
-def test_quadratic_stage_keeps_every_term_under_the_cap(problem):
-    # the amplitude has a term with h^-1: the result at cap c is the one
-    # at cap c + 2, lowered
-    phase, amplitude, z_vars = problem
+def assert_cap_invariant(phase, amplitude, z_vars):
+    """The engine's result at the cap is the one at cap + 2, lowered."""
     ctx = phase.ctx
     wide = SeriesContext(ctx.variables, ctx.cap + 2)
     narrow = fiber_stationary_phase(phase, amplitude, z_vars)
     lifted = fiber_stationary_phase(phase.map_vars({}, wide), amplitude.map_vars({}, wide),
                                     z_vars)
+    assert narrow[1] == lifted[1]
     for a, b in [(narrow[0], lifted[0]), (narrow[2], lifted[2])] + [
             (narrow[3][v], lifted[3][v]) for v in z_vars]:
         assert_close(a, b.map_vars({}, ctx))
+
+
+@PROPERTY
+@given(quadratic_problems())
+def test_quadratic_stage_keeps_every_term_under_the_cap(problem):
+    # the amplitude has a term with h^-1: the result at cap c is the one
+    # at cap c + 2, lowered
+    assert_cap_invariant(*problem)
+
+
+# --- the general path -------------------------------------------------------------
+
+
+@st.composite
+def general_problems(draw):
+    """``(phase, amplitude, z_vars)`` for the general path: a problem of
+    :func:`quadratic_problems` at cap 4 with ``z1^3``, up to four monomials
+    of degree 3 or 4 in ``z`` and ``y`` with a factor in ``z``, and the
+    amplitude term ``z1 y1 h^-1`` added, each with a nonzero Gaussian
+    integer coefficient divided by 10.  No phase term lies above the cap,
+    and the amplitude has ``z1^2 h^-1``, so its depth is 2."""
+    phase, amplitude, z = draw(quadratic_problems(caps=(4, 4)))
+    ctx = phase.ctx
+    for _ in range(draw(st.integers(0, 4))):
+        factors = [draw(st.sampled_from(z))] + draw(st.lists(
+            st.sampled_from(z + ["y1", "y2"]), min_size=2, max_size=3))
+        exp = {v: factors.count(v) for v in factors}
+        phase = phase + ctx.monomial(exp, gaussian_integer(draw, True) / 10)
+    phase = phase + ctx.monomial({"z1": 3}, gaussian_integer(draw, True) / 10)
+    amplitude = amplitude + ctx.monomial({"z1": 1, "y1": 1, "h": -1},
+                                         gaussian_integer(draw, True) / 10)
+    return phase, amplitude, z
+
+
+@PROPERTY
+@given(general_problems())
+def test_general_path_keeps_every_term_under_the_cap(problem):
+    # the phase is divided by h before it is composed, and the amplitude's
+    # h^-1 runs the path two degrees wider
+    assert_cap_invariant(*problem)
+
+
+def cubic_fibre(cap):
+    """``F = z^2/2 + s z + z^3/10`` over ``(z, s, h)``."""
+    c = SeriesContext(["z", "s", "h"], cap)
+    return c, c.monomial({"z": 2}, 0.5) + c.monomial({"z": 1, "s": 1}) + c.monomial({"z": 3}, 0.1)
+
+
+def test_the_top_degrees_of_the_amplitude_are_kept():
+    # z* = -s - 0.3 s^2 - 0.18 s^3, and (1 + 0.6 z*)^{-1/2} has s^3
+    # coefficient 0.2025 at every cap
+    for cap in (4, 6):
+        c, F = cubic_fibre(cap)
+        _, _, out, _ = fiber_stationary_phase(F, c.one(), ["z"])
+        assert abs(out.coefficient({"s": 3}) - 0.2025) < 1e-12
+    # an amplitude z^2 h^-1 reads z* two degrees above its own
+    found = []
+    for cap in (4, 6, 8):
+        c, F = cubic_fibre(cap)
+        _, _, out, _ = fiber_stationary_phase(F, c.one() + c.monomial({"z": 2, "h": -1}), ["z"])
+        found.append(out.coefficient({"s": 6, "h": -1}))
+    assert max(abs(x - found[-1]) for x in found) < 1e-12
+    assert abs(found[-1] - 0.8737875) < 1e-12
+
+
+def test_high_caps_need_no_convergence_test():
+    # the critical point takes cap - 1 passes: at caps 12 and 14 the
+    # results are the cap-10 ones, lowered
+    results = {}
+    for cap in (10, 12, 14):
+        c = SeriesContext(["x1", "x2", "h"], cap)
+        F = (c.monomial({"x1": 2}, -0.75) + c.monomial({"x1": 1, "x2": 1}, -1.25)
+             + c.monomial({"x2": 2}, -0.625) + c.monomial({"x1": 1, "x2": 2}, -0.25)
+             + c.monomial({"x2": 3}, -1.0))
+        results[cap] = stationary_phase(F, c.one(), ["x2"])
+    G, pref, b = results[10]
+    for cap in (12, 14):
+        G2, pref2, b2 = results[cap]
+        assert pref2 == pref
+        assert_close(G2.map_vars({}, G.ctx), G)
+        assert_close(b2.map_vars({}, b.ctx), b)
