@@ -54,10 +54,10 @@ where ``rest`` raises the degree of an error in ``x`` by one, so from
 filtration, not a tolerance, ends it after ``cap - 1`` passes.
 :func:`invert_map` and the fiber engine's critical point run it.
 
-One exact substitution: :func:`compose` takes ``f`` and its images in
-one context and builds the image powers at a cap wider by the depth of
-the most negative unsubstituted part of a term, so it keeps every term
-of degree <= cap.
+One exact substitution: :func:`compose` builds each distinct product of
+image powers once, from its prefix's, at a cap wider by the depth of the
+most negative unsubstituted part of a term, and shifts it into each term
+that needs it, so it keeps every term of degree <= cap.
 """
 
 from __future__ import annotations
@@ -594,6 +594,8 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
     weighted degree ``-d < 0`` needs image powers up to degree ``cap + d``,
     so the powers are built at a cap wider by the largest such ``d``: with
     images of nonnegative degree, every term of degree <= cap is kept.
+    Each distinct product of image powers is made once, from its prefix's,
+    and a term ``c x^start`` adds ``c`` times it shifted by ``start``.
     """
     ctx = f.ctx
     listed = []
@@ -605,8 +607,8 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
         listed.append((ctx.index(v), v))
     w = ctx.weights
     cap = ctx.cap
-    # each term as (unlisted exponent, coefficient, positive listed powers)
-    split = []
+    # the terms by their positive listed powers, as (unlisted exponent, degree, coefficient)
+    groups: dict[tuple, list] = {}
     depth = 0
     for e, c in f.terms.items():
         start = list(e)
@@ -618,28 +620,30 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
                     raise SeriesError(f"negative exponent on listed variable {v!r}")
                 factors.append((v, p))
                 start[i] = 0
-        if min(start, default=0) < 0:
-            depth = max(depth, -sum(map(mul, start, w)))
-        split.append((tuple(start), c, factors))
+        d = sum(map(mul, start, w))
+        depth = max(depth, -d)
+        groups.setdefault(tuple(factors), []).append((tuple(start), d, c))
     wide = ctx if not depth else SeriesContext(ctx.variables, cap + depth)
     # the powers of each image made in this call, the first power at index 1
     powers = {v: [None, _admitted(wide, images[v].terms)] for _, v in listed}
+    products = {(): _admitted(wide, {(0,) * len(w): 1})}  # by factors, each made once
     out: dict[tuple[int, ...], complex] = {}
     get = out.get
-    for start, c, factors in split:
-        if not factors:
-            out[start] = get(start, 0) + c
-            continue
-        term = _admitted(wide, {start: c})
-        for v, p in factors:
-            cache = powers[v]
-            while len(cache) <= p:
-                cache.append(cache[-1] * cache[1])
-            term = term * cache[p]
-        for e2, c2 in term.terms.items():
-            out[e2] = get(e2, 0) + c2
-    if depth:
-        out = {e: c for e, c in out.items() if sum(map(mul, e, w)) <= cap}
+    for factors, group in groups.items():
+        for k, (v, p) in enumerate(factors, 1):
+            if factors[:k] not in products:
+                cache = powers[v]
+                while len(cache) <= p:
+                    cache.append(cache[-1] * cache[1])
+                prefix = products[factors[:k - 1]]
+                products[factors[:k]] = prefix * cache[p] if k > 1 else cache[p]
+        product = sorted((sum(map(mul, e, w)), e, c) for e, c in products[factors].terms.items())
+        for start, d, c in group:
+            for dp, e, cp in product:
+                if d + dp > cap:
+                    break
+                e2 = tuple(map(add, start, e))
+                out[e2] = get(e2, 0) + c * cp
     return _admitted(ctx, out)
 
 

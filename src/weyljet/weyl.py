@@ -40,11 +40,11 @@ class WeylAlgebra:
         return self.ctx.cap
 
     def extended(self, extra: int) -> "WeylAlgebra":
-        """Same algebra with cap headroom, for intermediates whose later
-        steps lower the weighted degree before re-truncation."""
-        if extra not in self._ext:
+        """This algebra at ``cap + extra``, made once per headroom and itself
+        for none, for intermediates whose later steps lower the weighted degree."""
+        if extra and extra not in self._ext:
             self._ext[extra] = WeylAlgebra(self.n, self.cap + extra)
-        return self._ext[extra]
+        return self._ext.get(extra, self)
 
     def lift(self, s: TruncatedSeries, extra: int) -> TruncatedSeries:
         return s.map_vars({}, self.extended(extra).ctx)
@@ -254,6 +254,8 @@ class KGroupElement:
         f(u) -> exp(q(u)) f(g(u)) |det g'(u)|^{1/2}
 
     with g a formal diffeomorphism (invertible linear part) and q(0)=0.
+    An element makes its multiplier and its inverse once, on first use,
+    and its lift into each extended algebra once (:meth:`extended`).
     """
 
     def __init__(self, algebra: WeylAlgebra, images: Mapping[str, TruncatedSeries],
@@ -261,8 +263,9 @@ class KGroupElement:
         A = algebra
         self.algebra = A
         ctx = A.ctx
-        if any(v not in images for v in A.x):
-            raise SeriesError("an image is missing for a position variable")
+        missing, stray = sorted(set(A.x) - set(images)), sorted(set(images) - set(A.x))
+        if missing or stray:
+            raise SeriesError(f"position-jet images missing for {missing}, stray for {stray}")
         self.images = {v: images[v] for v in A.x}
         self.q = ctx.zero() if q is None else q
         if any(s.ctx != ctx for s in [*self.images.values(), self.q]):
@@ -282,6 +285,8 @@ class KGroupElement:
         if is_singular(a):
             raise SeriesError("non-invertible linear part")
         self._multiplier = None  # made on first use, or given by the group law
+        self._inverse = None  # made on first use
+        self._ext: dict[int, KGroupElement] = {}  # lifts, by headroom
 
     @staticmethod
     def identity(algebra: WeylAlgebra) -> "KGroupElement":
@@ -293,13 +298,9 @@ class KGroupElement:
         cols = [[self.images[A.x[i]].diff(A.x[j]) for j in range(n)] for i in range(n)]
         out = A.zero()
         for perm in itertools.permutations(range(n)):
-            # parity by counting inversions
+            # the sign of perm, by counting its inversions
             inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-            sign = -1 if inv % 2 else 1
-            term = A.one()
-            for i in range(n):
-                term = term * cols[i][perm[i]]
-            out = out + term * sign
+            out = out + math.prod((cols[i][perm[i]] for i in range(n)), start=(-1) ** inv)
         return out
 
     def half_density_factor(self) -> TruncatedSeries:
@@ -325,11 +326,23 @@ class KGroupElement:
         return compose(f, self.images) * self.multiplier()
 
     def inverse(self) -> "KGroupElement":
-        inv_images = invert_map(self.images)
-        qinv = -compose(self.q, inv_images)
-        out = KGroupElement(self.algebra, inv_images, qinv)
-        out._multiplier = compose(self.multiplier().unit_inverse(), inv_images)
-        return out
+        """The inverse, made on first use; its multiplier is the group law's."""
+        if self._inverse is None:
+            inv_images = invert_map(self.images)
+            out = KGroupElement(self.algebra, inv_images, -compose(self.q, inv_images))
+            out._multiplier = compose(self.multiplier().unit_inverse(), inv_images)
+            self._inverse = out
+        return self._inverse
+
+    def extended(self, extra: int) -> "KGroupElement":
+        """This element lifted into ``algebra.extended(extra)``, made once per
+        headroom and itself for none; the lift makes its own multiplier and inverse."""
+        if extra and extra not in self._ext:
+            A = self.algebra
+            self._ext[extra] = KGroupElement(
+                A.extended(extra), {v: A.lift(s, extra) for v, s in self.images.items()},
+                A.lift(self.q, extra))
+        return self._ext.get(extra, self)
 
     def compose_with(self, other: "KGroupElement") -> "KGroupElement":
         """Element acting as self after other: (self*other).act = self.act o other.act."""
@@ -351,21 +364,19 @@ def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
     ``h^order`` and multiplies by ``v^gamma``; and ``-w.min_degree()``,
     because the action multiplies by K's multiplier, cut at the cap, and
     terms of negative degree pull its missing top terms under the cap.
+    The lift is ``k.extended(extra)``, which keeps its multiplier and
+    inverse, so symbols conjugated by one ``k`` share that K-side work.
     """
     A = k.algebra
     order = max(w.degrees(A.xi), default=0)
     extra = order + max(0, -w.min_degree())
-    Ax = A.extended(extra)
-    kx = KGroupElement(Ax, {v: A.lift(s, extra) for v, s in k.images.items()},
-                       A.lift(k.q, extra))
-    op = weyl_quantize(Ax, A.lift(w, extra))
-    kinv = kx.inverse()
+    kx = k.extended(extra)
+    op = weyl_quantize(kx.algebra, A.lift(w, extra))
 
     def action(f):
-        return kx.act(op.apply(kinv.act(f)))
+        return kx.act(op.apply(kx.inverse().act(f)))
 
-    conj = operator_from_action(Ax, action, order)
-    return A.lower(conj.to_weyl())
+    return A.lower(operator_from_action(kx.algebra, action, order).to_weyl())
 
 
 # --- operator realization of exp of Lie elements -------------------------------

@@ -508,6 +508,89 @@ def test_compose_matches_partial_sums(fg, data):
     assert_near(compose(f, images), compose_by_partial_sums(f, images))
 
 
+def compose_term_by_term(f, images):
+    """``compose`` as a per-term loop: each term's monomial of unlisted
+    exponents times each listed image power in turn, the powers built at a
+    cap wider by the depth of the most negative unlisted part and the sum
+    cut at the cap."""
+    ctx = f.ctx
+    listed = [(ctx.index(v), v) for v in images]
+    split, depth = [], 0
+    for e, c in f.terms.items():
+        start = list(e)
+        for i, _ in listed:
+            start[i] = 0
+        split.append((start, c, [(v, e[i]) for i, v in listed if e[i]]))
+        depth = max(depth, -ctx.weighted_degree(tuple(start)))
+    wide = SeriesContext(ctx.variables, ctx.cap + depth)
+    powers = {v: [None, wide.from_terms(g.terms)] for v, g in images.items()}
+    out = wide.zero()
+    for start, c, factors in split:
+        term = wide.monomial(start, c)
+        for v, p in factors:
+            cache = powers[v]
+            while len(cache) <= p:
+                cache.append(cache[-1] * cache[1])
+            term = term * cache[p]
+        out = out + term
+    return ctx.from_terms(out.terms)
+
+
+GROUPED = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+GCTX_VARS = ["u1", "u2", "u3", "y", "h"]
+
+
+@st.composite
+def grouped_compose_case(draw, exact):
+    """``f`` whose terms repeat a few patterns of listed powers, with h^-1
+    and h^-2 in their unlisted parts, and images of degree >= 1 in 1-3 of
+    ``u1..u3``; coefficients are Fractions when ``exact``, else complex."""
+    ctx = SeriesContext(GCTX_VARS, draw(st.integers(3, 6)))
+    listed = draw(st.lists(st.sampled_from(GCTX_VARS[:3]), min_size=1, max_size=3, unique=True))
+    if exact:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    else:
+        coeff = st.builds(complex, st.floats(-2, 2), st.floats(0.1, 2))
+    patterns = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(listed)),
+                             min_size=1, max_size=3))
+    terms = {}
+    for _ in range(draw(st.integers(2, 10))):
+        e = dict(zip(listed, draw(st.sampled_from(patterns))))
+        for v in GCTX_VARS[:4]:
+            e.setdefault(v, draw(st.integers(0, 1)))
+        e["h"] = draw(st.integers(-2, 1))
+        terms[tuple(e[v] for v in GCTX_VARS)] = draw(coeff)
+    images = {}
+    for v in listed:
+        g = {tuple(draw(st.integers(0, 1)) for _ in GCTX_VARS[:4]) + (draw(st.integers(-1, 1)),):
+             draw(coeff) for _ in range(draw(st.integers(0, 3)))}
+        rest = TruncatedSeries(ctx, g).filter_degree(GCTX_VARS, lambda d: d >= 1)
+        images[v] = ctx.variable(draw(st.sampled_from(GCTX_VARS[:4]))) * draw(coeff) + rest
+    return TruncatedSeries(ctx, terms), images
+
+
+@GROUPED
+@given(grouped_compose_case(exact=True))
+def test_grouped_compose_equals_the_term_loop_exactly(case):
+    f, images = case
+    out = compose(f, images)
+    assert_exact(out)
+    assert out == compose_term_by_term(f, images)
+
+
+@GROUPED
+@given(grouped_compose_case(exact=False))
+def test_grouped_compose_equals_the_term_loop_to_rounding(case):
+    f, images = case
+    out, loop = compose(f, images), compose_term_by_term(f, images)
+    # rounding is bounded by the same substitution on the magnitudes
+    ctx = f.ctx
+    size = compose_term_by_term(ctx.from_terms({e: abs(c) for e, c in f.terms.items()}),
+                                {v: ctx.from_terms({e: abs(c) for e, c in g.terms.items()})
+                                 for v, g in images.items()})
+    assert out.distance(loop) <= 1e-13 * max(1.0, size.max_abs())
+
+
 # --- the rung rule against the power sum ------------------------------------------
 
 

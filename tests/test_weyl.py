@@ -370,6 +370,13 @@ def test_k_group_element_validates_its_images():
         KGroupElement(A, {v: A.var(v) for v in A.x}, X.ctx.monomial({"u1": 2}, 0.5))
 
 
+def test_k_group_element_rejects_images_of_other_variables():
+    A = WeylAlgebra(1, 4)
+    u1 = A.var("u1")
+    with pytest.raises(SeriesError, match="stray for \\['u7', 'v1'\\]"):
+        KGroupElement(A, {"u1": 1.2 * u1, "v1": u1, "u7": u1})
+
+
 def test_exp_lie_apply_matches_exp_ad_conjugation():
     # exp(h-hat) (w-hat) exp(-h-hat) f agrees with quantize(exp_ad(h,w)) f
     rng = random.Random(9)
@@ -429,6 +436,31 @@ def test_k_inverse_undoes_the_action_at_every_degree(n):
         f = rand_position_series(A, rng)
         assert k.inverse().act(k.act(f)).distance(f) < 1e-8
         assert k.act(k.inverse().act(f)).distance(f) < 1e-8
+
+
+def test_k_element_makes_its_lift_and_inverse_once():
+    A = algebra(cap=4)
+    k = rand_k(A, random.Random(5))
+    assert A.extended(0) is A
+    assert k.extended(0) is k
+    assert k.extended(2) is k.extended(2)
+    assert k.extended(2).algebra is A.extended(2)
+    assert k.inverse() is k.inverse()
+    assert k.extended(1).inverse() is k.extended(1).inverse()
+
+
+def test_conjugations_by_one_k_equal_those_by_fresh_elements():
+    # headroom = order + depth of h^-1: 0, 1, 1, 2, 2 and 1 in this order
+    A = algebra(cap=4)
+    u, v, h = A.var("u1"), A.var("v1"), A.hbar
+    symbols = [0.5 * u * u + 0.2 * A.var("u1", 3), u * v + 0.3 * u * u,
+               0.4 * u * h(-1) + u * u, v * v + 0.1 * u * v * h(-1),
+               0.7 * v + 0.2 * u * h(-2) * A.var("u1", 3) + v * v, u * v * h(-1)]
+    for order in (symbols, symbols[::-1]):
+        k = rand_k(A, random.Random(7))
+        shared = [k_conjugate(k, w) for w in order]
+        fresh = [k_conjugate(rand_k(A, random.Random(7)), w) for w in order]
+        assert [s.terms for s in shared] == [s.terms for s in fresh]
 
 
 def rand_symbol(A, rng, with_inverse_h):
