@@ -1,14 +1,13 @@
 """Exact Maslov cocycle arithmetic.
 
 Everything in this module is exact.  Its linear algebra runs on Python
-integers: a rational matrix is scaled to integers by the lcm of its
-denominators and solved, or its signature read off, by fraction-free
-(Bareiss) elimination, every division of which is exact; rationals appear
-only at the boundary, in inputs and results.  Cocycle values are doubled
-half-integers, phase-difference cocycles exact fractions, and generating
-functions :class:`~weyljet.series.TruncatedSeries` with ``Fraction``
-coefficients, which the series kernel keeps exact and drops only when
-zero.  No tolerance enters any statement here.
+integers, by fraction-free (Bareiss) elimination, every division of which
+is exact.  Chart data stays integer from the solve to the cocycle: a chart
+Hessian is an integer matrix N over one pivot d, and ``Fraction``s appear
+only in :class:`LagrangianFrame` and the results of :func:`alpha_cocycle`.
+Cocycle values are doubled half-integers, and generating functions
+:class:`~weyljet.series.TruncatedSeries` with ``Fraction`` coefficients,
+kept exact by the series kernel.  No tolerance enters any statement here.
 
 One rule gives every Maslov cocycle value.  On the chart U_I a
 Lagrangian is generated by F_I(x_I, xi_Ibar); on U_I and U_J the doubled
@@ -54,13 +53,11 @@ def _scaled(row, L=0) -> list[int]:
     return [x.numerator * (L // x.denominator) for x in row]
 
 
-def _solve_rational(A: list[list[Fraction]], B: list[list[Fraction]]):
-    """Solve A X = B exactly; raises MaslovError when A is singular.  Runs
-    fraction-free Gauss-Jordan elimination on the rows of [A | B] scaled to
-    integers; every diagonal entry ends as the last pivot, det(A) up to sign."""
-    n = len(A)
-    M = [_scaled(a + b) for a, b in zip(A, B)]
-    prev = 1
+def _bareiss(M: list[list[int]]) -> int:
+    """Fraction-free Gauss-Jordan elimination, in place, of the integer rows
+    [A | B], A n x n; raises when A is singular.  Returns the last pivot d,
+    det(A) up to sign, to which A is reduced: A X = B is solved by B / d."""
+    n, prev = len(M), 1
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col]), None)
         if piv is None:
@@ -72,14 +69,14 @@ def _solve_rational(A: list[list[Fraction]], B: list[list[Fraction]]):
                 f = M[r][col]
                 M[r] = [(p * a - f * b) // prev for a, b in zip(M[r], prow)]
         prev = p
-    return [[Fraction(x, prev) for x in row[n:]] for row in M]
+    return prev
 
 
 def signature(S) -> int:
-    """Exact signature of a nondegenerate rational symmetric matrix, by
-    fraction-free symmetric elimination with symmetric pivoting: each pivot
-    is a leading principal minor D_k, and Jacobi's rule adds sign(D_k D_{k-1})."""
-    M = [[_rational(x) for x in row] for row in S]
+    """Exact signature of a nondegenerate rational symmetric matrix: its
+    entries read, scaled to integers and checked symmetric for :func:`_signature`."""
+    # a row that is not iterable, such as the 1 of [1], reads as empty: not square
+    M = [[_rational(x) for x in row] if hasattr(row, "__iter__") else [] for row in S]
     n = len(M)
     if any(len(row) != n for row in M):
         raise MaslovError("signature: the matrix is not square")
@@ -87,7 +84,14 @@ def signature(S) -> int:
     M = [_scaled(row, L) for row in M]
     if any(M[i][j] != M[j][i] for i in range(n) for j in range(i)):
         raise MaslovError("matrix is not symmetric")
-    sig, prev, idx = 0, 1, list(range(n))
+    return _signature(M)
+
+
+def _signature(M: list[list[int]]) -> int:
+    """Signature of a nondegenerate symmetric integer matrix, overwritten, by
+    fraction-free symmetric elimination with symmetric pivoting: each pivot is
+    a leading principal minor D_k, and Jacobi's rule adds sign(D_k D_{k-1})."""
+    sig, prev, idx = 0, 1, list(range(len(M)))
     while idx:
         # find a nonzero diagonal entry, else create one by a congruence
         d = next((i for i in idx if M[i][i]), None)
@@ -110,14 +114,14 @@ def signature(S) -> int:
     return sig
 
 
-def _exchange_signature(entry, I, J, message: str) -> int:
-    """The cocycle rule: the signature of the Hessian ``entry(p, q)`` over
-    the coordinates that U_I and U_J exchange, x_{I-J} then e_{J-I}; 0
+def _exchange_signature(sig, entry, I, J, message: str) -> int:
+    """The cocycle rule: ``sig``, a signature, of the Hessian ``entry(p, q)``
+    over the coordinates that U_I and U_J exchange, x_{I-J} then e_{J-I}; 0
     when they exchange none.  A degenerate block raises ``message``."""
     labels = [f"x{j+1}" for j in sorted(I - J)] + [f"e{j+1}" for j in sorted(J - I)]
     H = [[_rational(entry(p, q)) for q in labels] for p in labels]
     try:
-        return signature(H)
+        return sig(H)
     except MaslovError:
         raise MaslovError(message) from None
 
@@ -157,28 +161,36 @@ class LagrangianFrame:
         return rows + [[b[j] for b in self.B] + list(c) for j, c in enumerate(self.C)]
 
 
-def chart_parameters(basis: Sequence[Sequence], I) -> LagrangianFrame:
-    """Frame of the span of ``basis`` (rows (x, xi) of length 2n) in the
-    chart U_I; raises when the projection is singular."""
+def _chart_hessian(basis: Sequence[Sequence], I):
+    """``(_chart(n, I), N, d)``: the chart Hessian on U_I of the span of
+    ``basis`` is N/d, N an integer matrix and d the last pivot of the solve;
+    raises when the span is outside U_I or N is not symmetric."""
     rows = [[_rational(x) for x in row] for row in basis]
     n = len(rows)
     if any(len(r) != 2 * n for r in rows):
         raise MaslovError("basis rows must have length 2n")
-    Ilist, Ibar, _ = _chart(n, I)
+    chart = Ilist, Ibar, _ = _chart(n, I)
     k = len(Ilist)
-    free_cols = Ilist + [n + j for j in Ibar]
-    dep_cols = [n + j for j in Ilist] + Ibar
+    cols = Ilist + [n + j for j in Ibar] + [n + j for j in Ilist] + Ibar  # free, dependent
+    M = [_scaled([r[c] for c in cols]) for r in rows]
     try:
-        Mt = _solve_rational([[r[c] for c in free_cols] for r in rows],
-                             [[r[c] for c in dep_cols] for r in rows])  # M^t, d = M u
+        d = _bareiss(M)  # the dependent coordinates of row j are M[j][n:] / d
     except MaslovError:
         raise MaslovError("subspace lies outside the chart U_I") from None
-    H = [[Mt[j][i] if i < k else -Mt[j][i] for j in range(n)] for i in range(n)]
-    if any(H[i][j] != H[j][i] for i in range(n) for j in range(i)):
+    N = [[M[j][n + i] if i < k else -M[j][n + i] for j in range(n)] for i in range(n)]
+    if any(N[i][j] != N[j][i] for i in range(n) for j in range(i)):
         raise MaslovError("chart Hessian is not symmetric: not Lagrangian")
-    return LagrangianFrame(n, frozenset(Ilist), tuple(tuple(r[:k]) for r in H[:k]),
-                           tuple(tuple(r[k:]) for r in H[:k]),
-                           tuple(tuple(r[k:]) for r in H[k:]))
+    return chart, N, d
+
+
+def chart_parameters(basis: Sequence[Sequence], I) -> LagrangianFrame:
+    """Frame of the span of ``basis`` (rows (x, xi) of length 2n) in the
+    chart U_I; raises when the projection is singular."""
+    (Ilist, _, _), N, d = _chart_hessian(basis, I)
+    k = len(Ilist)
+    H = [tuple(Fraction(x, d) for x in row) for row in N]
+    return LagrangianFrame(len(N), frozenset(Ilist), tuple(r[:k] for r in H[:k]),
+                           tuple(r[k:] for r in H[:k]), tuple(r[k:] for r in H[k:]))
 
 
 def frame_basis(frame: LagrangianFrame) -> list[list[Fraction]]:
@@ -209,15 +221,14 @@ def generating_quadratic(frame: LagrangianFrame) -> TruncatedSeries:
 
 def linear_cocycle(basis: Sequence[Sequence], I, J) -> int:
     """Doubled half-integer cocycle value c_{IJ} for a linear Lagrangian:
-    the cocycle rule on the chart Hessian H of U_I.  Requires the
-    subspace to lie in both charts; it lies in U_J exactly when the
-    exchanged block of H is nondegenerate."""
-    frame = chart_parameters(basis, I)
-    names = _chart(frame.n, frame.I)[2]
-    H = frame.hessian()
-    return _exchange_signature(lambda p, q: H[names.index(p)][names.index(q)],
-                               frame.I, frozenset(_chart(frame.n, J)[0]),
-                               "subspace lies outside the chart U_J")
+    the cocycle rule on the chart Hessian N/d of U_I, with no frame built:
+    the signature of the exchanged block of the integer N, times the sign of
+    d.  The subspace must lie in both charts; in U_J exactly when that block
+    is nondegenerate."""
+    (Ilist, _, names), N, d = _chart_hessian(basis, I)
+    return (1 if d > 0 else -1) * _exchange_signature(
+        _signature, lambda p, q: N[names.index(p)][names.index(q)], set(Ilist),
+        set(_chart(len(N), J)[0]), "subspace lies outside the chart U_J")
 
 
 # --- submanifold charts ---------------------------------------------------------
@@ -250,8 +261,8 @@ class SubdivisionChart:
     def point_free_values(self, point) -> dict:
         x, xi = point
         Ilist, Ibar, names = _chart(self.n, self.base_free)
-        return dict(zip(names, [Fraction(x[j]) for j in Ilist]
-                        + [Fraction(xi[j]) for j in Ibar]))
+        return dict(zip(names, [_rational(x[j]) for j in Ilist]
+                        + [_rational(xi[j]) for j in Ibar]))
 
     def point_on_chart(self, free_vals: Mapping[str, Fraction]):
         """Reconstruct the full phase-space point from free values via
@@ -260,18 +271,17 @@ class SubdivisionChart:
         x = [Fraction(0)] * self.n
         xi = [Fraction(0)] * self.n
         for j, v in zip(Ilist, names):
-            x[j] = Fraction(free_vals[v])
-            xi[j] = Fraction(self.F.diff(v).evaluate(free_vals))
+            x[j] = _rational(free_vals[v])
+            xi[j] = _rational(self.F.diff(v).evaluate(free_vals))
         for j, v in zip(Ibar, names[len(Ilist):]):
-            xi[j] = Fraction(free_vals[v])
-            x[j] = -Fraction(self.F.diff(v).evaluate(free_vals))
+            xi[j] = _rational(free_vals[v])
+            x[j] = -_rational(self.F.diff(v).evaluate(free_vals))
         return tuple(x), tuple(xi)
 
     def contains_point(self, point) -> bool:
         vals = self.point_free_values(point)
         got = self.point_on_chart(vals)
-        return got == (tuple(Fraction(v) for v in point[0]),
-                       tuple(Fraction(v) for v in point[1]))
+        return got == (tuple(map(_rational, point[0])), tuple(map(_rational, point[1])))
 
     def phase_on_l(self, point) -> Fraction:
         """phi restricted to L: sum over fiber-free of x_j xi_j plus F."""
@@ -279,7 +289,7 @@ class SubdivisionChart:
         x, xi = point
         total = self.F.evaluate(vals) + self.phase_shift
         for j in self.fiber_free:
-            total += Fraction(x[j]) * Fraction(xi[j])
+            total += _rational(x[j]) * _rational(xi[j])
         return total
 
     def to_json(self):
@@ -290,7 +300,9 @@ class SubdivisionChart:
 
     @staticmethod
     def from_json(data) -> "SubdivisionChart":
-        shift = data.get("phase_shift", [0, 1])
+        shift = [_rational(x) for x in data.get("phase_shift", [0, 1])]
+        if not shift[1]:
+            raise MaslovError("phase_shift has denominator 0")
         return SubdivisionChart(data["chart_id"], data["base_chart"], data["n"],
                                 tuple(data["base_free"]),
                                 TruncatedSeries.from_json(data["F"]),
@@ -310,7 +322,7 @@ def submanifold_cocycle(beta: SubdivisionChart, gamma: SubdivisionChart,
     if beta.base_chart != gamma.base_chart:
         return 0
     vals = beta.point_free_values(point)
-    return _exchange_signature(lambda p, q: beta.F.diff(p).diff(q).evaluate(vals),
+    return _exchange_signature(signature, lambda p, q: beta.F.diff(p).diff(q).evaluate(vals),
                                set(beta.base_free), set(gamma.base_free),
                                "degenerate mixed Hessian at the point")
 

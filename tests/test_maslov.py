@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from weyljet.maslov import (LagrangianFrame, MaslovError, SubdivisionChart,
-                            _solve_rational, alpha_cocycle, chart_parameters, frame_basis,
+from weyljet.maslov import (LagrangianFrame, MaslovError, SubdivisionChart, _bareiss,
+                            _scaled, alpha_cocycle, chart_parameters, frame_basis,
                             generating_quadratic, linear_cocycle, signature,
                             submanifold_cocycle, verify_cech_cocycle)
 from weyljet.series import SeriesContext, TruncatedSeries, quadratic_series
@@ -83,6 +84,9 @@ def test_signature_degenerate_rejected():
 def test_signature_rejects_a_non_square_matrix():
     with pytest.raises(MaslovError, match="not square"):
         signature([[1, 2, 3], [2, 1, 0]])
+    for rows in ([1], [[1, 0], 2]):  # a row that is no row
+        with pytest.raises(MaslovError, match="signature: the matrix is not square"):
+            signature(rows)
 
 
 def test_entries_are_read_as_exact_rationals():
@@ -103,8 +107,16 @@ def test_entries_are_read_as_exact_rationals():
 # --- the integer elimination against the Fraction one ------------------------------
 
 
+def bareiss_solve(A, B):
+    """A X = B by the integer elimination of the charts: the rows of [A | B]
+    scaled to integers, the block B of the result over the last pivot."""
+    M = [_scaled(a + b) for a, b in zip(A, B)]
+    d = _bareiss(M)
+    return [[Fraction(x, d) for x in row[len(A):]] for row in M]
+
+
 def fraction_solve(A, B):
-    """Gauss-Jordan on Fraction entries: the reference for _solve_rational."""
+    """Gauss-Jordan on Fraction entries: the reference for bareiss_solve."""
     n = len(A)
     M = [row[:] + Brow[:] for row, Brow in zip(A, B)]
     for col in range(n):
@@ -212,7 +224,7 @@ def symmetric_matrices(draw):
 @given(rational_systems())
 def test_integer_solve_is_the_fraction_solve(system):
     A, B = system
-    got = outcome_or_error(_solve_rational, A, B)
+    got = outcome_or_error(bareiss_solve, A, B)
     assert got == outcome_or_error(fraction_solve, A, B)
     assert got == ("MaslovError", "singular system") or all(
         type(x) is Fraction for row in got for x in row)
@@ -235,8 +247,8 @@ def test_the_exact_strategies_reach_every_case():
     def zero_diagonal(S):
         return len(S) > 1 and all(S[i][i] == 0 for i in range(len(S)))
 
-    cases = [(rational_systems(), lambda s: raises(_solve_rational, *s)),
-             (rational_systems(), lambda s: len(s[0]) > 3 and not raises(_solve_rational, *s)),
+    cases = [(rational_systems(), lambda s: raises(bareiss_solve, *s)),
+             (rational_systems(), lambda s: len(s[0]) > 3 and not raises(bareiss_solve, *s)),
              (symmetric_matrices(), lambda S: len(S) > 3 and raises(signature, S)),
              (symmetric_matrices(), lambda S: zero_diagonal(S) and not raises(signature, S))]
     for strategy, condition in cases:
@@ -413,6 +425,72 @@ def test_linear_cocycle_outside_second_chart_rejected():
                     assert raises(linear_cocycle, basis, I, J) == outside, (basis, I, J)
                     seen.add(outside)
         assert seen == {False, True}
+
+
+def symplectic(a, b):
+    """omega(a, b) = a_x . b_xi - a_xi . b_x on R^{2n}, vectors (x, xi)."""
+    n = len(a) // 2
+    return sum(a[i] * b[n + i] - a[n + i] * b[i] for i in range(n))
+
+
+def vertical(n, I):
+    """Basis of the vertical Lagrangian of U_I: d/dxi_i (i in I), d/dx_j (j not in I)."""
+    return [[int(c == (n + i if i in I else i)) for c in range(2 * n)] for i in range(n)]
+
+
+def charpoly(G):
+    """Coefficients c_0 .. c_m of det(t - G) for an integer matrix G, by the
+    Faddeev-LeVerrier recursion, exact on integers."""
+    m = len(G)
+    c, P = [0] * m + [1], [[0] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        P = [[sum(G[i][l] * P[l][j] for l in range(m)) + (c[m - k + 1] if i == j else 0)
+              for j in range(m)] for i in range(m)]
+        trace = sum(G[i][l] * P[l][i] for i in range(m) for l in range(m))
+        assert trace % k == 0
+        c[m - k] = -trace // k
+    return c
+
+
+def sign_changes(cs):
+    signs = [x > 0 for x in cs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def kashiwara_index(L, M, P):
+    """tau(L, M, P): the signature of Q(a, b, c) = w(a, b) + w(b, c) + w(c, a)
+    on L + M + P, often degenerate.  Read off exactly by Descartes' rule,
+    which counts the roots of a polynomial whose roots are all real: the
+    positive eigenvalues are the sign changes of det(t - G), the negative
+    ones those of det(-t - G)."""
+    vectors = [(s, v) for s, space in enumerate((L, M, P)) for v in space]
+    # twice the polar form of Q: w(a, b') + w(a', b) and its cyclic images
+    G = [[symplectic(u, v) if t == (s + 1) % 3 else symplectic(v, u) if s == (t + 1) % 3
+          else 0 for t, v in vectors] for s, u in vectors]
+    c = charpoly(G)
+    return sign_changes(c) - sign_changes([x * (-1) ** i for i, x in enumerate(c)])
+
+
+def test_linear_cocycle_is_the_kashiwara_index():
+    # c_IJ(L) = tau(L, Lambda_I, Lambda_J), Lambda_I the vertical Lagrangian
+    # of U_I, on every pair of charts that both hold L
+    assert kashiwara_index([[1, 1]], vertical(1, {0}), vertical(1, set())) == 1
+    rng = random.Random(13)
+    seen = set()
+    for n in (1, 2, 3):
+        subsets = [frozenset(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)]
+        for K in subsets:
+            for _ in range(3):
+                L = frame_basis(rand_frame(rng, n, K))  # integer blocks, integer rows
+                assert all(x.denominator == 1 for row in L for x in row)
+                L = [[int(x) for x in row] for row in L]
+                for I, J in itertools.product(subsets, subsets):
+                    c = outcome(linear_cocycle, L, I, J)
+                    if c != "raise":
+                        assert c == kashiwara_index(L, vertical(n, I), vertical(n, J)), (L, I, J)
+                        seen.add(c)
+    assert seen == {-3, -2, -1, 0, 1, 2, 3}
 
 
 def test_generating_quadratic_matches_frame():
@@ -674,6 +752,34 @@ def test_subdivision_chart_json_round_trip():
     back = SubdivisionChart.from_json(json.loads(json.dumps(chart.to_json())))
     assert back == chart
     assert all(isinstance(c, Fraction) for c in back.F.terms.values())
+
+
+def test_subdivision_chart_json_rejects_a_zero_denominator():
+    data = graph_chart(2).to_json()
+    assert SubdivisionChart.from_json(data) == graph_chart(2)
+    with pytest.raises(MaslovError, match="phase_shift has denominator 0"):
+        SubdivisionChart.from_json({**data, "phase_shift": [1, 0]})
+    with pytest.raises(MaslovError, match="entry 'x' is not a finite rational"):
+        SubdivisionChart.from_json({**data, "phase_shift": [1, "x"]})
+    shift = SubdivisionChart.from_json({**data, "phase_shift": [1.5, 2]}).phase_shift
+    assert shift == Fraction(3, 4) and type(shift) is Fraction
+
+
+def test_point_readers_name_an_entry_that_is_not_rational():
+    # every coordinate a chart reads goes through the exact reader
+    graph, fiber = graph_chart(2), fiber_chart(2)
+    for bad in (float("nan"), "x", None):
+        message = re.escape(f"entry {bad!r} is not a finite rational number")
+        calls = [(graph.point_free_values, ((bad,), (0,))),
+                 (graph.contains_point, ((bad,), (0,))),
+                 (graph.contains_point, ((1,), (bad,))),
+                 (graph.point_on_chart, {"x1": bad}),
+                 (graph.phase_on_l, ((bad,), (0,))),
+                 (fiber.phase_on_l, ((bad,), (0,))),
+                 (fiber.point_free_values, ((0,), (bad,)))]
+        for fn, arg in calls:
+            with pytest.raises(MaslovError, match=message):
+                fn(arg)
 
 
 # --- alpha cocycle -----------------------------------------------------------------

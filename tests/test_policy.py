@@ -3,6 +3,9 @@
 - Tolerance: a decision on float data compares against a scale through
   ``series.negligible`` or ``series.is_singular``, never against a small
   literal, and no ``negligible`` scale is stretched by a literal factor.
+- Exactness: ``maslov.py``, whose docstring says that no tolerance enters
+  any statement there, imports no numpy, calls no ``float`` and holds no
+  float literal.
 - Errors: invalid input raises a typed error, ``SeriesError``,
   ``MaslovError`` or a subclass of either defined in the package.
 - Exponent format: only ``series.py`` reads exponent tuples; every other
@@ -58,6 +61,29 @@ def literal_scales(tree):
                        for o in (b.left, b.right))
                for s in scales for b in ast.walk(s)):
             yield node.lineno
+
+
+def inexact_uses(tree):
+    """``(kind, line)`` of every numpy import, ``float`` call and float
+    literal in ``tree``."""
+    for node in ast.walk(tree):
+        imported = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                    [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(m.partition(".")[0] == "numpy" for m in imported):
+            yield "numpy", node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            yield "float", node.lineno
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            yield "literal", node.lineno
+
+
+def test_maslov_is_exact():
+    assert [[kind for kind, _ in inexact_uses(ast.parse(code))] for code in (
+        "import numpy as np", "from numpy.linalg import det", "y = float(x)",
+        "x < 1e-9", "Fraction(1, 2) + len(x)")] == [
+        ["numpy"], ["numpy"], ["float"], ["literal"], []]
+    tree = dict(modules())["maslov.py"]
+    assert not sorted(inexact_uses(tree))
 
 
 def typed_errors() -> set[str]:
