@@ -258,11 +258,24 @@ class SubdivisionChart:
     def fiber_free(self):
         return tuple(_chart(self.n, self.base_free)[1])
 
-    def point_free_values(self, point) -> dict:
-        x, xi = point
+    def _point(self, point) -> tuple[tuple, tuple]:
+        """``point`` read once: two sequences of n coordinates, x and xi,
+        each coordinate read through ``_rational``."""
+        try:
+            x, xi = point
+            shaped = len(x) == len(xi) == self.n
+        except (TypeError, ValueError):
+            shaped = False
+        if not shaped:
+            raise MaslovError(f"point {point!r} is not two sequences of {self.n} coordinates")
+        return tuple(map(_rational, x)), tuple(map(_rational, xi))
+
+    def _free_values(self, x, xi) -> dict:
         Ilist, Ibar, names = _chart(self.n, self.base_free)
-        return dict(zip(names, [_rational(x[j]) for j in Ilist]
-                        + [_rational(xi[j]) for j in Ibar]))
+        return dict(zip(names, [x[j] for j in Ilist] + [xi[j] for j in Ibar]))
+
+    def point_free_values(self, point) -> dict:
+        return self._free_values(*self._point(point))
 
     def point_on_chart(self, free_vals: Mapping[str, Fraction]):
         """Reconstruct the full phase-space point from free values via
@@ -279,17 +292,15 @@ class SubdivisionChart:
         return tuple(x), tuple(xi)
 
     def contains_point(self, point) -> bool:
-        vals = self.point_free_values(point)
-        got = self.point_on_chart(vals)
-        return got == (tuple(map(_rational, point[0])), tuple(map(_rational, point[1])))
+        point = self._point(point)
+        return self.point_on_chart(self._free_values(*point)) == point
 
     def phase_on_l(self, point) -> Fraction:
         """phi restricted to L: sum over fiber-free of x_j xi_j plus F."""
-        vals = self.point_free_values(point)
-        x, xi = point
-        total = self.F.evaluate(vals) + self.phase_shift
+        x, xi = self._point(point)
+        total = self.F.evaluate(self._free_values(x, xi)) + self.phase_shift
         for j in self.fiber_free:
-            total += _rational(x[j]) * _rational(xi[j])
+            total += x[j] * xi[j]
         return total
 
     def to_json(self):
@@ -303,9 +314,12 @@ class SubdivisionChart:
         shift = [_rational(x) for x in data.get("phase_shift", [0, 1])]
         if not shift[1]:
             raise MaslovError("phase_shift has denominator 0")
-        return SubdivisionChart(data["chart_id"], data["base_chart"], data["n"],
-                                tuple(data["base_free"]),
-                                TruncatedSeries.from_json(data["F"]),
+        try:
+            chart_id, base, n, free, F = [data[k] for k in ("chart_id", "base_chart", "n",
+                                                            "base_free", "F")]
+        except KeyError as exc:
+            raise MaslovError(f"chart JSON lacks the field {exc.args[0]!r}") from None
+        return SubdivisionChart(chart_id, base, n, tuple(free), TruncatedSeries.from_json(F),
                                 Fraction(shift[0], shift[1]))
 
 

@@ -17,17 +17,26 @@ One tolerance rule: the kernel drops exact zeros only, so series
 identities hold to rounding.  A decision on float data (is this constant
 term zero, is this matrix symmetric) compares against
 ``DEFAULT_EPS`` times the largest coefficient judged, through
-:func:`negligible`; a matrix is singular by :func:`is_singular`.
+:func:`negligible`; a matrix is singular by :func:`is_singular`.  Every
+float matrix handed in from outside is read by :func:`_matrix`, which
+checks that it is numeric, square, finite, and real and symmetric when
+asked, and names the caller in every message.
 
 Admission contract: the public constructors (``TruncatedSeries(ctx,
 terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``
 and ``map_vars``) check arity, the cap, the exponent signs (only h goes
-negative) and the coefficient type of every term.  Operations closed
-over admitted terms (``*``, ``+``, ``-``, ``diff``, ``filter_degree``,
-``exp_second_order``, ``contract_product``, ``compose``,
-``linear_combination`` and ``quadratic_series``) trust their operands and
-only drop the zero coefficients of their result; a scalar factor is
-converted once, as the constructors convert coefficients.
+negative) and the coefficient type of every term.  Exponents are
+integral: the constructors read each one as a sequence index, as a
+context reads its cap, and store it as an int, so a float exponent is an
+error.  Operations closed over admitted terms (``*``, ``+``, ``-``,
+``diff``, ``filter_degree``, ``exp_second_order``, ``contract_product``,
+``compose``, ``linear_combination`` and ``quadratic_series``) trust their
+operands and only drop the zero coefficients of their result.
+
+One number rule: :func:`_number` reads the scalar operand of ``+``,
+``-``, ``*`` and ``linear_combination``.  ``int`` and ``Fraction`` stay
+exact, any other ``numbers.Number`` becomes ``complex``, and anything
+else is an error.
 
 One product kernel: ``*`` on two series is :func:`contract_product` with
 no pairs, so one walk over the monomial pairs, in order of weighted
@@ -64,7 +73,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
+from numbers import Number
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -91,11 +102,15 @@ class SeriesContext:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise SeriesError("duplicate variable names")
+        try:
+            cap = operator.index(cap)
+        except TypeError:
+            raise SeriesError(f"cap {cap!r} is not an integer") from None
         if cap < 0:
             raise SeriesError("cap must be nonnegative")
         self.variables = variables
         self.weights = tuple(2 if v == HBAR else 1 for v in variables)
-        self.cap = int(cap)
+        self.cap = cap
         self._index = {v: i for i, v in enumerate(variables)}
         self._key = (variables, self.cap)
 
@@ -135,13 +150,17 @@ class SeriesContext:
         return TruncatedSeries(self, {self._exponent(exp): coeff})
 
     def _exponent(self, exp: Mapping[str, int] | Sequence[int]) -> tuple[int, ...]:
-        """An exponent tuple, from a sequence or from a map ``name -> power``."""
-        if isinstance(exp, Mapping):
-            e = [0] * len(self.variables)
-            for v, p in exp.items():
-                e[self.index(v)] = int(p)
-            return tuple(e)
-        return tuple(int(p) for p in exp)
+        """An exponent tuple of ints, from a sequence or from a map ``name ->
+        power``, each power read with ``operator.index``."""
+        try:
+            if isinstance(exp, Mapping):
+                e = [0] * len(self.variables)
+                for v, p in exp.items():
+                    e[self.index(v)] = operator.index(p)
+                return tuple(e)
+            return tuple(map(operator.index, exp))
+        except TypeError:
+            raise SeriesError(f"exponent {exp!r} is not integral") from None
 
     def from_terms(self, terms: Mapping[tuple[int, ...], complex]) -> "TruncatedSeries":
         return TruncatedSeries(self, dict(terms))
@@ -149,6 +168,16 @@ class SeriesContext:
 
 # coefficient types stored as given; any other scalar is stored as complex
 _KEPT = frozenset((complex, int, Fraction))
+
+
+def _number(k):
+    """The number rule for a scalar operand: ``int`` and ``Fraction`` as
+    given, any other number as ``complex``; anything else is an error."""
+    if k.__class__ in _KEPT:
+        return k
+    if isinstance(k, Number):
+        return complex(k)
+    raise SeriesError(f"scalar operand {k!r} is not a number")
 
 
 def _admitted(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
@@ -179,7 +208,12 @@ class TruncatedSeries:
         weights = ctx.weights
         clean: dict[tuple[int, ...], complex] = {}
         nvars = len(ctx.variables)
+        integral = operator.index
         for exp, c in terms.items():
+            try:
+                exp = tuple(map(integral, exp))
+            except TypeError:
+                raise SeriesError(f"exponent {exp!r} is not integral") from None
             if c.__class__ not in _KEPT:
                 c = complex(c)
             if not c:
@@ -260,8 +294,8 @@ class TruncatedSeries:
             raise SeriesError("series context mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
-            other = self.ctx.constant(other)
+        if not isinstance(other, TruncatedSeries):
+            other = self.ctx.constant(_number(other))
         self._check(other)
         out = dict(self.terms)
         get = out.get
@@ -275,19 +309,18 @@ class TruncatedSeries:
         return _admitted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
-            other = self.ctx.constant(other)
+        if not isinstance(other, TruncatedSeries):
+            other = self.ctx.constant(_number(other))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
-            if other.__class__ not in _KEPT:
-                other = complex(other)
-            return _admitted(self.ctx, {e: v * other for e, v in self.terms.items()})
-        return contract_product(self, other, ())
+        if isinstance(other, TruncatedSeries):
+            return contract_product(self, other, ())
+        other = _number(other)
+        return _admitted(self.ctx, {e: v * other for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -373,7 +406,7 @@ class TruncatedSeries:
         coefficients and the point's values are."""
         total = 0
         vals = [point.get(v, 0) for v in self.ctx.variables]
-        vals = [x if x.__class__ in _KEPT else complex(x) for x in vals]
+        vals = [_number(x) for x in vals]
         for e, c in self.terms.items():
             t = c
             for x, p in zip(vals, e):
@@ -426,9 +459,14 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(data: dict) -> "TruncatedSeries":
-        ctx = SeriesContext(data["variables"], data["cap"])
-        terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) if "num" in t
-                 else complex(t["re"], t["im"]) for t in data["terms"]}
+        try:
+            ctx = SeriesContext(data["variables"], data["cap"])
+            terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) if "num" in t
+                     else complex(t["re"], t["im"]) for t in data["terms"]}
+        except KeyError as exc:
+            raise SeriesError(f"series JSON lacks the field {exc.args[0]!r}") from None
+        except ZeroDivisionError:
+            raise SeriesError("series JSON has a term with denominator 0") from None
         return TruncatedSeries(ctx, terms)
 
     def __repr__(self):
@@ -460,8 +498,7 @@ def _pair_indices(ctx: SeriesContext, pairs, op: str) -> tuple[list, int | None]
     """The pairs ``(a, b, c)`` with ``c`` nonzero as ``(index of a, index
     of b, c)``, ``c`` kept exact when exact, and the index of ``h``, which
     their rungs raise (``None`` without pairs); ``a`` and ``b`` weigh 1."""
-    idx = [(ctx.index(a), ctx.index(b), c if c.__class__ in _KEPT else complex(c))
-           for a, b, c in pairs if c]
+    idx = [(ctx.index(a), ctx.index(b), _number(c)) for a, b, c in pairs if c]
     if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
         raise SeriesError(f"{op} contracts weight-1 variables only")
     return idx, ctx.index(HBAR) if idx else None
@@ -581,6 +618,32 @@ def negligible(c, scale: float) -> bool:
     return abs(c) <= DEFAULT_EPS * scale
 
 
+def _matrix(x, what: str, n: int | None = None, real: bool = False,
+            symmetric: bool = False) -> np.ndarray:
+    """``x`` as a finite square matrix, ``n`` by ``n`` when given, real when
+    ``real`` (else complex) and, when ``symmetric``, with ``X - X^t`` (not
+    the conjugate transpose) negligible against its largest entry.  Every
+    message starts with ``what``, the caller and its argument."""
+    try:
+        m = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError):
+        raise SeriesError(f"{what} is not a numeric matrix") from None
+    if n is not None and m.shape != (n, n):
+        raise SeriesError(f"{what}: expected a {n}x{n} matrix, got {m.size} entries")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise SeriesError(f"{what} of shape {m.shape} is not square")
+    top = np.abs(m).max(initial=0)  # NaN when an entry is NaN
+    if not np.isfinite(top):
+        raise SeriesError(f"{what} has entries that are not finite")
+    if real:
+        if m.imag.any():
+            raise SeriesError(f"{what}: expected a real matrix, got complex entries")
+        m = m.real
+    if symmetric and not negligible(np.abs(m - m.T).max(initial=0), top):
+        raise SeriesError(f"{what} is not symmetric")
+    return m
+
+
 # --- composition and map inversion ------------------------------------------
 
 
@@ -656,8 +719,7 @@ def linear_combination(ctx: SeriesContext,
     for s, k in pairs:
         if s.ctx is not ctx and s.ctx != ctx:
             raise SeriesError("series context mismatch")
-        if k.__class__ not in _KEPT:
-            k = complex(k)
+        k = _number(k)
         for e, c in s.terms.items():
             out[e] = get(e, 0) + c * k
     return _admitted(ctx, out)
@@ -747,7 +809,7 @@ class OscillatoryScalar:
         self.i_power = int(i_power) % 4
         if not isinstance(laurent, TruncatedSeries):
             ctx = SeriesContext((HBAR,), cap)
-            laurent = TruncatedSeries(ctx, {(int(k),): c for k, c in (laurent or {}).items()})
+            laurent = TruncatedSeries(ctx, {(k,): c for k, c in (laurent or {}).items()})
         elif laurent.ctx.variables != (HBAR,):
             raise SeriesError("the Laurent part must be a series in h alone")
         self.series = laurent
@@ -769,10 +831,8 @@ class OscillatoryScalar:
         return self.series.is_zero()
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
-            return OscillatoryScalar(self.exponent, self.series * other, self.i_power)
         if not isinstance(other, OscillatoryScalar):
-            return NotImplemented
+            return OscillatoryScalar(self.exponent, self.series * _number(other), self.i_power)
         if self.exact and other.exact:
             expo = self.exponent + other.exponent
         else:

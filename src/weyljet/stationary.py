@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, exp_second_order, fixed_point, is_singular,
+                     _matrix, compose, exp_second_order, fixed_point, is_singular,
                      linear_combination, negligible)
 
 
@@ -33,28 +33,6 @@ class DegenerateHessianError(SeriesError):
 
 
 # --- Gaussian moments --------------------------------------------------------
-
-
-def _gaussian_form(Q, alpha: Sequence[int] | None = None) -> np.ndarray:
-    """``Q`` as a finite complex square matrix, symmetric in that ``Q - Q^t``
-    (not the conjugate transpose) is negligible against its largest entry,
-    and ``alpha`` holding one nonnegative integer per row when given."""
-    try:
-        Qm = np.asarray(Q, dtype=complex)
-    except (TypeError, ValueError):
-        raise SeriesError("Gaussian form: Q is not a numeric matrix") from None
-    if Qm.ndim != 2 or Qm.shape[0] != Qm.shape[1]:
-        raise SeriesError(f"Gaussian form: Q of shape {Qm.shape} is not square")
-    if not np.isfinite(Qm).all():
-        raise SeriesError("Gaussian form: Q has entries that are not finite")
-    if not negligible(np.abs(Qm - Qm.T).max(initial=0), np.abs(Qm).max(initial=0)):
-        raise SeriesError("Gaussian form: Q is not symmetric")
-    if alpha is not None:
-        if len(alpha) != len(Qm):
-            raise SeriesError("Gaussian moment: alpha needs one entry per row of Q")
-        if not all(isinstance(a, Integral) and a >= 0 for a in alpha):
-            raise SeriesError("Gaussian moment: alpha entries must be nonnegative integers")
-    return Qm
 
 
 def _wick_pairs(z_vars: Sequence[str], Qinv: np.ndarray) -> list:
@@ -72,7 +50,11 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
     ``coefficient * h**hbar_power``; odd total degree gives zero.  The
     propagator of a single pairing is ``i h (Q^{-1})_{jk}``.
     """
-    Qm = _gaussian_form(Q, alpha)
+    Qm = _matrix(Q, "gaussian_moment: Q", symmetric=True)
+    if len(alpha) != len(Qm):
+        raise SeriesError("gaussian_moment: alpha needs one entry per row of Q")
+    if not all(isinstance(a, Integral) and a >= 0 for a in alpha):
+        raise SeriesError("gaussian_moment: alpha entries must be nonnegative integers")
     if is_singular(Qm):
         raise DegenerateHessianError("singular quadratic form")
     z = [f"z{j}" for j in range(len(alpha))]
@@ -105,7 +87,7 @@ def gaussian_prefactor(Q) -> complex:
     largest singular value, and an eigenvalue of ``-iQ`` lies on the cut
     when its angle is within ``DEFAULT_EPS`` of pi.
     """
-    Qm = _gaussian_form(Q)
+    Qm = _matrix(Q, "gaussian_prefactor: Q", symmetric=True)
     if is_singular(Qm):
         raise DegenerateHessianError("degenerate Hessian")
     lam = np.linalg.eigvals(-1j * Qm)

@@ -7,9 +7,11 @@ partially defined and signals undefined elements instead of guessing a
 branch.  Scalars track an exact phase exponent, a Laurent series in ``h``
 and the central character as a power of ``i``.
 
-Every check on float data is scale-free: symmetry, realness and
-degeneracy are judged against the largest entry of the matrix judged,
-through :func:`negligible` and :func:`is_singular`.
+Every matrix handed in (a jet's ``T``, a generator's block, the Sp matrix
+of :func:`factor_sp`) is read by ``_matrix``, the float-matrix reader of
+:mod:`weyljet.series`.  Every check on float data is scale-free: symmetry,
+realness and degeneracy are judged against the largest entry of the
+matrix judged, through :func:`negligible` and :func:`is_singular`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, is_singular, linear_combination, negligible,
+                     _matrix, compose, is_singular, linear_combination, negligible,
                      quadratic_series)
 from .stationary import DegenerateHessianError, hessian_matrix, stationary_phase
 
@@ -36,24 +38,12 @@ def jet_context(n: int, cap: int) -> SeriesContext:
     return SeriesContext(names, cap)
 
 
-def _mat(x, n, dtype=float) -> np.ndarray:
-    """``x`` as an ``n`` by ``n`` matrix of ``dtype``, real by default."""
-    try:
-        m = np.asarray(x, dtype=complex)
-    except (TypeError, ValueError):
-        raise SeriesError("expected a numeric matrix") from None
-    if m.size != n * n:
-        raise SeriesError(f"expected an {n}x{n} matrix, got {m.size} entries")
-    if dtype is float:
-        if m.imag.any():
-            raise SeriesError("expected a real matrix, got complex entries")
-        m = m.real
-    return m.reshape(n, n)
-
-
-def _asymmetric(X) -> bool:
-    """``X - X^T`` is not negligible against the largest entry of ``X``."""
-    return not negligible(np.max(np.abs(X - X.T)), np.max(np.abs(X)))
+def _substitution(B, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``B``, read as a real ``n`` by ``n`` matrix, and its inverse."""
+    B = _matrix(B, f"{what}: B", n, real=True)
+    if is_singular(B):
+        raise SeriesError(f"{what}: singular linear substitution")
+    return B, np.linalg.inv(B)
 
 
 class GaussianJet:
@@ -68,9 +58,7 @@ class GaussianJet:
         self.mode = mode
         self.ctx = amplitude.ctx
         self.n = len([v for v in self.ctx.variables if v != HBAR])
-        T = _mat(T, self.n, complex)
-        if _asymmetric(T):
-            raise SeriesError("T must be symmetric")
+        T = _matrix(T, "GaussianJet: T", self.n, symmetric=True)
         if mode == "weil":
             im = (T - T.conj().T) / 2j
             vals = np.linalg.eigvalsh(im.real)
@@ -131,7 +119,7 @@ class Shear:
     A: tuple  # real symmetric, row tuples
 
     def matrix(self, n):
-        A = _mat(self.A, n)
+        A = _matrix(self.A, "Shear.matrix: A", n, real=True, symmetric=True)
         return np.block([[np.eye(n), A], [np.zeros((n, n)), np.eye(n)]])
 
 
@@ -140,10 +128,7 @@ class Linear:
     B: tuple  # real invertible, row tuples
 
     def matrix(self, n):
-        B = _mat(self.B, n)
-        if is_singular(B):
-            raise SeriesError("singular linear substitution")
-        Binv = np.linalg.inv(B)
+        B, Binv = _substitution(self.B, n, "Linear.matrix")
         return np.block([[B, np.zeros((n, n))], [np.zeros((n, n)), Binv.T]])
 
 
@@ -174,17 +159,11 @@ def word_matrix(word: Sequence, n: int) -> np.ndarray:
 
 
 def act_shear(A, jet: GaussianJet) -> GaussianJet:
-    Am = _mat(A, jet.n)
-    if _asymmetric(Am):
-        raise SeriesError("shear matrix must be symmetric")
-    return jet.with_parts(T=jet.T + Am)
+    return jet.with_parts(T=jet.T + _matrix(A, "act_shear: A", jet.n, real=True, symmetric=True))
 
 
 def act_gl(B, jet: GaussianJet) -> GaussianJet:
-    Bm = _mat(B, jet.n)
-    if is_singular(Bm):
-        raise SeriesError("singular linear substitution")
-    Binv = np.linalg.inv(Bm)
+    Bm, Binv = _substitution(B, jet.n, "act_gl")
     T2 = Binv.T @ jet.T @ Binv
     T2 = (T2 + T2.T) / 2
     uvars = jet.vars()
@@ -250,19 +229,22 @@ def act_word(word: Sequence, jet: GaussianJet) -> GaussianJet:
 # --- canonical refactorization -------------------------------------------------
 
 
-def factor_sp(M: np.ndarray) -> list:
-    """Factor a symplectic matrix with invertible lower-left block as
-    Shear(A) Linear(B) Fourier Shear(C); entries act in list order."""
-    m = M.shape[0] // 2
-    P, Q = M[:m, :m], M[:m, m:]
-    R, S = M[m:, :m], M[m:, m:]
+def factor_sp(M) -> list:
+    """Factor a real symplectic matrix of even order with invertible
+    lower-left block as Shear(A) Linear(B) Fourier Shear(C); entries act
+    in list order."""
+    M = _matrix(M, "factor_sp: M", real=True)
+    m, odd = divmod(len(M), 2)
+    if odd:
+        raise SeriesError(f"factor_sp: M of order {len(M)} is not of even order")
+    P, R, S = M[:m, :m], M[m:, :m], M[m:, m:]
     if is_singular(R):
         raise SeriesError("lower-left block not invertible: word not factorable here")
-    B = -np.linalg.inv(R).T
-    A = P @ np.linalg.inv(R)
-    C = np.linalg.inv(R) @ S
-    if _asymmetric(A) or _asymmetric(C):
-        raise SeriesError("factorization produced a non-symmetric shear")
+    Rinv = np.linalg.inv(R)
+    B = -Rinv.T
+    what = "factor_sp: M is not symplectic: its shear"
+    A = _matrix(P @ Rinv, f"{what} A", symmetric=True, real=True)
+    C = _matrix(Rinv @ S, f"{what} C", symmetric=True, real=True)
     A = (A + A.T) / 2
     C = (C + C.T) / 2
     word = [Shear(tuple(map(tuple, C))), Fourier(None),

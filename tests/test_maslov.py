@@ -844,3 +844,40 @@ def test_cech_perturbed_fails_with_triple():
     assert not rep["cocycle"]
     kinds = {f["kind"] for f in rep["failures"]}
     assert "triple" in kinds
+
+
+def test_a_point_is_two_sequences_of_n_coordinates():
+    graph, fiber = graph_chart(2), fiber_chart(2)
+    for bad in [((), ()), ((0,), (0,), (0,)), 5, ((0, 1), (0,)), ((0,), None)]:
+        message = re.escape(f"point {bad!r} is not two sequences of 1 coordinates")
+        for call in (lambda: graph.point_free_values(bad), lambda: graph.contains_point(bad),
+                     lambda: fiber.phase_on_l(bad), lambda: submanifold_cocycle(graph, fiber, bad),
+                     lambda: alpha_cocycle(graph, fiber, bad)):
+            with pytest.raises(MaslovError, match=message):
+                call()
+    data = graph.to_json()
+    for key in ("chart_id", "base_chart", "n", "base_free", "F"):
+        with pytest.raises(MaslovError, match=f"chart JSON lacks the field '{key}'"):
+            SubdivisionChart.from_json({k: v for k, v in data.items() if k != key})
+
+
+def test_maslov_input_errors_are_typed():
+    # the graph of F has the slope of the zero section at 0 and at the three
+    # points alpha_cocycle samples, 1/10, 1/13 and 1/16, but another phase
+    ctx = SeriesContext(["x1"], 6)
+    x = ctx.variable("x1")
+    slope = x * (x - Fraction(1, 10)) * (x - Fraction(1, 13)) * (x - Fraction(1, 16))
+    F = ctx.from_terms({(p + 1,): Fraction(c) / (p + 1) for (p,), c in slope.terms.items()})
+    wavy = SubdivisionChart("wavy", "base", 1, (0,), F)
+    zero = ((Fraction(0),), (Fraction(0),))
+    two = SubdivisionChart("two", "base", 2, (0,), poly(["x1", "e2"]))
+    for call, message in [
+            (lambda: submanifold_cocycle(graph_chart(1), two, zero), "dimension mismatch"),
+            (lambda: alpha_cocycle(graph_chart(1), graph_chart(2), ((1,), (2,))),
+             "point does not satisfy both chart descriptions"),
+            (lambda: alpha_cocycle(graph_chart(1), graph_chart(2), zero),
+             "charts describe different Lagrangians near the point"),
+            (lambda: alpha_cocycle(wavy, graph_chart(0), zero),
+             "phase difference is not locally constant")]:
+        with pytest.raises(MaslovError, match=message):
+            call()

@@ -13,6 +13,11 @@
   ``degrees``, except the readers named in ``EXPONENT_READERS``.
 - One filtration: only ``series.py`` reads a context's ``weights``; every
   other module tells ``h`` from the jet variables by its name.
+- One matrix reader: only ``series.py`` calls ``np.asarray``; every other
+  module reads a float matrix through the reader there.
+- One number rule: no module tests for a number with an ``isinstance``
+  tuple that holds ``float`` or ``complex``; the number rule of
+  ``series.py`` asks ``numbers.Number``.
 - Admission contract: every operation the ``series`` docstring names in
   it exists.
 - No dead code: every public function, method and class of the package is
@@ -167,6 +172,48 @@ def weight_reads():
 
 def test_weights_are_read_in_series_only():
     assert not sorted(weight_reads())
+
+
+def asarray_calls():
+    """``(file, line)`` of every ``asarray`` call outside ``series.py``."""
+    for name, tree in modules():
+        if name != "series.py":
+            for line in asarray_lines(tree):
+                yield name, line
+
+
+def asarray_lines(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "asarray" in (getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None)):
+            yield node.lineno
+
+
+def test_matrices_are_read_in_series_only():
+    assert [list(asarray_lines(ast.parse(code))) for code in (
+        "m = np.asarray(x, dtype=complex)", "m = asarray(x)", "m = np.array(x)")] == [
+        [1], [1], []]
+    assert not sorted(asarray_calls())
+
+
+def float_type_tests(tree):
+    """Line of every ``isinstance`` call whose tuple of types holds
+    ``float`` or ``complex``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
+                and any(getattr(t, "id", None) in ("float", "complex")
+                        for t in node.args[1].elts)):
+            yield node.lineno
+
+
+def test_numbers_are_told_by_the_number_rule_only():
+    assert [list(float_type_tests(ast.parse(code))) for code in (
+        "isinstance(k, (int, float, complex, Fraction))", "isinstance(k, (complex,))",
+        "isinstance(k, complex)", "isinstance(k, (int, Fraction))",
+        "isinstance(k, Number)")] == [[1], [1], [], [], []]
+    assert not sorted((name, line) for name, tree in modules()
+                      for line in float_type_tests(tree))
 
 
 def contract_names() -> list[str]:

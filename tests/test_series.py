@@ -742,3 +742,75 @@ def test_products_with_a_zero_or_a_capped_operand():
     assert f * c.zero() == c.zero() == c.zero() * f
     # u1^4 has no room for u2, the lowest term of the other operand
     assert f * c.variable("u2") == c.from_terms({(1, 1, -1): 2, (0, 2, 0): 1j})
+
+
+def test_one_number_rule_for_scalar_operands():
+    ctx = SeriesContext(["y1", "h"], 4)
+    s = ctx.variable("y1") + Fraction(1, 3)
+    # exact scalars stay exact; every other number becomes complex
+    assert (s * 2).terms == {(1, 0): 2, (0, 0): Fraction(2, 3)}
+    assert (s * np.int64(2)) == s * complex(2)
+    assert (s + np.int64(2)) == s + complex(2) and (s - np.int64(2)) == s - complex(2)
+    assert (s * np.float32(2)) == s * complex(2)
+    assert linear_combination(ctx, [(s, np.int64(3))]) == s * complex(3)
+    assert (OscillatoryScalar.one() * np.int64(3)).laurent == {0: 3}
+    for call in (lambda: s * "a", lambda: "a" * s, lambda: s + "a", lambda: "a" - s,
+                 lambda: s - None, lambda: s * [1], lambda: OscillatoryScalar.one() * "a",
+                 lambda: OscillatoryScalar.one() * s,
+                 lambda: linear_combination(ctx, [(s, "a")]),
+                 lambda: exp_second_order(s, [("y1", "y1", "a")])):
+        with pytest.raises(SeriesError, match="is not a number"):
+            call()
+
+
+def test_exponents_and_caps_are_integral():
+    ctx = SeriesContext(["y1", "h"], 4)
+    s = TruncatedSeries(ctx, {(np.int64(1), np.int64(0)): 2})
+    assert [type(p) for e in s.terms for p in e] == [int, int]
+    assert json.loads(json.dumps(s.to_json())) == s.to_json()
+    assert ctx.monomial({"y1": np.int64(2)}) == ctx.variable("y1", 2)
+    assert SeriesContext(["y1"], np.int64(3)).cap.__class__ is int
+    assert OscillatoryScalar(0, {np.int64(-1): 1}).laurent == {-1: 1}
+    good = {"variables": ["y1", "h"], "cap": 4, "terms": [{"exp": [1, 0], "num": 1, "den": 2}]}
+    for call, message in [
+            (lambda: TruncatedSeries(ctx, {(1.5, 0): 1}), r"exponent \(1.5, 0\) is not integral"),
+            (lambda: TruncatedSeries(ctx, {1: 1}), "exponent 1 is not integral"),
+            (lambda: TruncatedSeries.from_json({**good, "terms": [{"exp": [1.5, 0], "re": 1,
+                                                                   "im": 0}]}),
+             "is not integral"),
+            (lambda: ctx.monomial({"y1": 1.7}), "is not integral"),
+            (lambda: ctx.monomial([1, "2"]), "is not integral"),
+            (lambda: SeriesContext(["y1"], 2.5), "cap 2.5 is not an integer"),
+            (lambda: OscillatoryScalar(0, {0.5: 1}), "is not integral"),
+            (lambda: TruncatedSeries.from_json({"variables": ["y1"], "terms": []}),
+             "series JSON lacks the field 'cap'"),
+            (lambda: TruncatedSeries.from_json({**good, "terms": [{"num": 1, "den": 2}]}),
+             "series JSON lacks the field 'exp'"),
+            (lambda: TruncatedSeries.from_json({**good, "terms": [{"exp": [1, 0], "num": 1,
+                                                                   "den": 0}]}),
+             "series JSON has a term with denominator 0")]:
+        with pytest.raises(SeriesError, match=message):
+            call()
+    assert TruncatedSeries.from_json(good).terms == {(1, 0): Fraction(1, 2)}
+
+
+def test_series_input_errors_are_typed():
+    ctx = SeriesContext(["y1", "y2", "h"], 4)
+    y1, y2 = ctx.variable("y1"), ctx.variable("y2")
+    other = SeriesContext(["y1", "y2", "h"], 6)
+    h_only = SeriesContext(["h"], 4)
+    for call, message in [
+            (lambda: SeriesContext(["y1", "y1"], 2), "duplicate variable names"),
+            (lambda: SeriesContext(["y1"], -1), "cap must be nonnegative"),
+            (lambda: (1 + y1) ** -1, "negative powers"),
+            (lambda: y1.unit_inverse(), "inverse of a non-unit series"),
+            (lambda: (y1 - 1).unit_sqrt(), "positive real lead"),
+            (lambda: y1.map_vars({"y1": "z"}, ctx), "unknown variable 'z'"),
+            (lambda: invert_map({"y1": y1, "y2": other.variable("y2")}),
+             "images live in different contexts"),
+            (lambda: invert_map({"y1": y1 + 1, "y2": y2}), "image of 'y1' has nonzero constant"),
+            (lambda: invert_map({"y1": y1 + y2}), "image of 'y1' has linear part outside"),
+            (lambda: OscillatoryScalar(0, y1), "series in h alone")]:
+        with pytest.raises(SeriesError, match=message):
+            call()
+    assert OscillatoryScalar(0, h_only.variable("h")).laurent == {1: 1}

@@ -537,3 +537,24 @@ def test_high_caps_need_no_convergence_test():
         assert pref2 == pref
         assert_close(G2.map_vars({}, G.ctx), G)
         assert_close(b2.map_vars({}, b.ctx), b)
+
+
+def test_stationary_input_errors_are_typed():
+    ctx = SeriesContext(["z1", "h"], 4)
+    other = SeriesContext(["z1", "h"], 6)
+    phase = ctx.monomial({"z1": 2}, 0.5)
+    for call, message in [
+            (lambda: fiber_stationary_phase(phase, other.one(), ["z1"]),
+             "phase and amplitude context mismatch"),
+            (lambda: fiber_stationary_phase(phase + ctx.monomial({"z1": 2, "h": 1}), ctx.one(),
+                                            ["z1"]),
+             "phase must not depend on the deformation parameter"),
+            # -iQ = -1 lies on the cut of the principal logarithm
+            (lambda: gaussian_prefactor([[-1j]]), "Hessian branch point on the cut"),
+            # the one matrix reader names the caller
+            (lambda: gaussian_prefactor([[1, np.nan], [np.nan, 1]]),
+             "gaussian_prefactor: Q has entries that are not finite"),
+            (lambda: gaussian_moment([[1, 2]], [1, 1]), r"gaussian_moment: Q of shape \(1, 2\)"),
+            (lambda: gaussian_moment(np.eye(2), [1]), "gaussian_moment: alpha needs one entry")]:
+        with pytest.raises(SeriesError, match=message):
+            call()

@@ -337,3 +337,52 @@ def test_fourier_twice_is_the_parity_up_to_the_centre(n):
     ok, lam, resid = jets_equal_mod_center(act_fourier(None, act_fourier(None, jet)),
                                            parity, 1e-12)
     assert ok and lam == 1, (lam, resid)
+
+
+def test_every_matrix_handed_in_is_read_by_the_one_reader():
+    jet = basic_jet(n=2, cap=4)
+    nan, inf = float("nan"), float("inf")
+    not_finite = "has entries that are not finite"
+    for call, message in [
+            (lambda: act_gl([[nan, 0.0], [0.0, 1.0]], jet), f"act_gl: B {not_finite}"),
+            (lambda: Linear(((nan, 0.0), (0.0, 1.0))).matrix(2), f"Linear.matrix: B {not_finite}"),
+            (lambda: Linear(((inf,),)).matrix(1), f"Linear.matrix: B {not_finite}"),
+            (lambda: act_shear([[inf, 0.0], [0.0, 1.0]], jet), f"act_shear: A {not_finite}"),
+            (lambda: GaussianJet("weil0", [[nan]], jet_context(1, 4).one()),
+             f"GaussianJet: T {not_finite}"),
+            # a non-symmetric shear has no Sp matrix, in word_matrix as in act_word
+            (lambda: word_matrix([Shear(((1, 2), (0, 1)))], 2),
+             "Shear.matrix: A is not symmetric"),
+            (lambda: act_word([Shear(((1, 2), (0, 1)))], jet), "act_shear: A is not symmetric"),
+            (lambda: factor_sp(np.eye(3)), "factor_sp: M of order 3 is not of even order"),
+            (lambda: factor_sp([[1.0, 2.0]]), r"factor_sp: M of shape \(1, 2\) is not square"),
+            (lambda: factor_sp([[1j, 0], [0, 1]]), "factor_sp: M: expected a real matrix"),
+            (lambda: factor_sp([["a"]]), "factor_sp: M is not a numeric matrix"),
+            (lambda: act_gl(np.eye(4).reshape(16), jet),
+             "act_gl: B: expected a 2x2 matrix, got 16")]:
+        with pytest.raises(SeriesError, match=f"^{message}"):
+            call()
+    # a list is read as the array it holds, with the same word
+    M = word_matrix([Shear(((0.5, 0.2), (0.2, 1.0))), Fourier(None)], 2)
+    assert factor_sp(M.tolist()) == factor_sp(M)
+
+
+def test_weil_input_errors_are_typed():
+    jet = basic_jet(n=2, cap=4)
+    ctx = jet.ctx
+    not_symplectic = word_matrix([Fourier(None)], 2)
+    not_symplectic[:2, :2] = [[1.0, 2.0], [0.0, 1.0]]  # P R^-1 is not symmetric
+    # Im T is positive definite, yet T is singular against its largest entry
+    thin = GaussianJet("weil", np.diag([1e10 + 1j, 1e-3j]), ctx.one())
+    for call, message in [
+            (lambda: GaussianJet("weyl", np.zeros((2, 2)), ctx.one()), "mode must be"),
+            (lambda: GaussianJet("weil", np.diag([1j, -1j]), ctx.one()),
+             "Im T positive definite"),
+            (lambda: Fourier(("u1",)).matrix(2), "partial Fourier has no single Sp matrix"),
+            (lambda: act_fourier(None, thin), "degenerate Hessian"),
+            (lambda: act_gl([[1.0, 2.0], [2.0, 4.0]], jet),
+             "act_gl: singular linear substitution"),
+            (lambda: act_word([Central(1), "shear"], jet), "unknown generator 'shear'"),
+            (lambda: factor_sp(not_symplectic), "factor_sp: M is not symplectic")]:
+        with pytest.raises(SeriesError, match=message):
+            call()

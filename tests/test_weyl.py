@@ -510,3 +510,24 @@ def test_heisenberg_payload_translates(cap):
             want = want + term
         assert exp_ad(Y, w).distance(want) <= 1e-13 * max(1.0, w.max_abs())
 
+
+
+def test_weyl_input_errors_are_typed():
+    A = algebra(n=1, cap=4)
+    u, v = A.var("u1"), A.var("v1")
+    k = KGroupElement(A, {"u1": u + 0.3 * u * u})
+    for call, message in [
+            (lambda: KGroupElement(A, {"u1": u + u * v}),
+             "diffeomorphism must involve position jets"),
+            (lambda: KGroupElement(A, {"u1": u}, A.one() + u), "multiplier exponent must vanish"),
+            (lambda: KGroupElement(A, {"u1": u}, u * A.hbar()),
+             "multiplier must involve position"),
+            (lambda: KGroupElement(A, {"u1": u * u}), "non-invertible linear part"),
+            (lambda: k.act(u + v), "K acts on position-jet series"),
+            (lambda: weyl_quantize(A, u).apply(v), "operator argument depends on momentum"),
+            (lambda: LieElement(A, u, "G"), "tag must be g or gtilde"),
+            # (1/ih) u v keeps the degree of u: its exponential never ends under truncation
+            (lambda: exp_lie_apply(LieElement(A, u * v), u),
+             "operator exponential did not terminate")]:
+        with pytest.raises(SeriesError, match=message):
+            call()
