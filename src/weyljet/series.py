@@ -23,18 +23,24 @@ checks that it is numeric, square, finite, and real and symmetric when
 asked, and names the caller in every message.
 
 Admission contract: the public constructors (``TruncatedSeries(ctx,
-terms)``, ``from_terms``, ``monomial``, ``from_json``, ``shift_exponent``
-and ``map_vars``) check arity, the cap, the exponent signs (only h goes
-negative) and the coefficient type of every term.  Exponents are
-integral: the constructors read each one as a sequence index, as a
-context reads its cap, and store it as an int, so a float exponent is an
-error.  Operations closed over admitted terms (``*``, ``+``, ``-``,
-``diff``, ``filter_degree``, ``exp_second_order``, ``contract_product``,
-``compose``, ``linear_combination`` and ``quadratic_series``) trust their
-operands and only drop the zero coefficients of their result.
+terms)``, ``from_terms``, ``monomial``, ``from_json`` and
+``shift_exponent``) check arity, the cap, the exponent signs (only h
+goes negative), that each exponent fits its packed field, and the
+coefficient of every term, which they read by the number rule.
+Exponents are integral: the constructors read each one as a sequence
+index, as a context reads its cap, and store it as an int, so a float
+exponent is an error.  ``map_vars`` keeps every degree, sign and
+coefficient of its admitted operand, so it checks only the cap and the
+fields of variables it merges.  Operations closed over admitted terms
+(``*``, ``+``, ``-``, ``diff``, ``filter_degree``, ``exp_second_order``,
+``contract_product``, ``compose``, ``linear_combination`` and
+``quadratic_series``) trust their operands, check the packed fields of
+the keys they compute, and only drop the zero coefficients of their
+result.
 
 One number rule: :func:`_number` reads the scalar operand of ``+``,
-``-``, ``*`` and ``linear_combination``.  ``int`` and ``Fraction`` stay
+``-``, ``*`` and ``linear_combination``, and every coefficient the
+constructors read.  ``int`` and ``Fraction`` stay
 exact, any other ``numbers.Number`` becomes ``complex``, and anything
 else is an error.
 
@@ -67,6 +73,26 @@ One exact substitution: :func:`compose` builds each distinct product of
 image powers once, from its prefix's, at a cap wider by the depth of the
 most negative unsubstituted part of a term, and shifts it into each term
 that needs it, so it keeps every term of degree <= cap.
+
+Packed monomials (Monagan & Pearce): a series stores each term under one
+Python int, its key.  The key holds the weighted degree in its top field
+(signed, unbounded), then one 8-bit field per variable in the context's
+order, the first variable most significant; the field of ``h`` holds its
+exponent plus 64.  The layout depends on the variables only, so contexts
+that differ in their cap share their keys.  Keys order as (weighted
+degree, exponent tuple) do; a product's key is the sum of its factors'
+keys less the key of the constant monomial, the bias; a rung of
+:func:`_climb` adds one constant; and a term is within the cap exactly
+when its key is below ``(cap + 1) << 8 n`` for n variables.  The top bit
+of each field is a guard, zero in every admitted key: an exponent of a
+jet variable runs from 0 to 127 and one of ``h`` from -64 to 63, the
+constructors raise for one beyond its field, and every key a closed
+operation computes is checked, so a carry between fields (only a deep
+inverse power of ``h`` makes one) raises instead of aliasing another
+term.  A cap is at most 381, which keeps every power of ``h`` a product
+can reach within reach of the guard.  ``.terms`` is the public view
+``exponent tuple -> coefficient``, decoded from the keys on each access;
+nothing in this module reads it.
 """
 
 from __future__ import annotations
@@ -74,15 +100,26 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from numbers import Number
-from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from operator import mul
 
 import numpy as np
 
 DEFAULT_EPS = 1e-9
 HBAR = "h"  # the deformation parameter, weight 2
+
+# the packed keys: bits per exponent field, the top one its guard; the
+# offset that h's field adds to its exponent; and the largest cap, whose
+# products keep h^k, k <= (cap + 1) / 2, within reach of the guard
+_FIELD = 8
+_HALF = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
+_H_OFFSET = _HALF >> 1
+_MAX_CAP = 2 * (_MASK - _H_OFFSET) - 1
+_FIELD_RANGE = (f"a jet exponent runs from 0 to {_HALF - 1}, "
+                f"one of h from {-_H_OFFSET} to {_HALF - _H_OFFSET - 1}")
 
 
 class SeriesError(ValueError):
@@ -93,10 +130,12 @@ class SeriesContext:
     """Shared ambient data for a family of series.
 
     Contexts are immutable; two contexts compare equal when all their
-    fields agree, and series operations require equal contexts.
+    fields agree, and series operations require equal contexts.  The
+    layout of the packed keys is fixed by the variables alone.
     """
 
-    __slots__ = ("variables", "weights", "cap", "_index", "_key")
+    __slots__ = ("variables", "weights", "cap", "_index", "_key", "_shifts", "_offsets",
+                 "_units", "_zero", "_guard", "_deg_shift", "_top")
 
     def __init__(self, variables: Sequence[str], cap: int):
         variables = tuple(variables)
@@ -108,11 +147,25 @@ class SeriesContext:
             raise SeriesError(f"cap {cap!r} is not an integer") from None
         if cap < 0:
             raise SeriesError("cap must be nonnegative")
+        if cap > _MAX_CAP:
+            raise SeriesError(f"cap {cap} is beyond {_MAX_CAP}, the largest packed keys hold")
         self.variables = variables
         self.weights = tuple(2 if v == HBAR else 1 for v in variables)
         self.cap = cap
         self._index = {v: i for i, v in enumerate(variables)}
         self._key = (variables, self.cap)
+        n = len(variables)
+        # the key of x^e is _zero + sum(e_i * _units[i]): field i at bit
+        # _shifts[i] holds e_i + _offsets[i], and the weighted degree sits
+        # at bit _deg_shift, above every field
+        self._deg_shift = n * _FIELD
+        self._shifts = tuple((n - 1 - i) * _FIELD for i in range(n))
+        self._offsets = tuple(_H_OFFSET if v == HBAR else 0 for v in variables)
+        self._units = tuple((w << self._deg_shift) + (1 << s)
+                            for w, s in zip(self.weights, self._shifts))
+        self._zero = sum(o << s for o, s in zip(self._offsets, self._shifts))
+        self._guard = sum(_HALF << s for s in self._shifts)
+        self._top = (cap + 1) << self._deg_shift  # the first key beyond the cap
 
     def __eq__(self, other):
         return isinstance(other, SeriesContext) and self._key == other._key
@@ -149,6 +202,20 @@ class SeriesContext:
     def monomial(self, exp: Mapping[str, int] | Sequence[int], coeff=1) -> "TruncatedSeries":
         return TruncatedSeries(self, {self._exponent(exp): coeff})
 
+    def _pack(self, exp: Sequence[int]) -> int | None:
+        """The key of an exponent tuple of ints; ``None`` when its arity is
+        not this context's or an exponent is beyond its field."""
+        if len(exp) != len(self._units):
+            return None
+        if exp and (max(exp) >= _HALF or min(exp) < -_H_OFFSET):
+            return None
+        key = self._zero + sum(map(mul, exp, self._units))
+        return None if key & self._guard else key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        return tuple([((key >> s) & _MASK) - o for s, o in zip(self._shifts, self._offsets)])
+
     def _exponent(self, exp: Mapping[str, int] | Sequence[int]) -> tuple[int, ...]:
         """An exponent tuple of ints, from a sequence or from a map ``name ->
         power``, each power read with ``operator.index``."""
@@ -170,28 +237,40 @@ class SeriesContext:
 _KEPT = frozenset((complex, int, Fraction))
 
 
-def _number(k):
-    """The number rule for a scalar operand: ``int`` and ``Fraction`` as
-    given, any other number as ``complex``; anything else is an error."""
+def _number(k, what: str = "scalar operand"):
+    """The number rule for a scalar operand (or the coefficient ``what``
+    names): ``int`` and ``Fraction`` as given, any other number as
+    ``complex``; anything else is an error."""
     if k.__class__ in _KEPT:
         return k
     if isinstance(k, Number):
         return complex(k)
-    raise SeriesError(f"scalar operand {k!r} is not a number")
+    raise SeriesError(f"{what} {k!r} is not a number")
 
 
 def _admitted(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
-    """A series over terms that a closed operation built from admitted
-    ones: arity, cap, exponent signs and coefficient types already hold,
-    so only the zero coefficients are dropped."""
+    """A series over keyed terms that a closed operation built from
+    admitted ones: arity, cap, exponent signs and fields and coefficient
+    types already hold, so only the zero coefficients are dropped."""
     s = object.__new__(TruncatedSeries)
     s.ctx = ctx
-    s.terms = {e: c for e, c in terms.items() if c}
+    # no series changes its map once made, so one without zeros is shared
+    s._packed = terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
     return s
 
 
+def _made(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
+    """``_admitted`` for keys that a closed operation computed: a key with
+    a guard bit set holds an exponent that outgrew its field."""
+    if any(map(ctx._guard.__and__, terms)):
+        raise SeriesError(f"an exponent outgrew its packed field: {_FIELD_RANGE}")
+    return _admitted(ctx, terms)
+
+
 class TruncatedSeries:
-    """A finite sparse term map ``exponent tuple -> coefficient``.
+    """A finite sparse map from monomials to coefficients, keyed by the
+    packed ints of the ``series`` module docstring; ``.terms`` decodes it
+    to ``exponent tuple -> coefficient`` on each access.
 
     Coefficients are ``complex``, or ``int``/``Fraction`` kept exact: the
     ring is whatever the coefficients are, and a complex operand makes
@@ -200,13 +279,14 @@ class TruncatedSeries:
     and results never depend on term insertion order.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_packed")
 
     def __init__(self, ctx: SeriesContext, terms: Mapping[tuple[int, ...], complex]):
         self.ctx = ctx
         cap = ctx.cap
         weights = ctx.weights
-        clean: dict[tuple[int, ...], complex] = {}
+        pack = ctx._pack
+        clean: dict[int, complex] = {}
         nvars = len(ctx.variables)
         integral = operator.index
         for exp, c in terms.items():
@@ -215,7 +295,7 @@ class TruncatedSeries:
             except TypeError:
                 raise SeriesError(f"exponent {exp!r} is not integral") from None
             if c.__class__ not in _KEPT:
-                c = complex(c)
+                c = _number(c, "coefficient")
             if not c:
                 continue
             if len(exp) != nvars:
@@ -226,53 +306,71 @@ class TruncatedSeries:
                 for e, v in zip(exp, ctx.variables):
                     if e < 0 and v != HBAR:
                         raise SeriesError(f"negative exponent on variable {v!r}")
-            clean[exp] = c
-        self.terms = clean
+            key = pack(exp)
+            if key is None:
+                raise SeriesError(f"exponent {exp} is beyond its packed field: {_FIELD_RANGE}")
+            clean[key] = c
+        self._packed = clean
 
     # --- inspection ----------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], complex]:
+        """The term map ``exponent tuple -> coefficient``, decoded afresh."""
+        return dict(self._decoded())
+
+    def _decoded(self) -> list:
+        """``(exponent tuple, coefficient)`` of each term, in the order held."""
+        unpack = self.ctx._unpack
+        return [(unpack(k), c) for k, c in self._packed.items()]
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def coefficient(self, exp: Mapping[str, int] | Sequence[int]) -> complex:
-        return self.terms.get(self.ctx._exponent(exp), 0)
+        return self._packed.get(self.ctx._pack(self.ctx._exponent(exp)), 0)
 
     def constant_term(self) -> complex:
-        return self.terms.get((0,) * len(self.ctx.variables), 0)
+        return self._packed.get(self.ctx._zero, 0)
 
     def min_degree(self) -> int:
         """Smallest weighted degree present (0 for the zero series)."""
-        return min(self.degrees(self.ctx.variables), default=0)
+        return min(self._packed) >> self.ctx._deg_shift if self._packed else 0
 
     def max_degree(self) -> int:
-        return max(self.degrees(self.ctx.variables), default=0)
+        return max(self._packed) >> self.ctx._deg_shift if self._packed else 0
 
     def depends_on(self, var: str) -> bool:
         i = self.ctx.index(var)
-        return any(e[i] != 0 for e in self.terms)
+        s, o = self.ctx._shifts[i], self.ctx._offsets[i]
+        return any(((k >> s) & _MASK) != o for k in self._packed)
 
     def _degree_in(self, variables: Iterable[str]):
-        """The weighted degree of an exponent tuple in ``variables``."""
+        """The weighted degree of a key in ``variables``: its top field when
+        they are all the context's variables."""
         ctx = self.ctx
         idx = [ctx.index(v) for v in variables]
-        w = [ctx.weights[i] for i in idx]
-        return lambda e: sum(map(mul, map(e.__getitem__, idx), w))
+        if sorted(idx) == list(range(len(ctx.variables))):
+            top = ctx._deg_shift
+            return lambda k: k >> top
+        fields = [(ctx._shifts[i], ctx.weights[i]) for i in idx]
+        base = sum(ctx.weights[i] * ctx._offsets[i] for i in idx)
+        return lambda k: sum(w * ((k >> s) & _MASK) for s, w in fields) - base
 
     def degrees(self, variables: Iterable[str]) -> set[int]:
         """The weighted degrees in ``variables`` of the terms present."""
-        degree = self._degree_in(variables)
-        return {degree(e) for e in self.terms}
+        return set(map(self._degree_in(variables), self._packed))
 
     def filter_degree(self, variables: Iterable[str], keep) -> "TruncatedSeries":
         """The terms whose weighted degree in ``variables`` satisfies ``keep``."""
         degree = self._degree_in(variables)
-        return _admitted(self.ctx, {e: c for e, c in self.terms.items() if keep(degree(e))})
+        return _admitted(self.ctx, {k: c for k, c in self._packed.items() if keep(degree(k))})
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return max((abs(c) for c in self._packed.values()), default=0.0)
 
     def is_close(self, other: "TruncatedSeries", tol: float = DEFAULT_EPS) -> bool:
         return (self - other).max_abs() <= tol
@@ -285,7 +383,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self._packed == other._packed
 
     __hash__ = None
 
@@ -297,16 +395,16 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = self.ctx.constant(_number(other))
         self._check(other)
-        out = dict(self.terms)
+        out = dict(self._packed)
         get = out.get
-        for e, c in other.terms.items():
-            out[e] = get(e, 0) + c
+        for k, c in other._packed.items():
+            out[k] = get(k, 0) + c
         return _admitted(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _admitted(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _admitted(self.ctx, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -320,7 +418,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return contract_product(self, other, ())
         other = _number(other)
-        return _admitted(self.ctx, {e: v * other for e, v in self.terms.items()})
+        return _admitted(self.ctx, {k: v * other for k, v in self._packed.items()})
 
     __rmul__ = __mul__
 
@@ -339,22 +437,26 @@ class TruncatedSeries:
     # --- calculus -------------------------------------------------------
 
     def diff(self, var: str) -> "TruncatedSeries":
-        i = self.ctx.index(var)
-        out: dict[tuple[int, ...], complex] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
+        ctx = self.ctx
+        i = ctx.index(var)
+        s, o, unit = ctx._shifts[i], ctx._offsets[i], ctx._units[i]
+        out: dict[int, complex] = {}
+        get = out.get
+        for k, c in self._packed.items():
+            p = ((k >> s) & _MASK) - o
+            if p == 0:
                 continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
-        return _admitted(self.ctx, out)
+            k -= unit
+            out[k] = get(k, 0) + c * p
+        return _made(ctx, out)
 
     def shift_exponent(self, var: str, k: int) -> "TruncatedSeries":
         """Multiply by var**k at the exponent level (k may be negative
-        for ``h``)."""
+        for ``h``); a public constructor, so the shifted terms are read as
+        the constructor reads any."""
         i = self.ctx.index(var)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._decoded():
             e2 = list(e)
             e2[i] += k
             out[tuple(e2)] = c
@@ -407,7 +509,7 @@ class TruncatedSeries:
         total = 0
         vals = [point.get(v, 0) for v in self.ctx.variables]
         vals = [_number(x) for x in vals]
-        for e, c in self.terms.items():
+        for e, c in self._decoded():
             t = c
             for x, p in zip(vals, e):
                 if p:
@@ -420,7 +522,14 @@ class TruncatedSeries:
         name); ``h`` maps to ``h`` and nothing else does.  Source variables
         absent from the target are allowed while unused."""
         src = self.ctx
-        used = [any(e[i] for e in self.terms) for i in range(len(src.variables))]
+        if new_ctx.variables == src.variables and all(
+                mapping.get(v, v) == v for v in src.variables):
+            # the same layout: a lift copies the keys, a lower drops those beyond its cap
+            top = new_ctx._top
+            return _admitted(new_ctx, self._packed if new_ctx.cap >= src.cap else
+                             {k: c for k, c in self._packed.items() if k < top})
+        used = [any(((k >> s) & _MASK) != o for k in self._packed)
+                for s, o in zip(src._shifts, src._offsets)]
         targets: list[int | None] = []
         for i, v in enumerate(src.variables):
             tv = mapping.get(v, v)
@@ -432,22 +541,41 @@ class TruncatedSeries:
             if (v == HBAR) != (tv == HBAR):
                 raise SeriesError(f"h maps to h only: cannot map {v!r} to {tv!r}")
             targets.append(new_ctx.index(tv))
+        # a renaming keeps every weighted degree, sign and coefficient: each
+        # used field moves to its target's place (h's with its offset, else
+        # the target's zero key supplies it), and only the cap and the
+        # exponents of variables merged into one are checked
+        moves = [(s, new_ctx._shifts[j]) for s, j, u in zip(src._shifts, targets, used) if u]
+        merged = len({t for _, t in moves}) < len(moves)
+        h_moves = HBAR in src._index and used[src._index[HBAR]]
+        base = 0 if h_moves else new_ctx._zero
         n = len(new_ctx.variables)
-        out: dict[tuple[int, ...], complex] = {}
-        for e, c in self.terms.items():
-            e2 = [0] * n
-            for p, j in zip(e, targets):
-                if j is not None:
-                    e2[j] += p
-            key = tuple(e2)
-            out[key] = out.get(key, 0) + c
-        return TruncatedSeries(new_ctx, out)
+        cap, old_shift, new_shift = new_ctx.cap, src._deg_shift, new_ctx._deg_shift
+        out: dict[int, complex] = {}
+        get = out.get
+        for k, c in self._packed.items():
+            d = k >> old_shift
+            if d > cap:
+                continue
+            if merged:
+                e2 = [0] * n
+                for p, j in zip(src._unpack(k), targets):
+                    if j is not None:
+                        e2[j] += p
+                key = new_ctx._pack(e2)
+                if key is None:
+                    raise SeriesError(f"map_vars: exponent {tuple(e2)} is beyond its packed field: "
+                                      f"{_FIELD_RANGE}")
+            else:
+                key = (d << new_shift) + base + sum([((k >> s) & _MASK) << t for s, t in moves])
+            out[key] = get(key, 0) + c
+        return _admitted(new_ctx, out)
 
     # --- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
         ctx = self.ctx
-        items = sorted(self.terms.items(), key=lambda t: t[0])
+        items = sorted(self._decoded(), key=lambda t: t[0])
         return {
             "variables": list(ctx.variables),
             "cap": ctx.cap,
@@ -470,14 +598,14 @@ class TruncatedSeries:
         return TruncatedSeries(ctx, terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._packed:
             return "<series 0>"
         bits = []
-        for e, c in sorted(self.terms.items())[:8]:
+        for e, c in sorted(self._decoded(), key=lambda t: t[0])[:8]:
             mono = "*".join(f"{v}^{p}" for v, p in zip(self.ctx.variables, e) if p)
             c = f"{c:.4g}" if isinstance(c, complex) else str(c)
             bits.append(f"({c}){('*' + mono) if mono else ''}")
-        more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
+        more = "" if len(self._packed) <= 8 else f" +{len(self._packed) - 8} terms"
         return "<series " + " + ".join(bits) + more + ">"
 
 
@@ -517,20 +645,24 @@ def _ladder(p: int, q: int, step: int = 1) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _climb(terms: list, i: int, j: int, ih: int, c, ladder: tuple[int, ...]):
-    """The rung rule: append to ``terms`` the rungs k >= 1 of the pair
-    ``(i, j, c)`` above each term held.  Rung k lowers exponents i and j
-    by k each (i by 2k when i == j), raises that of ``h`` by k and
-    multiplies the coefficient by ``c^k ladder[k]``."""
-    for e, ce in terms[:]:
-        e2 = list(e)
+def _climb(terms: list, step: int, c, ladder: tuple[int, ...]):
+    """The rung rule: append to ``terms`` the rungs k >= 1 of a pair ``(a,
+    b, c)`` above each keyed term held.  Rung k lowers the exponents of a
+    and b by k each (a's by 2k when a == b), raises that of ``h`` by k and
+    multiplies the coefficient by ``c^k ladder[k]``: its key is the
+    previous rung's plus ``step``, the key of ``h / (a b)`` less the bias."""
+    for key, ce in terms[:]:
         ck = 1
         for k in range(1, len(ladder)):
-            e2[i] -= 1
-            e2[j] -= 1
-            e2[ih] += 1
+            key += step
             ck *= c
-            terms.append((tuple(e2), ce * (ck * ladder[k])))
+            terms.append((key, ce * (ck * ladder[k])))
+
+
+def _steps(ctx: SeriesContext, idx: list, ih: int) -> list:
+    """The rung ``step`` of :func:`_climb` for each pair of ``idx``."""
+    u = ctx._units
+    return [u[ih] - u[i] - u[j] for i, j, _ in idx]
 
 
 def exp_second_order(s: TruncatedSeries,
@@ -546,18 +678,21 @@ def exp_second_order(s: TruncatedSeries,
     """
     ctx = s.ctx
     idx, ih = _pair_indices(ctx, pairs, "exp_second_order")
-    terms = dict(s.terms)
-    for i, j, c in idx:
+    terms = dict(s._packed)
+    shifts = ctx._shifts
+    for (i, j, c), step in zip(idx, _steps(ctx, idx, ih)):
+        si, sj = shifts[i], shifts[j]
         ladders: dict[tuple[int, int], list] = {}
-        for e, ce in terms.items():
-            if e[i] > (i == j) and e[j] > 0:  # the ladder has rungs k >= 1
-                ladders.setdefault((e[i], e[j]), []).append((e, ce))
+        for key, ce in terms.items():
+            p, q = (key >> si) & _MASK, (key >> sj) & _MASK
+            if p > (i == j) and q > 0:  # the ladder has rungs k >= 1
+                ladders.setdefault((p, q), []).append((key, ce))
         for (p, q), group in ladders.items():
             n = len(group)
-            _climb(group, i, j, ih, c, _ladder(p, q - 1, 2) if i == j else _ladder(p, q))
-            for e, ce in group[n:]:
-                terms[e] = terms.get(e, 0) + ce
-    return _admitted(ctx, terms)
+            _climb(group, step, c, _ladder(p, q - 1, 2) if i == j else _ladder(p, q))
+            for key, ce in group[n:]:
+                terms[key] = terms.get(key, 0) + ce
+    return _made(ctx, terms)
 
 
 def contract_product(f: TruncatedSeries, g: TruncatedSeries,
@@ -571,7 +706,9 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     ``a`` and ``b`` weigh 1, and no variable is named twice on one side,
     so the pairs act independently and each term keeps the weighted degree
     of its monomial pair: the product is exact up to the cap, inverse
-    powers of ``h`` included.
+    powers of ``h`` included.  The walk goes through the keys in order, so
+    in order of weighted degree, and stops at the first key of ``g`` whose
+    product with the key of ``f`` lies beyond the cap.
     """
     f._check(g)
     ctx = f.ctx
@@ -579,30 +716,45 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     if idx:
         if len({i for i, _, _ in idx}) < len(idx) or len({j for _, j, _ in idx}) < len(idx):
             raise SeriesError("contract_product names a variable twice on one side")
-    w = ctx.weights
-    # (weighted degree, exponent, coefficient), lowest degree first
-    a = sorted([(sum(map(mul, e, w)), e, c) for e, c in f.terms.items()])
-    b = sorted([(sum(map(mul, e, w)), e, c) for e, c in g.terms.items()])
-    out: dict[tuple[int, ...], complex] = {}
-    cap = ctx.cap
+    bias = ctx._zero
+    top = ctx._top + bias  # ka + kb is within the cap while below this
+    out: dict[int, complex] = {}
     get = out.get
-    for da, ea, ca in a:
-        room = cap - da
-        for db, eb, cb in b:
-            if db > room:
+    if not idx:
+        b = sorted(g._packed.items())
+        for ka, ca in sorted(f._packed.items()):
+            room = top - ka
+            for kb, cb in b:
+                if kb >= room:
+                    break
+                key = ka + kb - bias
+                out[key] = get(key, 0) + ca * cb
+        return _made(ctx, out)
+    # each key of f with its active pairs, those whose variable it holds:
+    # (rung step, c, shift of the pair's variable in g, its exponent in f)
+    shifts = ctx._shifts
+    rungs = [(step, c, shifts[i], shifts[j])
+             for (i, j, c), step in zip(idx, _steps(ctx, idx, ih))]
+    a = [(k, c, [(step, cp, sb, p) for step, cp, sa, sb in rungs if (p := (k >> sa) & _MASK)])
+         for k, c in sorted(f._packed.items())]
+    b = sorted(g._packed.items())
+    for ka, ca, active in a:
+        room = top - ka
+        for kb, cb in b:
+            if kb >= room:
                 break
             # the rung k = 0 of every ladder: the plain product of the pair
-            e = tuple(map(add, ea, eb))
-            out[e] = get(e, 0) + ca * cb
-            if not idx:
-                continue
-            terms = [(e, ca * cb)]
-            for i, j, c in idx:
-                if ea[i] and eb[j]:
-                    _climb(terms, i, j, ih, c, _ladder(ea[i], eb[j]))
-            for e, ce in terms[1:]:
-                out[e] = get(e, 0) + ce
-    return _admitted(ctx, out)
+            key = ka + kb - bias
+            out[key] = get(key, 0) + ca * cb
+            if active:
+                terms = [(key, ca * cb)]
+                for step, c, sb, p in active:
+                    q = (kb >> sb) & _MASK
+                    if q:
+                        _climb(terms, step, c, _ladder(p, q))
+                for key, ce in terms[1:]:
+                    out[key] = get(key, 0) + ce
+    return _made(ctx, out)
 
 
 def is_singular(M) -> bool:
@@ -668,29 +820,31 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
         if not negligible(g.constant_term(), g.max_abs()):
             raise SeriesError(f"image of {v!r} has nonzero constant term")
         listed.append((ctx.index(v), v))
-    w = ctx.weights
-    cap = ctx.cap
-    # the terms by their positive listed powers, as (unlisted exponent, degree, coefficient)
+    fields = [(ctx._shifts[i], ctx._offsets[i], ctx._units[i], v) for i, v in listed]
+    deg_shift = ctx._deg_shift
+    # the terms by their positive listed powers, as (key of the unlisted part, coefficient)
     groups: dict[tuple, list] = {}
     depth = 0
-    for e, c in f.terms.items():
-        start = list(e)
+    for key, c in f._packed.items():
+        start = key
         factors = []
-        for i, v in listed:
-            p = e[i]
+        for s, o, unit, v in fields:
+            p = ((key >> s) & _MASK) - o
             if p:
                 if p < 0:
                     raise SeriesError(f"negative exponent on listed variable {v!r}")
                 factors.append((v, p))
-                start[i] = 0
-        d = sum(map(mul, start, w))
-        depth = max(depth, -d)
-        groups.setdefault(tuple(factors), []).append((tuple(start), d, c))
-    wide = ctx if not depth else SeriesContext(ctx.variables, cap + depth)
-    # the powers of each image made in this call, the first power at index 1
-    powers = {v: [None, _admitted(wide, images[v].terms)] for _, v in listed}
-    products = {(): _admitted(wide, {(0,) * len(w): 1})}  # by factors, each made once
-    out: dict[tuple[int, ...], complex] = {}
+                start -= p * unit
+        depth = max(depth, -(start >> deg_shift))
+        groups.setdefault(tuple(factors), []).append((start, c))
+    wide = ctx if not depth else SeriesContext(ctx.variables, ctx.cap + depth)
+    # the powers of each image made in this call, the first power at index 1;
+    # the wide context shares the layout, so the keys carry over
+    powers = {v: [None, _admitted(wide, images[v]._packed)] for _, v in listed}
+    bias = ctx._zero
+    products = {(): _admitted(wide, {bias: 1})}  # by factors, each made once
+    top = ctx._top + bias
+    out: dict[int, complex] = {}
     get = out.get
     for factors, group in groups.items():
         for k, (v, p) in enumerate(factors, 1):
@@ -700,28 +854,29 @@ def compose(f: TruncatedSeries, images: Mapping[str, TruncatedSeries]) -> Trunca
                     cache.append(cache[-1] * cache[1])
                 prefix = products[factors[:k - 1]]
                 products[factors[:k]] = prefix * cache[p] if k > 1 else cache[p]
-        product = sorted((sum(map(mul, e, w)), e, c) for e, c in products[factors].terms.items())
-        for start, d, c in group:
-            for dp, e, cp in product:
-                if d + dp > cap:
+        product = sorted(products[factors]._packed.items())
+        for start, c in group:
+            room = top - start
+            for key, cp in product:
+                if key >= room:
                     break
-                e2 = tuple(map(add, start, e))
-                out[e2] = get(e2, 0) + c * cp
-    return _admitted(ctx, out)
+                key += start - bias
+                out[key] = get(key, 0) + c * cp
+    return _made(ctx, out)
 
 
 def linear_combination(ctx: SeriesContext,
                        pairs: Iterable[tuple[TruncatedSeries, complex]]) -> TruncatedSeries:
     """``sum(scalar * series)`` over ``(series, scalar)`` in ``pairs``,
     accumulated in one term map; every series must live in ``ctx``."""
-    out: dict[tuple[int, ...], complex] = {}
+    out: dict[int, complex] = {}
     get = out.get
     for s, k in pairs:
         if s.ctx is not ctx and s.ctx != ctx:
             raise SeriesError("series context mismatch")
         k = _number(k)
-        for e, c in s.terms.items():
-            out[e] = get(e, 0) + c * k
+        for key, c in s._packed.items():
+            out[key] = get(key, 0) + c * k
     return _admitted(ctx, out)
 
 
@@ -747,6 +902,7 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
     ctx = images[names[0]].ctx
     m = len(names)
     A = np.zeros((m, m), dtype=complex)
+    linear = 2 << ctx._deg_shift  # the keys of weighted degree <= 1 lie below this
     higher = {}  # the part g_{>=2} of each image
     for r, v in enumerate(names):
         g = images[v]
@@ -758,8 +914,8 @@ def invert_map(images: Mapping[str, TruncatedSeries]) -> dict[str, TruncatedSeri
         row = [g.coefficient({w: 1}) for w in names]
         A[r] = row
         higher[v] = g - linear_combination(ctx, zip(map(ctx.variable, names), row))
-        if any(ctx.weighted_degree(e) <= 1 and not negligible(c, scale)
-               for e, c in higher[v].terms.items()):
+        if any(key < linear and not negligible(c, scale)
+               for key, c in higher[v]._packed.items()):
             raise SeriesError(f"map image of {v!r} has linear part outside the block")
     if is_singular(A):
         raise SeriesError("singular linear part")
@@ -817,7 +973,7 @@ class OscillatoryScalar:
     @property
     def laurent(self) -> dict[int, complex]:
         """The Laurent part as ``{k: c_k}``."""
-        return {e[0]: c for e, c in self.series.terms.items()}
+        return {e[0]: c for e, c in self.series._decoded()}
 
     @property
     def cap(self) -> int:
@@ -851,7 +1007,7 @@ class OscillatoryScalar:
         return k, self.coefficient(k)
 
     def coefficient(self, k: int) -> complex:
-        return self.series.terms.get((k,), 0.0 + 0.0j) * (1j ** self.i_power)
+        return self.series.coefficient((k,)) * (1j ** self.i_power)
 
     def to_json(self) -> dict:
         return {
@@ -864,11 +1020,16 @@ class OscillatoryScalar:
 
     @staticmethod
     def from_json(data: dict) -> "OscillatoryScalar":
-        expo = data["exponent"]
-        if isinstance(expo, dict):
-            expo = Fraction(expo["num"], expo["den"])
-        return OscillatoryScalar(expo, TruncatedSeries.from_json(data["laurent"]),
-                                 data.get("i_power", 0))
+        try:
+            expo = data["exponent"]
+            if isinstance(expo, dict):
+                expo = Fraction(expo["num"], expo["den"])
+            laurent = data["laurent"]
+        except KeyError as exc:
+            raise SeriesError(f"oscillatory scalar JSON lacks the field {exc.args[0]!r}") from None
+        except ZeroDivisionError:
+            raise SeriesError("oscillatory scalar JSON has an exponent with denominator 0") from None
+        return OscillatoryScalar(expo, TruncatedSeries.from_json(laurent), data.get("i_power", 0))
 
     def __repr__(self):
         return (f"<osc exp={self.exponent} i^{self.i_power} "

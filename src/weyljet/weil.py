@@ -11,7 +11,8 @@ Every matrix handed in (a jet's ``T``, a generator's block, the Sp matrix
 of :func:`factor_sp`) is read by ``_matrix``, the float-matrix reader of
 :mod:`weyljet.series`.  Every check on float data is scale-free: symmetry,
 realness and degeneracy are judged against the largest entry of the
-matrix judged, through :func:`negligible` and :func:`is_singular`.
+matrix judged, and symplecticity against its square, through
+:func:`negligible` and :func:`is_singular`.
 """
 
 from __future__ import annotations
@@ -232,11 +233,17 @@ def act_word(word: Sequence, jet: GaussianJet) -> GaussianJet:
 def factor_sp(M) -> list:
     """Factor a real symplectic matrix of even order with invertible
     lower-left block as Shear(A) Linear(B) Fourier Shear(C); entries act
-    in list order."""
+    in list order.  ``M`` must satisfy ``M^t J M = J`` to within
+    ``negligible`` against ``max|M|^2``."""
     M = _matrix(M, "factor_sp: M", real=True)
     m, odd = divmod(len(M), 2)
     if odd:
         raise SeriesError(f"factor_sp: M of order {len(M)} is not of even order")
+    # M^t J M = J, judged against |M|^2; both generator conventions keep J
+    J = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
+    residual = np.abs(M.T @ J @ M - J).max(initial=0)
+    if not negligible(residual, np.abs(M).max(initial=0) ** 2):
+        raise SeriesError(f"factor_sp: M is not symplectic: |M^t J M - J| = {residual:.3g}")
     P, R, S = M[:m, :m], M[m:, :m], M[m:, m:]
     if is_singular(R):
         raise SeriesError("lower-left block not invertible: word not factorable here")

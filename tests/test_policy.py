@@ -8,9 +8,10 @@
   float literal.
 - Errors: invalid input raises a typed error, ``SeriesError``,
   ``MaslovError`` or a subclass of either defined in the package.
-- Exponent format: only ``series.py`` reads exponent tuples; every other
-  module selects and measures terms through ``filter_degree`` and
-  ``degrees``, except the readers named in ``EXPONENT_READERS``.
+- Exponent format: only ``series.py`` reads exponent tuples and the packed
+  keys (``_packed``); every other module selects and measures terms
+  through ``filter_degree`` and ``degrees``, except the readers named in
+  ``EXPONENT_READERS``.
 - One filtration: only ``series.py`` reads a context's ``weights``; every
   other module tells ``h`` from the jet variables by its name.
 - One matrix reader: only ``series.py`` calls ``np.asarray``; every other
@@ -121,12 +122,13 @@ def untyped_raises():
 # lie_classify classifies monomial by monomial, and jets_equal_mod_center
 # divides the leading coefficients of two jets
 EXPONENT_READERS = {("weyl.py", "lie_classify"), ("weil.py", "jets_equal_mod_center")}
-EXPONENT_ACCESS = {"terms", "from_terms", "weighted_degree"}
+EXPONENT_ACCESS = {"terms", "from_terms", "weighted_degree", "_packed"}
 
 
 def exponent_reads():
-    """``(file, line)`` of every ``.terms`` read and every ``from_terms`` or
-    ``weighted_degree`` call outside ``series.py`` and ``EXPONENT_READERS``."""
+    """``(file, line)`` of every ``.terms`` or ``._packed`` read and every
+    ``from_terms`` or ``weighted_degree`` call outside ``series.py`` and
+    ``EXPONENT_READERS``."""
     for name, tree in modules():
         if name == "series.py":
             continue

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -814,3 +815,230 @@ def test_series_input_errors_are_typed():
         with pytest.raises(SeriesError, match=message):
             call()
     assert OscillatoryScalar(0, h_only.variable("h")).laurent == {1: 1}
+
+
+# --- packed keys ------------------------------------------------------------------
+#
+# Each term is stored under one int (see the ``series`` module docstring).
+# The references below are the tuple-keyed loops that the packed kernel
+# replaced, kept here only to pin it: every result must be equal on exact
+# coefficients.
+
+
+def tuple_ladder(p, q, step=1):
+    out = [1]
+    while p > 0 and q > 0:
+        out.append(out[-1] * p * q // len(out))
+        p -= step
+        q -= step
+    return out
+
+
+def tuple_climb(terms, i, j, ih, c, ladder):
+    for e, ce in terms[:]:
+        e2 = list(e)
+        ck = 1
+        for k in range(1, len(ladder)):
+            e2[i] -= 1
+            e2[j] -= 1
+            e2[ih] += 1
+            ck *= c
+            terms.append((tuple(e2), ce * (ck * ladder[k])))
+
+
+def tuple_contract_product(f, g, pairs):
+    """``contract_product`` as a walk over exponent tuples."""
+    ctx = f.ctx
+    idx = [(ctx.index(a), ctx.index(b), c) for a, b, c in pairs if c]
+    ih = ctx.index("h") if idx else None
+    a = sorted([(ctx.weighted_degree(e), e, c) for e, c in f.terms.items()])
+    b = sorted([(ctx.weighted_degree(e), e, c) for e, c in g.terms.items()])
+    out = {}
+    for da, ea, ca in a:
+        for db, eb, cb in b:
+            if db > ctx.cap - da:
+                break
+            terms = [(tuple(x + y for x, y in zip(ea, eb)), ca * cb)]
+            for i, j, c in idx:
+                if ea[i] and eb[j]:
+                    tuple_climb(terms, i, j, ih, c, tuple_ladder(ea[i], eb[j]))
+            for e, ce in terms:
+                out[e] = out.get(e, 0) + ce
+    assert all(ctx.weighted_degree(e) <= ctx.cap for e in out)
+    return TruncatedSeries(ctx, out)
+
+
+def tuple_exp_second_order(s, pairs):
+    """``exp_second_order`` as ladders over exponent tuples."""
+    ctx = s.ctx
+    idx = [(ctx.index(a), ctx.index(b), c) for a, b, c in pairs if c]
+    ih = ctx.index("h") if idx else None
+    terms = dict(s.terms)
+    for i, j, c in idx:
+        ladders = {}
+        for e, ce in terms.items():
+            if e[i] > (i == j) and e[j] > 0:
+                ladders.setdefault((e[i], e[j]), []).append((e, ce))
+        for (p, q), group in ladders.items():
+            n = len(group)
+            tuple_climb(group, i, j, ih, c,
+                        tuple_ladder(p, q - 1, 2) if i == j else tuple_ladder(p, q))
+            for e, ce in group[n:]:
+                terms[e] = terms.get(e, 0) + ce
+    return TruncatedSeries(ctx, terms)
+
+
+PACKED = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PACKED_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def packed_context(draw):
+    """1-6 variables, h among them first, in the middle or last."""
+    jets = [f"y{i + 1}" for i in range(draw(st.integers(0, 5)))]
+    at = draw(st.sampled_from([0, len(jets) // 2, len(jets)]))
+    return SeriesContext(jets[:at] + ["h"] + jets[at:], draw(st.integers(0, 8)))
+
+
+@st.composite
+def packed_series(draw, ctx):
+    """Exact terms with jet exponents 0..3 and h^-3 .. h^2."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 7))):
+        e = tuple(draw(st.integers(-3, 2)) if v == "h" else draw(st.integers(0, 3))
+                  for v in ctx.variables)
+        terms[e] = draw(PACKED_FRACTIONS)
+    return TruncatedSeries(ctx, terms)
+
+
+@PACKED
+@given(st.data())
+def test_packed_contract_product_equals_the_tuple_loop(data):
+    ctx = data.draw(packed_context())
+    f, g = data.draw(packed_series(ctx)), data.draw(packed_series(ctx))
+    jets = [v for v in ctx.variables if v != "h"]
+    left, right = data.draw(st.permutations(jets)), data.draw(st.permutations(jets))
+    k = data.draw(st.integers(0, len(jets)))
+    pairs = [(a, b, data.draw(PACKED_FRACTIONS)) for a, b in zip(left[:k], right[:k])]
+    out = contract_product(f, g, pairs)
+    assert out == tuple_contract_product(f, g, pairs)
+    assert_exact(out)
+    assert f * g == tuple_contract_product(f, g, [])
+
+
+@PACKED
+@given(st.data())
+def test_packed_exp_second_order_equals_the_tuple_loop(data):
+    ctx = data.draw(packed_context())
+    s = data.draw(packed_series(ctx))
+    jets = [v for v in ctx.variables if v != "h"]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(jets), st.sampled_from(jets),
+                                         PACKED_FRACTIONS), max_size=4)) if jets else []
+    out = exp_second_order(s, pairs)
+    assert out == tuple_exp_second_order(s, pairs)
+    assert_exact(out)
+
+
+@PACKED
+@given(st.data())
+def test_terms_is_a_fresh_decoded_view(data):
+    ctx = data.draw(packed_context())
+    s = data.draw(packed_series(ctx))
+    terms = s.terms
+    assert TruncatedSeries(ctx, terms) == s
+    assert all(len(e) == len(ctx.variables) and all(type(p) is int for p in e) for e in terms)
+    # key order is (weighted degree, exponent tuple) order
+    assert sorted(terms, key=lambda e: (ctx.weighted_degree(e), e)) == sorted(terms, key=ctx._pack)
+    assert s.terms is not terms
+    terms.clear()
+    assert s == TruncatedSeries(ctx, s.terms)
+    assert s.is_zero() == (not s.terms)
+
+
+def test_packed_json_is_byte_identical():
+    ctx = SeriesContext(["u1", "h", "u2"], 4)
+    s = ctx.from_terms({(2, 0, 1): Fraction(1, 3), (0, -1, 1): 0.5 + 2j, (1, 1, 0): 3,
+                        (0, 0, 0): -1j, (3, -2, 2): Fraction(-7, 2)})
+    assert json.dumps(s.to_json()) == (
+        '{"variables": ["u1", "h", "u2"], "cap": 4, "terms": ['
+        '{"exp": [0, -1, 1], "re": 0.5, "im": 2.0}, {"exp": [0, 0, 0], "re": -0.0, "im": -1.0}, '
+        '{"exp": [1, 1, 0], "num": 3, "den": 1}, {"exp": [2, 0, 1], "num": 1, "den": 3}, '
+        '{"exp": [3, -2, 2], "num": -7, "den": 2}]}')
+    assert repr(s) == ("<series (0.5+2j)*h^-1*u2^1 + (-0-1j) + (3)*u1^1*h^1 + "
+                       "(1/3)*u1^2*u2^1 + (-7/2)*u1^3*h^-2*u2^2>")
+
+
+def test_packed_fields_hold_their_range_exactly():
+    ctx = SeriesContext(["y", "h", "z"], 381)
+    edge = {(127, 0, 0): 1, (0, -64, 0): 2, (0, 63, 0): 3, (0, 0, 127): 4, (127, -64, 127): 5}
+    s = TruncatedSeries(ctx, edge)
+    assert s.terms == edge
+    assert s.coefficient((0, 0, 128)) == 0 and s.coefficient((128, -1, 0)) == 0
+    # products and ladders that stay within the fields are exact
+    y, h = ctx.variable("y"), ctx.variable("h")
+    assert (ctx.monomial({"y": 64}) * ctx.variable("y", 63)).terms == {(127, 0, 0): 1}
+    assert (ctx.monomial({"h": -63}) * ctx.monomial({"h": -1})).terms == {(0, -64, 0): 1}
+    assert (ctx.monomial({"h": 62}) * h).terms == {(0, 63, 0): 1}
+    assert ctx.monomial({"h": -63}).diff("h").terms == {(0, -64, 0): -63}
+    top = exp_second_order(ctx.monomial({"y": 126}), [("y", "y", 1)])
+    assert top.coefficient({"h": 63}) == math.factorial(126) // math.factorial(63)
+    assert y.map_vars({}, SeriesContext(["y", "h", "z"], 2)) == SeriesContext(
+        ["y", "h", "z"], 2).variable("y")
+    assert SeriesContext(["y"], 381).cap == 381
+
+
+def test_packed_fields_raise_instead_of_carrying():
+    ctx, low = SeriesContext(["y", "h", "z"], 381), SeriesContext(["y", "h", "z"], 8)
+    beyond = "beyond its packed field"
+    outgrew = "outgrew its packed field"
+    for call, message in [
+            (lambda: TruncatedSeries(ctx, {(128, 0, 0): 1}), beyond),
+            (lambda: TruncatedSeries(ctx, {(0, 0, 128): 1}), beyond),
+            (lambda: TruncatedSeries(ctx, {(300, 0, 0): 1}), beyond),
+            (lambda: TruncatedSeries(ctx, {(0, -65, 0): 1}), beyond),
+            (lambda: TruncatedSeries(ctx, {(0, 64, 0): 1}), beyond),
+            (lambda: ctx.monomial({"h": 1}).shift_exponent("h", 63), beyond),
+            (lambda: ctx.monomial({"y": 64}) * ctx.monomial({"y": 64}), outgrew),
+            (lambda: ctx.monomial({"z": 127}) * ctx.variable("z"), outgrew),
+            (lambda: ctx.monomial({"h": -64}) * ctx.monomial({"h": -1}), outgrew),
+            (lambda: ctx.monomial({"h": 63}) * ctx.variable("h"), outgrew),
+            (lambda: ctx.monomial({"y": 3, "h": -64}) * ctx.monomial({"z": 3, "h": -64}),
+             outgrew),
+            (lambda: ctx.monomial({"h": -64}).diff("h"), outgrew),
+            (lambda: exp_second_order(ctx.monomial({"y": 127, "h": 1}), [("y", "y", 1)]),
+             outgrew),
+            (lambda: contract_product(ctx.monomial({"y": 127, "h": 63}), ctx.variable("z"),
+                                      [("y", "z", 1)]), outgrew),
+            (lambda: compose(low.monomial({"y": 1, "h": -64}),
+                             {"y": low.monomial({"y": 1, "z": 3, "h": -1})}), outgrew),
+            (lambda: ctx.monomial({"y": 100, "z": 100}).map_vars(
+                {"z": "y"}, SeriesContext(["y", "h"], 381)), beyond),
+            (lambda: SeriesContext(["y"], 382), "cap 382 is beyond 381")]:
+        with pytest.raises(SeriesError, match=message):
+            call()
+
+
+def test_coefficients_are_read_by_the_number_rule():
+    ctx = SeriesContext(["y1", "h"], 4)
+    for c in ("1", "a", None, [1]):
+        with pytest.raises(SeriesError, match="coefficient .* is not a number"):
+            TruncatedSeries(ctx, {(0, 0): c})
+    s = TruncatedSeries(ctx, {(0, 0): np.float64(0.5), (1, 0): True, (0, 1): Fraction(1, 2)})
+    assert [type(c) for c in s.terms.values()] == [complex, complex, Fraction]
+
+
+def test_oscillatory_scalar_json_errors_are_typed():
+    good = OscillatoryScalar(Fraction(1, 3), {-1: 2.0, 0: 1j}, 1).to_json()
+    assert OscillatoryScalar.from_json(good).laurent == {-1: 2.0, 0: 1j}
+    for data, message in [
+            ({k: v for k, v in good.items() if k != "laurent"},
+             "oscillatory scalar JSON lacks the field 'laurent'"),
+            ({k: v for k, v in good.items() if k != "exponent"},
+             "oscillatory scalar JSON lacks the field 'exponent'"),
+            ({**good, "exponent": {"num": 1}}, "oscillatory scalar JSON lacks the field 'den'"),
+            ({**good, "exponent": {"num": 1, "den": 0}},
+             "oscillatory scalar JSON has an exponent with denominator 0"),
+            ({**good, "laurent": {"variables": ["h"], "cap": 4}},
+             "series JSON lacks the field 'terms'")]:
+        with pytest.raises(SeriesError, match=message):
+            OscillatoryScalar.from_json(data)

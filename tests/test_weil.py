@@ -386,3 +386,17 @@ def test_weil_input_errors_are_typed():
             (lambda: factor_sp(not_symplectic), "factor_sp: M is not symplectic")]:
         with pytest.raises(SeriesError, match=message):
             call()
+
+
+def test_factor_sp_rejects_a_matrix_that_is_not_symplectic():
+    I = np.eye(2)
+    # P R^-1 and R^-1 S are symmetric here: only M^t J M = J tells
+    fake = np.block([[I, 5 * I], [I, I]])
+    good = word_matrix([Shear(((0.5, 0.2), (0.2, 1.0))), Fourier(None),
+                        Linear(((1.0, 0.5), (0.0, 2.0)))], 2)
+    nudged = good.copy()
+    nudged[0, 1] += 1e-6
+    for M in (fake, nudged):
+        with pytest.raises(SeriesError, match=r"^factor_sp: M is not symplectic: \|M\^t J M - J\|"):
+            factor_sp(M)
+    assert np.allclose(word_matrix(factor_sp(good), 2), good, atol=1e-12)
