@@ -1,8 +1,8 @@
 """Formal stationary phase: Legendre transforms, Gaussian moments and the
 fiber-integration engine.  :func:`stationary_phase` is the entry point for
-every Fourier integral, the Weil Fourier generator's included.  The
-engine's first stage takes phases of weighted degree at most 2, the Weil
-Fourier steps', and is exact there, not asymptotic.
+a Fourier integral of a series phase (the Weil Fourier generator takes its
+quadratic one in closed form).  The engine's first stage takes phases of
+weighted degree at most 2 and is exact there, not asymptotic.
 
 Conventions, fixed once for the whole package:
 

@@ -7,12 +7,13 @@ partially defined and signals undefined elements instead of guessing a
 branch.  Scalars track an exact phase exponent, a Laurent series in ``h``
 and the central character as a power of ``i``.
 
-Every matrix handed in (a jet's ``T``, a generator's block, the Sp matrix
-of :func:`factor_sp`) is read by ``_matrix``, the float-matrix reader of
-:mod:`weyljet.series`.  Every check on float data is scale-free: symmetry,
-realness and degeneracy are judged against the largest entry of the
-matrix judged, and symplecticity against its square, through
-:func:`negligible` and :func:`is_singular`.
+Trust rule: every matrix handed in (a jet's ``T``, a generator's block, the
+Sp matrix of :func:`factor_sp`) is read by ``_matrix`` of
+:mod:`weyljet.series`, and ``GaussianJet(...)`` checks ``T`` against the
+mode; generators keep that condition by construction and build their jets
+unchecked, by ``_with_parts``.  Every float check is scale-free: symmetry,
+realness and degeneracy against the largest entry of the matrix judged, and
+symplecticity against its square (:func:`negligible`, :func:`is_singular`).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
-                     _matrix, compose, is_singular, linear_combination, negligible,
-                     quadratic_series)
-from .stationary import DegenerateHessianError, hessian_matrix, stationary_phase
+                     _matrix, compose, exp_second_order, is_singular, linear_combination,
+                     negligible)
+from .stationary import DegenerateHessianError, _wick_pairs, gaussian_prefactor
 
 
 class UndefinedWeilActionError(SeriesError):
@@ -35,8 +36,7 @@ class UndefinedWeilActionError(SeriesError):
 
 
 def jet_context(n: int, cap: int) -> SeriesContext:
-    names = [f"u{i+1}" for i in range(n)] + [HBAR]
-    return SeriesContext(names, cap)
+    return SeriesContext([f"u{i+1}" for i in range(n)] + [HBAR], cap)
 
 
 def _substitution(B, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -56,29 +56,26 @@ class GaussianJet:
                  scalar: OscillatoryScalar | None = None):
         if mode not in ("weil", "weil0"):
             raise SeriesError("mode must be 'weil' or 'weil0'")
-        self.mode = mode
-        self.ctx = amplitude.ctx
+        self.mode, self.ctx, self.amplitude = mode, amplitude.ctx, amplitude
         self.n = len([v for v in self.ctx.variables if v != HBAR])
-        T = _matrix(T, "GaussianJet: T", self.n, symmetric=True)
-        if mode == "weil":
-            im = (T - T.conj().T) / 2j
-            vals = np.linalg.eigvalsh(im.real)
-            if np.min(vals) <= 0:
-                raise SeriesError("mode weil requires Im T positive definite")
-        else:
-            if not negligible(np.max(np.abs(T.imag)), np.max(np.abs(T))):
-                raise SeriesError("mode weil0 requires real T")
-        self.T = T
-        self.amplitude = amplitude
+        self.T = T = _matrix(T, "GaussianJet: T", self.n, symmetric=True)
+        if mode == "weil" and np.linalg.eigvalsh(T.imag + T.imag.T).min() <= 0:
+            raise SeriesError("mode weil requires Im T positive definite")
+        if mode == "weil0" and not negligible(np.abs(T.imag).max(), np.abs(T).max()):
+            raise SeriesError("mode weil0 requires real T")
         self.scalar = OscillatoryScalar.one(cap=self.ctx.cap) if scalar is None else scalar
 
     def vars(self) -> list[str]:
         return [v for v in self.ctx.variables if v != HBAR]
 
-    def with_parts(self, T=None, amplitude=None, scalar=None) -> "GaussianJet":
-        return GaussianJet(self.mode, self.T if T is None else T,
-                           self.amplitude if amplitude is None else amplitude,
-                           self.scalar if scalar is None else scalar)
+    def _with_parts(self, T=None, amplitude=None, scalar=None) -> "GaussianJet":
+        """This jet with the parts given replaced, unchecked: the generators' path."""
+        jet = object.__new__(GaussianJet)
+        jet.mode, jet.n, jet.ctx = self.mode, self.n, self.ctx
+        jet.T = self.T if T is None else T
+        jet.amplitude = self.amplitude if amplitude is None else amplitude
+        jet.scalar = self.scalar if scalar is None else scalar
+        return jet
 
     def flattened(self) -> tuple[np.ndarray, float, TruncatedSeries]:
         """(T, phase exponent, scalar Laurent folded into the amplitude)."""
@@ -89,24 +86,17 @@ class GaussianJet:
     def is_close(self, other: "GaussianJet", tol: float = 1e-9) -> bool:
         T1, e1, a1 = self.flattened()
         T2, e2, a2 = other.flattened()
-        return (np.max(np.abs(T1 - T2)) <= tol and abs(e1 - e2) <= tol
-                and a1.distance(a2) <= tol)
+        return max(np.abs(T1 - T2).max(), abs(e1 - e2), a1.distance(a2)) <= tol
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "T": [[[self.T[i, j].real, self.T[i, j].imag] for j in range(self.n)]
-                  for i in range(self.n)],
-            "scalar": self.scalar.to_json(),
-            "amplitude": self.amplitude.to_json(),
-        }
+        return {"mode": self.mode, "T": [[[z.real, z.imag] for z in row] for row in self.T],
+                "scalar": self.scalar.to_json(), "amplitude": self.amplitude.to_json()}
 
     @staticmethod
     def from_json(data: dict) -> "GaussianJet":
         amp = TruncatedSeries.from_json(data["amplitude"])
-        T = np.array([[complex(a, b) for a, b in row] for row in data["T"]])
-        scal = OscillatoryScalar.from_json(data["scalar"])
-        return GaussianJet(data["mode"], T, amp, scal)
+        T = [[complex(a, b) for a, b in row] for row in data["T"]]
+        return GaussianJet(data["mode"], T, amp, OscillatoryScalar.from_json(data["scalar"]))
 
     def __repr__(self):
         return f"<jet {self.mode} T={np.round(self.T, 4).tolist()} amp={self.amplitude!r}>"
@@ -153,54 +143,68 @@ def word_matrix(word: Sequence, n: int) -> np.ndarray:
     matrix is the reversed product."""
     M = np.eye(2 * n)
     for g in word:
-        if isinstance(g, Central):
-            continue
-        M = g.matrix(n) @ M
+        if not isinstance(g, Central):
+            M = g.matrix(n) @ M
     return M
 
 
 def act_shear(A, jet: GaussianJet) -> GaussianJet:
-    return jet.with_parts(T=jet.T + _matrix(A, "act_shear: A", jet.n, real=True, symmetric=True))
+    return jet._with_parts(T=jet.T + _matrix(A, "act_shear: A", jet.n, real=True, symmetric=True))
+
+
+def _substituted(amplitude: TruncatedSeries, rows, M) -> TruncatedSeries:
+    """``amplitude`` with ``rows[k]`` replaced by ``sum_j M[k, j] u_j`` over the u's."""
+    ctx = amplitude.ctx
+    u = [ctx.variable(v) for v in ctx.variables if v != HBAR]
+    return compose(amplitude, {v: linear_combination(ctx, zip(u, row)) for v, row in zip(rows, M)})
 
 
 def act_gl(B, jet: GaussianJet) -> GaussianJet:
     Bm, Binv = _substitution(B, jet.n, "act_gl")
     T2 = Binv.T @ jet.T @ Binv
-    T2 = (T2 + T2.T) / 2
-    uvars = jet.vars()
-    images = {vj: linear_combination(jet.ctx, [(jet.ctx.variable(vi), Binv[j, i])
-                                               for i, vi in enumerate(uvars)
-                                               if Binv[j, i]])
-              for j, vj in enumerate(uvars)}
-    amp = compose(jet.amplitude, images)
-    scal = jet.scalar * (abs(np.linalg.det(Bm)) ** -0.5)
-    return jet.with_parts(T=T2, amplitude=amp, scalar=scal)
+    amp = _substituted(jet.amplitude, jet.vars(), Binv)
+    return jet._with_parts(T=(T2 + T2.T) / 2, amplitude=amp,
+                           scalar=jet.scalar * abs(np.linalg.det(Bm)) ** -0.5)
 
 
 def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
-    """(Partial) Fourier transform on a block of position jets.
-
-    The engine decides degeneracy: in mode ``weil0`` a degenerate
-    transformed block of ``T`` leaves the representation undefined at this
-    element and raises :class:`UndefinedWeilActionError`; in mode ``weil``
-    the engine's :class:`DegenerateHessianError` propagates.
-    """
+    """Fourier transform on the block ``b`` named by ``variables`` (all u's
+    for ``None``), in closed form (Folland, *Harmonic Analysis in Phase Space*,
+    1989, ch. 4).  With ``b`` first and the rest ``r`` after, ``T = [[A, B],
+    [B^t, D]]``; the integral is stationary at ``u_b = -A^{-1}(xi_b + B u_r)``
+    and, renamed back to ``u``, has ``T' = [[-A^{-1}, -A^{-1}B], [-B^t A^{-1},
+    D - B^t A^{-1} B]]``, the amplitude ``exp((ih/2) d_b.A^{-1} d_b) a`` there
+    and the scalar times ``gaussian_prefactor(A)``.  A degenerate ``A`` raises
+    :class:`UndefinedWeilActionError` in mode ``weil0`` and the prefactor's
+    :class:`DegenerateHessianError` in mode ``weil``."""
     uvars = jet.vars()
     block = list(uvars if variables is None else variables)
+    for v in block:
+        if v not in uvars:
+            what = "h, not a position variable" if v == HBAR else f"unknown variable {v!r}"
+            raise SeriesError(f"act_fourier: the block names {what}")
+    if len(set(block)) < len(block):
+        raise SeriesError(f"act_fourier: the block {block} names a variable twice")
+    b = [uvars.index(v) for v in block]
+    rows = jet.T[b]  # [A, B], the block's rows of T
     try:
-        reduced, pref, out = stationary_phase(quadratic_series(jet.ctx, jet.T, uvars),
-                                              jet.amplitude, block)
+        pref = gaussian_prefactor(rows[:, b])
     except DegenerateHessianError:
-        if jet.mode == "weil0":
-            raise UndefinedWeilActionError(
-                "Fourier block of T is degenerate: action undefined at this element") from None
-        raise
-    # the prefactor carries the pinned branch for the block
-    return GaussianJet(jet.mode, hessian_matrix(reduced, uvars), out, jet.scalar * pref)
+        if jet.mode == "weil":
+            raise
+        raise UndefinedWeilActionError("act_fourier: degenerate block, action undefined") from None
+    Ainv = np.linalg.inv(rows[:, b])
+    # the critical map u_b -> -A^{-1}(u_b + B u_r), one row over all u per block variable
+    crit = -Ainv @ rows
+    crit[:, b] = -Ainv
+    T2 = jet.T + rows.T @ crit  # D - B^t A^{-1} B in the rest
+    T2[b], T2[:, b] = crit, crit.T
+    amp = _substituted(exp_second_order(jet.amplitude, _wick_pairs(block, Ainv)), block, crit)
+    return jet._with_parts(T=(T2 + T2.T) / 2, amplitude=amp, scalar=jet.scalar * pref)
 
 
 def act_central(power: int, jet: GaussianJet) -> GaussianJet:
-    return jet.with_parts(scalar=jet.scalar.mul_i_power(power))
+    return jet._with_parts(scalar=jet.scalar.mul_i_power(power))
 
 
 def act_generator(g, jet: GaussianJet) -> GaussianJet:
@@ -260,17 +264,13 @@ def factor_sp(M) -> list:
 
 
 def jets_equal_mod_center(a: GaussianJet, b: GaussianJet, tol: float = 1e-8):
-    """Compare jets up to a central scalar in {1, i, -1, -i}.
-
-    Returns (ok, lambda, residual)."""
+    """Compare jets up to a central scalar in {1, i, -1, -i}: (ok, lambda, residual)."""
     T1, e1, a1 = a.flattened()
     T2, e2, b1 = b.flattened()
     if np.max(np.abs(T1 - T2)) > tol or abs(e1 - e2) > tol:
         return False, None, float("inf")
-    if b1.is_zero() and a1.is_zero():
-        return True, 1.0, 0.0
-    if b1.is_zero() or a1.is_zero():
-        return False, None, float("inf")
+    if b1.is_zero() or a1.is_zero():  # equal only when both are zero
+        return (True, 1.0, 0.0) if b1.is_zero() == a1.is_zero() else (False, None, float("inf"))
     lead = max(b1.terms, key=lambda k: abs(b1.terms[k]))
     lam = a1.terms.get(lead, 0.0) / b1.terms[lead]
     best = min([1, 1j, -1, -1j], key=lambda c: abs(lam - c))

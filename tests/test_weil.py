@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weyljet.series import OscillatoryScalar, SeriesError
+from weyljet.series import HBAR, OscillatoryScalar, SeriesError, quadratic_series
+from weyljet.stationary import DegenerateHessianError, hessian_matrix, stationary_phase
 from weyljet.weil import (Central, Fourier, GaussianJet, Linear, Shear,
-                          UndefinedWeilActionError, act_fourier, act_gl,
+                          UndefinedWeilActionError, act_fourier, act_generator, act_gl,
                           act_shear, act_word, factor_sp, jet_context,
                           jets_equal_mod_center, word_matrix)
 
@@ -94,7 +96,8 @@ def test_fourier_degenerate_undefined_in_weil0():
 
 def test_fourier_of_an_unknown_variable_is_a_series_error():
     for mode, T in (("weil0", [[2.0]]), ("weil", [[1j]])):
-        with pytest.raises(SeriesError, match="unknown variable 'u9'"):
+        with pytest.raises(SeriesError,
+                           match="^act_fourier: the block names unknown variable 'u9'$"):
             act_fourier(["u9"], basic_jet(T=T, mode=mode))
 
 
@@ -331,7 +334,7 @@ def test_fourier_twice_is_the_parity_up_to_the_centre(n):
     amp = (jet.amplitude + ctx.monomial({"u1": 1}, 0.7 - 0.1j)
            + ctx.monomial({f"u{n}": 3, "h": -1}, 0.4 - 0.2j)
            + ctx.monomial({"u1": 2, "h": -1}, 0.3j))
-    jet = jet.with_parts(amplitude=amp)
+    jet = GaussianJet(jet.mode, jet.T, amp, jet.scalar)
     parity = act_gl(-np.eye(n), jet)
     assert not parity.is_close(jet)  # the odd terms change sign
     ok, lam, resid = jets_equal_mod_center(act_fourier(None, act_fourier(None, jet)),
@@ -400,3 +403,165 @@ def test_factor_sp_rejects_a_matrix_that_is_not_symplectic():
         with pytest.raises(SeriesError, match=r"^factor_sp: M is not symplectic: \|M\^t J M - J\|"):
             factor_sp(M)
     assert np.allclose(word_matrix(factor_sp(good), 2), good, atol=1e-12)
+
+
+# --- the closed-form Fourier step against the fiber engine -----------------------
+
+
+def fourier_by_engine(variables, jet):
+    """The Fourier step by the fiber engine: the phase T u^2/2 integrated over
+    the block by ``stationary_phase``, and T read back from the reduced phase."""
+    uvars = jet.vars()
+    block = list(uvars if variables is None else variables)
+    try:
+        reduced, pref, out = stationary_phase(quadratic_series(jet.ctx, jet.T, uvars),
+                                              jet.amplitude, block)
+    except DegenerateHessianError:
+        if jet.mode == "weil0":
+            raise UndefinedWeilActionError("degenerate Fourier block") from None
+        raise
+    return GaussianJet(jet.mode, hessian_matrix(reduced, uvars), out, jet.scalar * pref)
+
+
+def every_block(n):
+    """None (the full block), then every ordered selection of the variables,
+    the empty one included: partial, non-contiguous and reordered blocks."""
+    names = [f"u{i + 1}" for i in range(n)]
+    return [None] + [p for m in range(n + 1) for p in itertools.permutations(names, m)]
+
+
+def rand_jet(n, mode, rng, cap=6):
+    """A jet whose amplitude has terms in h^-1 and whose scalar is not 1."""
+    ctx = jet_context(n, cap)
+    R = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
+    T = R + R.T
+    if mode == "weil":
+        L = np.array([[rng.uniform(-0.6, 0.6) for _ in range(n)] for _ in range(n)])
+        T = T + 1j * (L @ L.T + 0.3 * np.eye(n))
+    amp = ctx.one()
+    for _ in range(4):
+        exp = {f"u{rng.randint(1, n)}": rng.randint(1, 3), HBAR: rng.choice([-1, 0, 1])}
+        amp = amp + ctx.monomial(exp, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    scalar = OscillatoryScalar(Fraction(rng.randint(-3, 3), 4),
+                               {-1: complex(rng.uniform(-1, 1), 0.5), 0: 1.0},
+                               rng.randint(0, 3), cap=cap)
+    return GaussianJet(mode, T, amp, scalar)
+
+
+def degenerate_block(jet, block, rng):
+    """The jet with its block of T made singular: rank one in mode weil0, and in
+    mode weil singular against its largest entry while Im T stays positive."""
+    m, uvars = len(block), jet.vars()
+    b = [uvars.index(v) for v in block]
+    if jet.mode == "weil0":
+        v = np.array([rng.uniform(-1, 1) for _ in range(m)])
+        A = np.outer(v, v) if m > 1 else np.zeros((1, 1))
+    else:  # with real couplings Im T is block diagonal
+        Q = np.linalg.qr(np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(m)]))[0]
+        A = Q @ np.diag([1e10 + 1j] + [1e-3j] * (m - 1)) @ Q.T
+    T = jet.T.copy()
+    r = [i for i in range(jet.n) if i not in b]
+    T[np.ix_(b, r)] = T[np.ix_(b, r)].real
+    T[np.ix_(r, b)] = T[np.ix_(r, b)].real
+    T[np.ix_(b, b)] = A
+    return GaussianJet(jet.mode, (T + T.T) / 2, jet.amplitude, jet.scalar)
+
+
+def fourier_outcome(route, block, jet):
+    try:
+        return route(block, jet)
+    except SeriesError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_act_fourier_equals_the_engine_route(n):
+    # T, the flattened amplitude and the error type agree; the tolerance is
+    # fixed from cond(A) and the largest coefficient before either route runs
+    rng = random.Random(260 + n)
+    cases = 0
+    for mode in ("weil", "weil0"):
+        for block in every_block(n):
+            names = [f"u{i + 1}" for i in range(n)] if block is None else block
+            jets = [rand_jet(n, mode, rng) for _ in range(4)]
+            # a singular block in weil needs two variables: one entry is never singular
+            if len(names) > (mode == "weil"):
+                jets.append(degenerate_block(rand_jet(n, mode, rng), names, rng))
+            for jet in jets:
+                b = [jet.vars().index(v) for v in names]
+                A = jet.T[np.ix_(b, b)]
+                cond = np.linalg.cond(A) if b else 1.0
+                scale = max(1.0, jet.flattened()[2].max_abs(), np.abs(jet.T).max())
+                # A^-1 enters the amplitude's size and its own rounding: cond^2
+                tol = 1e-14 * cond ** 2 * scale ** 2
+                got, want = (fourier_outcome(route, block, jet)
+                             for route in (act_fourier, fourier_by_engine))
+                cases += 1
+                if isinstance(want, type):
+                    assert got is want, (mode, block, got, want)
+                    continue
+                assert not isinstance(got, type), (mode, block, got)
+                T1, e1, a1 = got.flattened()
+                T2, e2, a2 = want.flattened()
+                assert e1 == e2
+                assert np.abs(T1 - T2).max(initial=0) <= tol, (mode, block)
+                assert a1.distance(a2) <= tol, (mode, block, a1.distance(a2), tol)
+    assert cases == {1: 26, 2: 56, 3: 165}[n]
+
+
+def test_generator_jets_pass_the_public_checks():
+    # generators build their jets unchecked; every jet a word passes through
+    # is one the validating constructor accepts as it stands
+    rng = random.Random(2601)
+    for n, mode in itertools.product((1, 2, 3), ("weil", "weil0")):
+        names = [f"u{i + 1}" for i in range(n)]
+        for _ in range(6):
+            jet = rand_jet(n, mode, rng)
+            for _ in range(8):
+                r = rng.random()
+                if r < 0.25:
+                    A = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
+                    g = Shear(tuple(map(tuple, A + A.T)))
+                elif r < 0.5:
+                    B = np.eye(n) + np.array([[rng.uniform(-0.4, 0.4) for _ in range(n)]
+                                              for _ in range(n)])
+                    g = Linear(tuple(map(tuple, B)))
+                elif r < 0.65:
+                    g = Fourier(None)
+                elif r < 0.9:
+                    g = Fourier(tuple(rng.sample(names, rng.randint(1, n))))
+                else:
+                    g = Central(rng.randint(1, 3))
+                try:
+                    out = act_generator(g, jet)
+                except UndefinedWeilActionError:
+                    assert mode == "weil0"
+                    continue
+                checked = GaussianJet(out.mode, out.T, out.amplitude, out.scalar)
+                assert np.array_equal(checked.T, out.T) and checked.n == out.n
+                assert checked.ctx == out.ctx and out.mode == mode
+                jet = out
+
+
+def test_fourier_blocks_naming_h_or_a_variable_twice_are_series_errors():
+    for block, message in [
+            (["u1", "h"], "act_fourier: the block names h, not a position variable"),
+            (["u2", "u2"], r"act_fourier: the block \['u2', 'u2'\] names a variable twice")]:
+        for mode, T in (("weil0", np.eye(2)), ("weil", 1j * np.eye(2))):
+            with pytest.raises(SeriesError, match=f"^{message}$"):
+                act_fourier(block, basic_jet(n=2, T=T, mode=mode))
+
+
+def test_fourier_of_a_degenerate_partial_block():
+    # the block (u1, u2) of T is singular while T itself is not
+    A = np.array([[1.0, 2.0], [2.0, 4.0]])
+    T = np.block([[A, np.array([[0.5], [0.0]])], [np.array([[0.5, 0.0, 3.0]])]])
+    assert abs(np.linalg.det(T)) > 0.1
+    with pytest.raises(UndefinedWeilActionError):
+        act_fourier(["u1", "u2"], basic_jet(n=3, T=T))
+    # Im T positive definite, yet the block is singular against its largest entry
+    thin = np.diag([1e10 + 1j, 1e-3j, 1j])
+    with pytest.raises(DegenerateHessianError):
+        act_fourier(["u2", "u1"], basic_jet(n=3, T=thin, mode="weil"))
+    # the rest of either T alone is a regular block
+    assert act_fourier(["u3"], basic_jet(n=3, T=thin, mode="weil")).T[2, 2] == 1j
