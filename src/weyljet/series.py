@@ -248,6 +248,18 @@ def _number(k, what: str = "scalar operand"):
     raise SeriesError(f"{what} {k!r} is not a number")
 
 
+def _json_field(data, key: str, what: str, read=None):
+    """``read(data[key])``, or the field itself without ``read``, for the
+    JSON reader ``what``: a missing or malformed field raises naming ``key``,
+    and a document that is not an object lacks every field."""
+    if not isinstance(data, dict) or key not in data:
+        raise SeriesError(f"{what} JSON lacks the field {key!r}")
+    try:
+        return data[key] if read is None else read(data[key])
+    except (TypeError, ValueError):
+        raise SeriesError(f"{what} JSON has a malformed field {key!r}: {data[key]!r}") from None
+
+
 def _admitted(ctx: SeriesContext, terms: dict) -> "TruncatedSeries":
     """A series over keyed terms that a closed operation built from
     admitted ones: arity, cap, exponent signs and fields and coefficient
@@ -587,14 +599,17 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(data: dict) -> "TruncatedSeries":
-        try:
-            ctx = SeriesContext(data["variables"], data["cap"])
-            terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) if "num" in t
-                     else complex(t["re"], t["im"]) for t in data["terms"]}
-        except KeyError as exc:
-            raise SeriesError(f"series JSON lacks the field {exc.args[0]!r}") from None
-        except ZeroDivisionError:
-            raise SeriesError("series JSON has a term with denominator 0") from None
+        terms = {}
+        for t in _json_field(data, "terms", "series", list):
+            exp = _json_field(t, "exp", "series", tuple)
+            if "num" not in t:
+                terms[exp] = complex(*(_json_field(t, k, "series", float) for k in ("re", "im")))
+            elif not _json_field(t, "den", "series", operator.index):
+                raise SeriesError("series JSON has a term with denominator 0")
+            else:
+                terms[exp] = Fraction(_json_field(t, "num", "series", operator.index), t["den"])
+        ctx = SeriesContext(_json_field(data, "variables", "series", tuple),
+                            _json_field(data, "cap", "series"))
         return TruncatedSeries(ctx, terms)
 
     def __repr__(self):
@@ -941,34 +956,28 @@ def fixed_point(x0: Mapping[str, TruncatedSeries], Ainv, rest) -> dict[str, Trun
 
 
 class OscillatoryScalar:
-    """An element ``e^{i a / h} * sum_k c_k h^k`` with finite Laurent part.
+    """An element ``i^k * sum_j c_j h^j``: the central character in quarter
+    turns, ``k`` mod 4 (:attr:`i_power`), times a Laurent part, a
+    :class:`TruncatedSeries` in ``h`` alone (weight 2, inverse powers
+    allowed) given as that series or as a map ``{j: c_j}`` read into a
+    series with the given ``cap``; like every series it drops exact zeros
+    only."""
 
-    The phase exponent ``a`` is stored exactly when handed in as a
-    Fraction or int (flagged by :attr:`exact`); quarter turns of the
-    central character are tracked separately as an integer mod 4.  The
-    Laurent part is a :class:`TruncatedSeries` in ``h`` alone (weight 2,
-    inverse powers allowed), given either as that series or as a map
-    ``{k: c_k}`` read into a series with the given ``cap``; like every
-    series it drops exact zeros only.
-    """
+    __slots__ = ("i_power", "series")
+    # not a slot: the phase exponent of e^{ia/h}, always 0, kept for its one
+    # reader, the weil_words checker (perfbench/weil_words.py l. 168-169)
+    exponent = 0
 
-    __slots__ = ("exponent", "exact", "i_power", "series")
-
-    def __init__(self, exponent=0, laurent: Mapping[int, complex] | TruncatedSeries | None = None,
+    def __init__(self, laurent: Mapping[int, complex] | TruncatedSeries | None = None,
                  i_power: int = 0, cap: int = 16):
-        if isinstance(exponent, (int, Fraction)):
-            self.exponent = Fraction(exponent)
-            self.exact = True
-        else:
-            self.exponent = float(exponent)
-            self.exact = False
-        self.i_power = int(i_power) % 4
-        if not isinstance(laurent, TruncatedSeries):
-            ctx = SeriesContext((HBAR,), cap)
-            laurent = TruncatedSeries(ctx, {(k,): c for k, c in (laurent or {}).items()})
-        elif laurent.ctx.variables != (HBAR,):
+        if laurent is None or isinstance(laurent, Mapping):
+            laurent = TruncatedSeries(SeriesContext((HBAR,), cap),
+                                      {(k,): c for k, c in (laurent or {}).items()})
+        elif not isinstance(laurent, TruncatedSeries):
+            raise SeriesError(f"the Laurent part {laurent!r} is not a map, a series or None")
+        if laurent.ctx.variables != (HBAR,):
             raise SeriesError("the Laurent part must be a series in h alone")
-        self.series = laurent
+        self.i_power, self.series = int(i_power) % 4, laurent
 
     @property
     def laurent(self) -> dict[int, complex]:
@@ -981,25 +990,17 @@ class OscillatoryScalar:
 
     @staticmethod
     def one(cap: int = 16) -> "OscillatoryScalar":
-        return OscillatoryScalar(0, {0: 1.0}, cap=cap)
-
-    def is_zero(self) -> bool:
-        return self.series.is_zero()
+        return OscillatoryScalar({0: 1.0}, cap=cap)
 
     def __mul__(self, other):
-        if not isinstance(other, OscillatoryScalar):
-            return OscillatoryScalar(self.exponent, self.series * _number(other), self.i_power)
-        if self.exact and other.exact:
-            expo = self.exponent + other.exponent
-        else:
-            expo = float(self.exponent) + float(other.exponent)
-        return OscillatoryScalar(expo, self.series * other.series,
-                                 self.i_power + other.i_power)
+        if isinstance(other, OscillatoryScalar):
+            return OscillatoryScalar(self.series * other.series, self.i_power + other.i_power)
+        return OscillatoryScalar(self.series * _number(other), self.i_power)
 
     __rmul__ = __mul__
 
     def mul_i_power(self, k: int) -> "OscillatoryScalar":
-        return OscillatoryScalar(self.exponent, self.series, self.i_power + k)
+        return OscillatoryScalar(self.series, self.i_power + k)
 
     def leading(self) -> tuple[int, complex]:
         """(hbar power, coefficient) of the lowest surviving order."""
@@ -1010,28 +1011,17 @@ class OscillatoryScalar:
         return self.series.coefficient((k,)) * (1j ** self.i_power)
 
     def to_json(self) -> dict:
-        return {
-            "exponent": {"num": self.exponent.numerator, "den": self.exponent.denominator}
-            if self.exact else float(self.exponent),
-            "exact": self.exact,
-            "i_power": self.i_power,
-            "laurent": self.series.to_json(),
-        }
+        return {"i_power": self.i_power, "laurent": self.series.to_json()}
 
     @staticmethod
     def from_json(data: dict) -> "OscillatoryScalar":
-        try:
-            expo = data["exponent"]
-            if isinstance(expo, dict):
-                expo = Fraction(expo["num"], expo["den"])
-            laurent = data["laurent"]
-        except KeyError as exc:
-            raise SeriesError(f"oscillatory scalar JSON lacks the field {exc.args[0]!r}") from None
-        except ZeroDivisionError:
-            raise SeriesError("oscillatory scalar JSON has an exponent with denominator 0") from None
-        return OscillatoryScalar(expo, TruncatedSeries.from_json(laurent), data.get("i_power", 0))
+        laurent = TruncatedSeries.from_json(_json_field(data, "laurent", "oscillatory scalar"))
+        expo = data.get("exponent", 0)  # older documents carry a phase exponent, always 0
+        if expo not in (0, {"num": 0, "den": 1}):
+            raise SeriesError(f"oscillatory scalar JSON field 'exponent' is {expo!r}, not 0")
+        return OscillatoryScalar(laurent, _json_field(data, "i_power", "oscillatory scalar",
+                                                      operator.index))
 
     def __repr__(self):
-        return (f"<osc exp={self.exponent} i^{self.i_power} "
-                f"laurent { {k: round(abs(v), 6) for k, v in sorted(self.laurent.items())} }>")
+        return f"<osc i^{self.i_power} {self.series!r}>"
 

@@ -4,8 +4,8 @@ A Gaussian jet is ``scalar * exp(i T u^2 / 2h) * amplitude(u, h)``.  Mode
 ``weil`` keeps ``Im T`` positive definite (action everywhere defined);
 mode ``weil0`` keeps ``T`` real, where the Fourier generator is only
 partially defined and signals undefined elements instead of guessing a
-branch.  Scalars track an exact phase exponent, a Laurent series in ``h``
-and the central character as a power of ``i``.
+branch.  A scalar is a power of ``i``, the central character, times a
+Laurent series in ``h``.
 
 Trust rule: every matrix handed in (a jet's ``T``, a generator's block, the
 Sp matrix of :func:`factor_sp`) is read by ``_matrix`` of
@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
-                     _matrix, compose, exp_second_order, is_singular, linear_combination,
-                     negligible)
+                     _json_field, _matrix, compose, exp_second_order, is_singular,
+                     linear_combination, negligible)
 from .stationary import DegenerateHessianError, _wick_pairs, gaussian_prefactor
 
 
@@ -77,16 +77,14 @@ class GaussianJet:
         jet.scalar = self.scalar if scalar is None else scalar
         return jet
 
-    def flattened(self) -> tuple[np.ndarray, float, TruncatedSeries]:
-        """(T, phase exponent, scalar Laurent folded into the amplitude)."""
+    def flattened(self) -> tuple[np.ndarray, TruncatedSeries]:
+        """(T, the amplitude times the scalar: its Laurent part and its power of i)."""
         scalar = self.scalar
-        amp = self.amplitude * scalar.series.map_vars({}, self.ctx) * (1j ** scalar.i_power)
-        return self.T, float(scalar.exponent), amp
+        return self.T, self.amplitude * scalar.series.map_vars({}, self.ctx) * 1j**scalar.i_power
 
     def is_close(self, other: "GaussianJet", tol: float = 1e-9) -> bool:
-        T1, e1, a1 = self.flattened()
-        T2, e2, a2 = other.flattened()
-        return max(np.abs(T1 - T2).max(), abs(e1 - e2), a1.distance(a2)) <= tol
+        (T1, a1), (T2, a2) = self.flattened(), other.flattened()
+        return max(np.abs(T1 - T2).max(), a1.distance(a2)) <= tol
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "T": [[[z.real, z.imag] for z in row] for row in self.T],
@@ -94,9 +92,11 @@ class GaussianJet:
 
     @staticmethod
     def from_json(data: dict) -> "GaussianJet":
-        amp = TruncatedSeries.from_json(data["amplitude"])
-        T = [[complex(a, b) for a, b in row] for row in data["T"]]
-        return GaussianJet(data["mode"], T, amp, OscillatoryScalar.from_json(data["scalar"]))
+        def field(key, read=None):
+            return _json_field(data, key, "gaussian jet", read)
+        T = field("T", lambda T: [[complex(a, b) for a, b in row] for row in T])
+        return GaussianJet(field("mode"), T, TruncatedSeries.from_json(field("amplitude")),
+                           OscillatoryScalar.from_json(field("scalar")))
 
     def __repr__(self):
         return f"<jet {self.mode} T={np.round(self.T, 4).tolist()} amp={self.amplitude!r}>"
@@ -265,9 +265,8 @@ def factor_sp(M) -> list:
 
 def jets_equal_mod_center(a: GaussianJet, b: GaussianJet, tol: float = 1e-8):
     """Compare jets up to a central scalar in {1, i, -1, -i}: (ok, lambda, residual)."""
-    T1, e1, a1 = a.flattened()
-    T2, e2, b1 = b.flattened()
-    if np.max(np.abs(T1 - T2)) > tol or abs(e1 - e2) > tol:
+    (T1, a1), (T2, b1) = a.flattened(), b.flattened()
+    if np.max(np.abs(T1 - T2)) > tol:
         return False, None, float("inf")
     if b1.is_zero() or a1.is_zero():  # equal only when both are zero
         return (True, 1.0, 0.0) if b1.is_zero() == a1.is_zero() else (False, None, float("inf"))

@@ -1,16 +1,19 @@
 """Every serializable value survives ``from_json(json.loads(json.dumps(
 x.to_json())))`` unchanged: series, oscillatory scalars, Gaussian jets and
-submanifold charts, all of whose series go through one JSON path."""
+submanifold charts, all of whose series go through one JSON path.  A
+malformed series, scalar or jet document raises ``SeriesError`` and nothing
+else."""
 
 import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyljet.maslov import SubdivisionChart
-from weyljet.series import OscillatoryScalar, SeriesContext, TruncatedSeries
+from weyljet.series import OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries
 from weyljet.weil import GaussianJet, jet_context
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -47,10 +50,9 @@ def contexts(draw):
 
 @st.composite
 def scalars(draw, cap=None):
-    exponent = draw(st.one_of(st.fractions(-3, 3, max_denominator=8), st.floats(-3, 3)))
     laurent = {draw(st.integers(-5, 5)): draw(coefficients())
                for _ in range(draw(st.integers(0, 4)))}
-    return OscillatoryScalar(exponent, laurent, draw(st.integers(0, 3)),
+    return OscillatoryScalar(laurent, draw(st.integers(0, 3)),
                              draw(st.integers(0, 10)) if cap is None else cap)
 
 
@@ -82,8 +84,7 @@ def charts(draw):
 
 
 def same_scalar(a, b):
-    return ((a.exponent, a.exact, a.i_power) == (b.exponent, b.exact, b.i_power)
-            and a.series == b.series)
+    return a.i_power == b.i_power and a.series == b.series
 
 
 @PROPERTY
@@ -109,3 +110,51 @@ def test_jet_round_trip(jet):
 @given(charts())
 def test_chart_round_trip(chart):
     assert round_trip(chart) == chart
+
+
+def field_mutations(doc, path=()):
+    """``(path, document)`` for every field of every object in ``doc``, with
+    that field dropped and with it replaced by a string."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,), {k: v for k, v in doc.items() if k != key}
+            yield path + (key,), {**doc, key: "x"}
+            for p, sub in field_mutations(value, path + (key,)):
+                yield p, {**doc, key: sub}
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            for p, sub in field_mutations(value, path + (i,)):
+                yield p, doc[:i] + [sub] + doc[i + 1:]
+
+
+def test_malformed_documents_raise_series_errors_only():
+    ctx = jet_context(1, 4)
+    amp = ctx.one() * Fraction(1, 3) + ctx.monomial({"u1": 1, "h": -1}, 0.5j)
+    jet = GaussianJet("weil0", [[2.0]], amp, OscillatoryScalar({-1: 2.0, 0: Fraction(1, 2)}, 1, 4))
+    good = json.loads(json.dumps(jet.to_json()))
+    assert same_scalar(GaussianJet.from_json(good).scalar, jet.scalar)
+    paths = set()
+    for path, data in field_mutations(good):
+        paths.add(path[-1])
+        with pytest.raises(SeriesError):
+            GaussianJet.from_json(data)
+    assert paths == {"mode", "T", "scalar", "amplitude", "i_power", "laurent", "variables",
+                     "cap", "terms", "exp", "re", "im", "num", "den"}
+    exact, inexact = good["amplitude"]["terms"]
+    for data, message in [
+            ({**good, "T": [[2.0]]}, "gaussian jet JSON has a malformed field 'T'"),
+            ({**good, "T": [["x"]]}, "gaussian jet JSON has a malformed field 'T'"),
+            ({**good, "T": [[[2.0, "x"]]]}, "gaussian jet JSON has a malformed field 'T'"),
+            ({**good, "T": [[[2.0, 0.0, 1.0]]]}, "gaussian jet JSON has a malformed field 'T'"),
+            ({**good, "amplitude": {**good["amplitude"], "terms": [1]}},
+             "series JSON lacks the field 'exp'"),
+            ({**good, "amplitude": {**good["amplitude"], "terms": [{**exact, "num": 1.5}]}},
+             "series JSON has a malformed field 'num'"),
+            ({**good, "amplitude": {**good["amplitude"], "terms": [{**inexact, "re": "x"}]}},
+             "series JSON has a malformed field 're'"),
+            ({**good, "amplitude": {**good["amplitude"], "variables": 5}},
+             "series JSON has a malformed field 'variables'"),
+            ({**good, "scalar": {**good["scalar"], "i_power": "x"}},
+             "oscillatory scalar JSON has a malformed field 'i_power'")]:
+        with pytest.raises(SeriesError, match=message):
+            GaussianJet.from_json(data)

@@ -19,6 +19,10 @@
 - One number rule: no module tests for a number with an ``isinstance``
   tuple that holds ``float`` or ``complex``; the number rule of
   ``series.py`` asks ``numbers.Number``.
+- One scalar: no module reads ``.exponent`` or ``.exact``; a scalar is a
+  power of ``i`` times a Laurent series in ``h``, and the class constant
+  ``OscillatoryScalar.exponent`` (always 0) is left for the benchmark's
+  checker alone.
 - Admission contract: every operation the ``series`` docstring names in
   it exists.
 - No dead code: every public function, method and class of the package is
@@ -216,6 +220,20 @@ def test_numbers_are_told_by_the_number_rule_only():
         "isinstance(k, Number)")] == [[1], [1], [], [], []]
     assert not sorted((name, line) for name, tree in modules()
                       for line in float_type_tests(tree))
+
+
+def phase_reads(tree):
+    """Line of every ``.exponent`` or ``.exact`` read in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("exponent", "exact"):
+            yield node.lineno
+
+
+def test_no_module_reads_a_phase_exponent():
+    assert [list(phase_reads(ast.parse(code))) for code in (
+        "a = s.exponent", "if s.exact: pass", "exponent = 0", "s.i_power")] == [
+        [1], [1], [], []]
+    assert not sorted((name, line) for name, tree in modules() for line in phase_reads(tree))
 
 
 def contract_names() -> list[str]:

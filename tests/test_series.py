@@ -293,40 +293,38 @@ def test_zero_threshold():
 
 
 def test_oscillatory_scalar_multiplication():
-    a = OscillatoryScalar(1, {0: 2.0}, cap=8)
-    b = OscillatoryScalar(0.5, {1: 1.0}, cap=8)
+    a = OscillatoryScalar({0: 2.0}, cap=8)
+    b = OscillatoryScalar({1: 1.0}, cap=8)
     prod = a * b
-    assert abs(float(prod.exponent) - 1.5) < 1e-15
-    assert not prod.exact  # float phase contaminates exactness
     assert prod.coefficient(1) == 2.0
-    exact = OscillatoryScalar(1) * OscillatoryScalar(2)
-    assert exact.exact and exact.exponent == 3
+    assert (a.mul_i_power(3) * b.mul_i_power(2)).i_power == 1
 
 
 def test_oscillatory_scalar_json_keeps_cap_and_laurent():
-    s = OscillatoryScalar(0, {-10: 1}, cap=24)
+    s = OscillatoryScalar({-10: 1}, cap=24)
+    assert set(s.to_json()) == {"i_power", "laurent"}
+    assert OscillatoryScalar.__slots__ == ("i_power", "series")
     back = OscillatoryScalar.from_json(json.loads(json.dumps(s.to_json())))
     assert (back.cap, back.laurent) == (24, {-10: 1 + 0j})
-    assert back.exact and back.exponent == 0
 
 
 def test_oscillatory_scalar_drops_powers_beyond_half_the_cap():
     # h^k weighs 2k and is kept while 2k <= cap, as in every series:
     # inverse powers always stay
-    s = OscillatoryScalar(0, {-5: 1, -4: 2, 4: 3, 5: 4}, cap=8)
+    s = OscillatoryScalar({-5: 1, -4: 2, 4: 3, 5: 4}, cap=8)
     assert s.laurent == {-5: 1, -4: 2, 4: 3}
-    prod = s * OscillatoryScalar(0, {-1: 1, 1: 1}, cap=8)
+    prod = s * OscillatoryScalar({-1: 1, 1: 1}, cap=8)
     assert prod.laurent == {-6: 1, -5: 2, -4: 1, -3: 2, 3: 3}
     with pytest.raises(SeriesError):
-        s * OscillatoryScalar(0, {1: 1}, cap=6)
+        s * OscillatoryScalar({1: 1}, cap=6)
 
 
 def test_oscillatory_i_power():
     s = OscillatoryScalar.one().mul_i_power(3)
     assert s.leading() == (0, 1j ** 3)
     assert (s.mul_i_power(1)).leading()[1] == 1.0
-    assert OscillatoryScalar(0, {-2: 3.0, 1: 1.0}, 1).leading() == (-2, 3j)
-    assert OscillatoryScalar(0, {}).leading() == (0, 0)
+    assert OscillatoryScalar({-2: 3.0, 1: 1.0}, 1).leading() == (-2, 3j)
+    assert OscillatoryScalar({}).leading() == (0, 0)
 
 
 
@@ -771,7 +769,7 @@ def test_exponents_and_caps_are_integral():
     assert json.loads(json.dumps(s.to_json())) == s.to_json()
     assert ctx.monomial({"y1": np.int64(2)}) == ctx.variable("y1", 2)
     assert SeriesContext(["y1"], np.int64(3)).cap.__class__ is int
-    assert OscillatoryScalar(0, {np.int64(-1): 1}).laurent == {-1: 1}
+    assert OscillatoryScalar({np.int64(-1): 1}).laurent == {-1: 1}
     good = {"variables": ["y1", "h"], "cap": 4, "terms": [{"exp": [1, 0], "num": 1, "den": 2}]}
     for call, message in [
             (lambda: TruncatedSeries(ctx, {(1.5, 0): 1}), r"exponent \(1.5, 0\) is not integral"),
@@ -782,7 +780,7 @@ def test_exponents_and_caps_are_integral():
             (lambda: ctx.monomial({"y1": 1.7}), "is not integral"),
             (lambda: ctx.monomial([1, "2"]), "is not integral"),
             (lambda: SeriesContext(["y1"], 2.5), "cap 2.5 is not an integer"),
-            (lambda: OscillatoryScalar(0, {0.5: 1}), "is not integral"),
+            (lambda: OscillatoryScalar({0.5: 1}), "is not integral"),
             (lambda: TruncatedSeries.from_json({"variables": ["y1"], "terms": []}),
              "series JSON lacks the field 'cap'"),
             (lambda: TruncatedSeries.from_json({**good, "terms": [{"num": 1, "den": 2}]}),
@@ -811,10 +809,13 @@ def test_series_input_errors_are_typed():
              "images live in different contexts"),
             (lambda: invert_map({"y1": y1 + 1, "y2": y2}), "image of 'y1' has nonzero constant"),
             (lambda: invert_map({"y1": y1 + y2}), "image of 'y1' has linear part outside"),
-            (lambda: OscillatoryScalar(0, y1), "series in h alone")]:
+            (lambda: OscillatoryScalar(y1), "series in h alone"),
+            # the Laurent part comes first: a leading number is no Laurent part
+            (lambda: OscillatoryScalar(0, {0: 1}), "is not a map, a series or None"),
+            (lambda: OscillatoryScalar(Fraction(1, 3)), "is not a map, a series or None")]:
         with pytest.raises(SeriesError, match=message):
             call()
-    assert OscillatoryScalar(0, h_only.variable("h")).laurent == {1: 1}
+    assert OscillatoryScalar(h_only.variable("h")).laurent == {1: 1}
 
 
 # --- packed keys ------------------------------------------------------------------
@@ -1028,16 +1029,25 @@ def test_coefficients_are_read_by_the_number_rule():
 
 
 def test_oscillatory_scalar_json_errors_are_typed():
-    good = OscillatoryScalar(Fraction(1, 3), {-1: 2.0, 0: 1j}, 1).to_json()
-    assert OscillatoryScalar.from_json(good).laurent == {-1: 2.0, 0: 1j}
+    good = OscillatoryScalar({-1: 2.0, 0: 1j}, 1).to_json()
+    # a document written while scalars carried a phase exponent (always 0) still
+    # reads; its "exact" flag is ignored
+    for data in (good, {**good, "exponent": {"num": 0, "den": 1}, "exact": True},
+                 {**good, "exponent": 0.0, "exact": False}, {**good, "exponent": 0}):
+        back = OscillatoryScalar.from_json(data)
+        assert (back.i_power, back.laurent) == (1, {-1: 2.0, 0: 1j})
     for data, message in [
             ({k: v for k, v in good.items() if k != "laurent"},
              "oscillatory scalar JSON lacks the field 'laurent'"),
-            ({k: v for k, v in good.items() if k != "exponent"},
-             "oscillatory scalar JSON lacks the field 'exponent'"),
-            ({**good, "exponent": {"num": 1}}, "oscillatory scalar JSON lacks the field 'den'"),
-            ({**good, "exponent": {"num": 1, "den": 0}},
-             "oscillatory scalar JSON has an exponent with denominator 0"),
+            ({k: v for k, v in good.items() if k != "i_power"},
+             "oscillatory scalar JSON lacks the field 'i_power'"),
+            ({**good, "i_power": "x"}, "oscillatory scalar JSON has a malformed field 'i_power'"),
+            ({**good, "i_power": 1.5}, "oscillatory scalar JSON has a malformed field 'i_power'"),
+            ("x", "oscillatory scalar JSON lacks the field 'laurent'"),
+            *[({**good, "exponent": e, "exact": True},
+               "oscillatory scalar JSON field 'exponent' is ")
+              for e in ({"num": 1, "den": 3}, {"num": 0, "den": 0}, {"num": 0}, 0.5,
+                        float("nan"), "0", None)],
             ({**good, "laurent": {"variables": ["h"], "cap": 4}},
              "series JSON lacks the field 'terms'")]:
         with pytest.raises(SeriesError, match=message):
