@@ -32,11 +32,11 @@ index, as a context reads its cap, and store it as an int, so a float
 exponent is an error.  ``map_vars`` keeps every degree, sign and
 coefficient of its admitted operand, so it checks only the cap and the
 fields of variables it merges.  Operations closed over admitted terms
-(``*``, ``+``, ``-``, ``diff``, ``filter_degree``, ``exp_second_order``,
-``contract_product``, ``compose``, ``linear_combination`` and
-``quadratic_series``) trust their operands, check the packed fields of
-the keys they compute, and only drop the zero coefficients of their
-result.
+(``*``, ``+``, ``-``, ``diff``, ``filter_degree``, ``coefficients``,
+``exp_second_order``, ``contract_product``, ``compose``,
+``linear_combination`` and ``quadratic_series``) trust their operands,
+check the packed fields of the keys they compute, and only drop the zero
+coefficients of their result.
 
 One number rule: :func:`_number` reads the scalar operand of ``+``,
 ``-``, ``*`` and ``linear_combination``, and every coefficient the
@@ -52,8 +52,9 @@ closed-form ladders, whose rung k differentiates k times by each
 variable of a pair and gives ``h^k``.
 
 One exponent format: terms are selected and measured by their weighted
-degree in a set of variables (``filter_degree`` and ``degrees``), so no
-module outside this one reads exponent tuples to pick terms.
+degree in a set of variables (``filter_degree`` and ``degrees``) and
+split by their exponents in them (``coefficients``), so no module
+outside this one reads exponent tuples to pick terms.
 
 One truncation rule: only the cap cuts a series.  The Laurent part of an
 :class:`OscillatoryScalar` is a series in ``h`` alone and truncates as
@@ -139,6 +140,8 @@ class SeriesContext:
 
     def __init__(self, variables: Sequence[str], cap: int):
         variables = tuple(variables)
+        if not all(isinstance(v, str) for v in variables):
+            raise SeriesError(f"variable names {variables!r} are not all strings")
         if len(set(variables)) != len(variables):
             raise SeriesError("duplicate variable names")
         try:
@@ -375,6 +378,21 @@ class TruncatedSeries:
     def degrees(self, variables: Iterable[str]) -> set[int]:
         """The weighted degrees in ``variables`` of the terms present."""
         return set(map(self._degree_in(variables), self._packed))
+
+    def coefficients(self, variables: Sequence[str]) -> dict[tuple[int, ...], "TruncatedSeries"]:
+        """``{e: c_e}`` with ``self = sum c_e x^e``, ``x`` the ``variables``,
+        over the exponents ``e`` present; no ``c_e`` holds ``x``."""
+        ctx = self.ctx
+        idx = [ctx.index(v) for v in variables]
+        if len(set(idx)) < len(idx):
+            raise SeriesError(f"coefficients names a variable twice: {variables!r}")
+        fields = [(ctx._shifts[i], ctx._offsets[i]) for i in idx]
+        units = [ctx._units[i] for i in idx]
+        out: dict[tuple[int, ...], dict] = {}
+        for k, c in self._packed.items():
+            e = tuple([((k >> s) & _MASK) - o for s, o in fields])
+            out.setdefault(e, {})[k - sum(map(mul, e, units))] = c
+        return {e: _admitted(ctx, t) for e, t in out.items()}
 
     def filter_degree(self, variables: Iterable[str], keep) -> "TruncatedSeries":
         """The terms whose weighted degree in ``variables`` satisfies ``keep``."""
@@ -977,7 +995,10 @@ class OscillatoryScalar:
             raise SeriesError(f"the Laurent part {laurent!r} is not a map, a series or None")
         if laurent.ctx.variables != (HBAR,):
             raise SeriesError("the Laurent part must be a series in h alone")
-        self.i_power, self.series = int(i_power) % 4, laurent
+        try:
+            self.i_power, self.series = operator.index(i_power) % 4, laurent
+        except TypeError:
+            raise SeriesError(f"i_power {i_power!r} is not an integer") from None
 
     @property
     def laurent(self) -> dict[int, complex]:

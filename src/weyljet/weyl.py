@@ -248,13 +248,26 @@ def lie_classify(h: LieElement) -> dict:
 # --- the K group ---------------------------------------------------------------
 
 
+def _det(A: WeylAlgebra, rows: list[list[TruncatedSeries]]) -> TruncatedSeries:
+    """The determinant of a square matrix of series, by the permutation
+    sum; one for the empty matrix."""
+    n = len(rows)
+    out = A.zero()
+    for perm in itertools.permutations(range(n)):
+        # the sign of perm, by counting its inversions
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        out = out + math.prod((rows[i][perm[i]] for i in range(n)), start=(-1) ** inv)
+    return out
+
+
 class KGroupElement:
     """Formal automorphism of the trivial half-density line bundle:
 
         f(u) -> exp(q(u)) f(g(u)) |det g'(u)|^{1/2}
 
     with g a formal diffeomorphism (invertible linear part) and q(0)=0.
-    An element makes its multiplier and its inverse once, on first use,
+    An element makes its multiplier, its inverse and its conjugated momenta
+    (:meth:`momenta`, which :func:`k_conjugate` uses) once, on first use,
     and its lift into each extended algebra once (:meth:`extended`).
     """
 
@@ -285,23 +298,19 @@ class KGroupElement:
         if is_singular(a):
             raise SeriesError("non-invertible linear part")
         self._multiplier = None  # made on first use, or given by the group law
-        self._inverse = None  # made on first use
+        self._inverse = self._momenta = None  # made on first use
         self._ext: dict[int, KGroupElement] = {}  # lifts, by headroom
 
     @staticmethod
     def identity(algebra: WeylAlgebra) -> "KGroupElement":
         return KGroupElement(algebra, {v: algebra.var(v) for v in algebra.x})
 
+    def _jacobian(self) -> list[list[TruncatedSeries]]:
+        """The rows ``d g_i / d u_j`` of the Jacobian matrix of g."""
+        return [[self.images[x].diff(u) for u in self.algebra.x] for x in self.algebra.x]
+
     def jacobian_det(self) -> TruncatedSeries:
-        A = self.algebra
-        n = A.n
-        cols = [[self.images[A.x[i]].diff(A.x[j]) for j in range(n)] for i in range(n)]
-        out = A.zero()
-        for perm in itertools.permutations(range(n)):
-            # the sign of perm, by counting its inversions
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-            out = out + math.prod((cols[i][perm[i]] for i in range(n)), start=(-1) ** inv)
-        return out
+        return _det(self.algebra, self._jacobian())
 
     def half_density_factor(self) -> TruncatedSeries:
         det = self.jacobian_det()
@@ -316,6 +325,24 @@ class KGroupElement:
         if self._multiplier is None:
             self._multiplier = self.half_density_factor() * self.q.exp()
         return self._multiplier
+
+    def momenta(self) -> tuple[NormalOperator, ...]:
+        """The conjugated momenta ``k (ih d_j) k^{-1} = sum_i M_ij (v_i - ih
+        lambda_i)``, made on first use: ``M = (Dg)^{-1}`` is the adjugate
+        over the determinant, and ``lambda_i = d_i q + d_i det / (2 det)``
+        is the gradient of the log of the multiplier."""
+        if self._momenta is None:
+            A, rows = self.algebra, self._jacobian()
+            det = _det(A, rows)
+            inv = det.unit_inverse()
+            shifted = [A.var(v) - 1j * A.hbar() * (self.q.diff(u) + 0.5 * det.diff(u) * inv)
+                       for u, v in zip(A.x, A.xi)]
+            # M_ij det is the cofactor of row j and column i
+            cofactor = [[_det(A, [r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+                         * (-1) ** (i + j) for i in range(A.n)] for j in range(A.n)]
+            self._momenta = tuple(NormalOperator(A, inv * linear_combination(
+                A.ctx, [(c * s, 1) for c, s in zip(cofactor[j], shifted)])) for j in range(A.n))
+        return self._momenta
 
     def act(self, f: TruncatedSeries) -> TruncatedSeries:
         """The displayed action on series in the position jets."""
@@ -356,27 +383,32 @@ class KGroupElement:
 
 
 def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
-    """Weyl symbol of k o W(w) o k^{-1}.
-
-    Conjugation preserves the differential order, so the symbol is
-    reconstructed from the action on position monomials, at a cap raised
-    by two depths: the order, because ``operator_from_action`` divides by
-    ``h^order`` and multiplies by ``v^gamma``; and ``-w.min_degree()``,
-    because the action multiplies by K's multiplier, cut at the cap, and
-    terms of negative degree pull its missing top terms under the cap.
-    The lift is ``k.extended(extra)``, which keeps its multiplier and
-    inverse, so symbols conjugated by one ``k`` share that K-side work.
+    """Weyl symbol of k o W(w) o k^{-1}, through the generators: conjugation
+    sends ``u`` to ``g(u)`` and ``ih d_j`` to ``V_j = k.momenta()[j]``, so
+    the normal symbol ``sum_b a_b(u, h) v^b`` of ``w`` goes to ``sum_b
+    a_b(g(u), h) V^b``, ``V^b`` the normal product, each made once per call.
+    The ``V_j`` have degree >= 1 and are cut at the cap, and ``a_b o g``
+    has at least the degree of the (u, h) part of ``a_b``, which
+    quantization only raises: so at a cap raised by the depth of ``w`` in
+    u and h alone, no cut term reaches the cap.  The lift is
+    ``k.extended(extra)``, which keeps its momenta for every symbol.
     """
     A = k.algebra
-    order = max(w.degrees(A.xi), default=0)
-    extra = order + max(0, -w.min_degree())
+    extra = max(0, -min(w.degrees(A.x + (HBAR,)), default=0))
     kx = k.extended(extra)
-    op = weyl_quantize(kx.algebra, A.lift(w, extra))
+    X = kx.algebra
+    symbol = compose(weyl_quantize(X, A.lift(w, extra)).symbol, kx.images)
+    powers = {(0,) * A.n: NormalOperator(X, X.one())}
 
-    def action(f):
-        return kx.act(op.apply(kx.inverse().act(f)))
+    def power(b):
+        if b not in powers:
+            j = next(j for j, p in enumerate(b) if p)
+            powers[b] = power(b[:j] + (b[j] - 1,) + b[j + 1:]).compose(kx.momenta()[j])
+        return powers[b]
 
-    return A.lower(operator_from_action(kx.algebra, action, order).to_weyl())
+    out = linear_combination(X.ctx, [(a * power(b).symbol, 1)
+                                     for b, a in symbol.coefficients(A.xi).items()])
+    return A.lower(NormalOperator(X, out).to_weyl())
 
 
 # --- operator realization of exp of Lie elements -------------------------------

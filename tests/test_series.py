@@ -680,6 +680,23 @@ def test_ladder_strategy_reaches_every_pair_shape():
     assert seen == {"diagonal", "mixed", "shared", "inverse h contracted"}
 
 
+def test_coefficients_split_a_series_by_the_named_exponents():
+    ctx = SeriesContext(["u1", "v1", "v2", "h"], 6)
+    s = ctx.from_terms({(1, 2, 0, -1): 2, (0, 2, 0, 1): 1j, (3, 0, 1, 0): Fraction(1, 3),
+                        (2, 0, 0, -2): 0.5, (0, 0, 0, 0): 4})
+    parts = s.coefficients(["v1", "v2"])
+    assert {e: c.terms for e, c in parts.items()} == {
+        (2, 0): {(1, 0, 0, -1): 2, (0, 0, 0, 1): 1j}, (0, 1): {(3, 0, 0, 0): Fraction(1, 3)},
+        (0, 0): {(2, 0, 0, -2): 0.5, (0, 0, 0, 0): 4}}
+    assert sum((c * ctx.monomial(dict(zip(["v1", "v2"], e))) for e, c in parts.items()),
+               ctx.zero()) == s
+    # h may be named: its negative exponents split off too
+    assert {e: c.terms for e, c in s.coefficients(["h"]).items()}[(-2,)] == {(2, 0, 0, 0): 0.5}
+    assert ctx.zero().coefficients(["v1"]) == {}
+    with pytest.raises(SeriesError, match="names a variable twice"):
+        s.coefficients(["v1", "v1"])
+
+
 def test_linear_combination_checks_contexts():
     a, b = laurent_ctx(1, 4), laurent_ctx(2, 4)
     with pytest.raises(SeriesError):
@@ -812,10 +829,20 @@ def test_series_input_errors_are_typed():
             (lambda: OscillatoryScalar(y1), "series in h alone"),
             # the Laurent part comes first: a leading number is no Laurent part
             (lambda: OscillatoryScalar(0, {0: 1}), "is not a map, a series or None"),
-            (lambda: OscillatoryScalar(Fraction(1, 3)), "is not a map, a series or None")]:
+            (lambda: OscillatoryScalar(Fraction(1, 3)), "is not a map, a series or None"),
+            # i_power is read as an index: no float is truncated to an int
+            (lambda: OscillatoryScalar({0: 1}, 1.5), "i_power 1.5 is not an integer"),
+            (lambda: OscillatoryScalar({0: 1}, "x"), "i_power 'x' is not an integer"),
+            # variable names are strings, so an unhashable one is a typed error too
+            (lambda: SeriesContext([[1], "h"], 4),
+             r"variable names \(\[1\], 'h'\) are not all strings"),
+            (lambda: SeriesContext([1, "h"], 4), "are not all strings"),
+            (lambda: TruncatedSeries.from_json({"variables": [[1], "h"], "cap": 4, "terms": []}),
+             r"variable names \(\[1\], 'h'\) are not all strings")]:
         with pytest.raises(SeriesError, match=message):
             call()
     assert OscillatoryScalar(h_only.variable("h")).laurent == {1: 1}
+    assert OscillatoryScalar({0: 1}, np.int64(5)).i_power == 1
 
 
 # --- packed keys ------------------------------------------------------------------

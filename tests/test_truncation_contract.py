@@ -192,6 +192,11 @@ def test_k_conjugate_cap_invariance_with_inverse_powers_of_h(n, cap):
     # at the cap, under it: the headroom covers them
     w = u * h(-1) + 0.5 * u * v * h(-2) + v
     assert_conjugation_cap_invariant(A, w)
+    # every term has degree 0, but their parts in u and h have degree -1
+    # and -2: the coefficients u h^-1 and h^-1 of v and v^2 pull the top
+    # terms of the conjugated momenta, cut at the cap, under it unless the
+    # headroom is read from the (u, h) part, not from the degree
+    assert_conjugation_cap_invariant(A, u * v * h(-1) + v * v * h(-1))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -447,10 +447,12 @@ def test_k_element_makes_its_lift_and_inverse_once():
     assert k.extended(2).algebra is A.extended(2)
     assert k.inverse() is k.inverse()
     assert k.extended(1).inverse() is k.extended(1).inverse()
+    assert k.momenta() is k.momenta()
+    assert k.extended(1).momenta() is k.extended(1).momenta()
 
 
 def test_conjugations_by_one_k_equal_those_by_fresh_elements():
-    # headroom = order + depth of h^-1: 0, 1, 1, 2, 2 and 1 in this order
+    # headroom = depth in u and h alone: 0, 0, 1, 1, 0 and 1 in this order
     A = algebra(cap=4)
     u, v, h = A.var("u1"), A.var("v1"), A.hbar
     symbols = [0.5 * u * u + 0.2 * A.var("u1", 3), u * v + 0.3 * u * u,
@@ -461,6 +463,86 @@ def test_conjugations_by_one_k_equal_those_by_fresh_elements():
         shared = [k_conjugate(k, w) for w in order]
         fresh = [k_conjugate(rand_k(A, random.Random(7)), w) for w in order]
         assert [s.terms for s in shared] == [s.terms for s in fresh]
+
+
+def k_conjugate_by_action(k, w):
+    """The action route to k o W(w) o k^{-1}: the normal symbol rebuilt from
+    the action k o W(w) o k^{-1} on position monomials, at a cap raised by
+    the differential order, for the division by h^order, and by the depth
+    of w, for K's multiplier cut at the cap."""
+    A = k.algebra
+    order = max(w.degrees(A.xi), default=0)
+    extra = order + max(0, -w.min_degree())
+    kx = k.extended(extra)
+    op = weyl_quantize(kx.algebra, A.lift(w, extra))
+
+    def action(f):
+        return kx.act(op.apply(kx.inverse().act(f)))
+
+    return A.lower(operator_from_action(kx.algebra, action, order).to_weyl())
+
+
+@st.composite
+def conjugation_cases(draw, n, order):
+    """A nonlinear k with a multiplier and a symbol of differential order
+    ``order`` (its first term reaches it) whose first term carries h^-1 or
+    h^-2; every term has u-degree <= 3 and fits under the cap."""
+    A = WeylAlgebra(n, draw(st.sampled_from([4, 5, 6] if n < 3 else [4])))
+    w = A.zero()
+    for t in range(draw(st.integers(1, 4))):
+        exp = dict.fromkeys(A.x + A.xi, 0)
+        for v in draw(st.lists(st.sampled_from(A.xi), min_size=order if t == 0 else 0,
+                               max_size=order)):
+            exp[v] += 1
+        for u in draw(st.lists(st.sampled_from(A.x), max_size=3)):
+            exp[u] += 1
+        jets = sum(exp.values())
+        p = draw(st.sampled_from([-2, -1] if t == 0 else [-2, -1, 0, 1]))
+        exp["h"] = min(p, (A.cap - jets) // 2)
+        re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        w = w + A.ctx.monomial(exp, complex(re, im) or 1)
+    return rand_k(A, random.Random(draw(st.integers(0, 1000)))), w
+
+
+# relative to the largest coefficient of either route (and at least 1), fixed
+# before the run; rounding alone separates the two routes
+ROUTE_TOL = 1e-11
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_k_conjugate_equals_the_action_route(n, order, data):
+    k, w = data.draw(conjugation_cases(n, order))
+    got, want = k_conjugate(k, w), k_conjugate_by_action(k, w)
+    assert got.distance(want) <= ROUTE_TOL * max(1.0, got.max_abs(), want.max_abs())
+
+
+@pytest.mark.parametrize("n, cap", [(1, 4), (1, 6), (2, 4), (3, 4)])
+def test_k_conjugate_of_a_position_symbol_is_its_composition(n, cap):
+    rng = random.Random(30 + n + cap)
+    A = WeylAlgebra(n, cap)
+    for _ in range(3):
+        k = rand_k(A, rng)
+        w = rand_position_series(A, rng) + 0.6 * A.var(A.x[-1], 3) * A.hbar(-1)
+        want = compose(w, k.images)
+        assert k_conjugate(k, w).distance(want) <= 1e-13 * max(1.0, want.max_abs())
+
+
+@pytest.mark.parametrize("cap", [4, 6])
+def test_k_conjugate_of_the_momentum_is_its_closed_form(cap):
+    # at n = 1, ih d conjugates to M (ih d - ih lambda), M = 1/g' and
+    # lambda = (log m)' = q' + g''/(2 g'); its Weyl form is the symbol
+    A = WeylAlgebra(1, cap)
+    u, v = A.var("u1"), A.var("v1")
+    g = -1.3 * u + 0.4 * u * u - 0.2 * A.var("u1", 3)
+    q = 0.3 * u - 0.25 * u * u
+    k = KGroupElement(A, {"u1": g}, q)
+    M = g.diff("u1").unit_inverse()
+    lam = q.diff("u1") + 0.5 * g.diff("u1").diff("u1") * M
+    want = NormalOperator(A, M * (v - 1j * A.hbar() * lam)).to_weyl()
+    assert k_conjugate(k, v).distance(want) <= 1e-13 * want.max_abs()
 
 
 def rand_symbol(A, rng, with_inverse_h):
