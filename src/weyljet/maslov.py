@@ -132,7 +132,11 @@ def _exchange_signature(sig, entry, I, J, message: str) -> int:
 def _chart(n: int, I):
     """Sorted I, its sorted complement and the names of the free
     coordinates (x_I, then e_Ibar) of the chart U_I in dimension n.
-    Indices are what ``operator.index`` accepts."""
+    n and the indices are what ``operator.index`` accepts."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise MaslovError(f"chart dimension n {n!r} is not an integer") from None
     try:
         Ilist = sorted({operator.index(i) for i in I})
     except TypeError:
@@ -311,16 +315,23 @@ class SubdivisionChart:
 
     @staticmethod
     def from_json(data) -> "SubdivisionChart":
-        shift = [_rational(x) for x in data.get("phase_shift", [0, 1])]
-        if not shift[1]:
-            raise MaslovError("phase_shift has denominator 0")
+        if not isinstance(data, dict):
+            raise MaslovError(f"chart JSON {data!r} is not an object")
         try:
             chart_id, base, n, free, F = [data[k] for k in ("chart_id", "base_chart", "n",
                                                             "base_free", "F")]
         except KeyError as exc:
             raise MaslovError(f"chart JSON lacks the field {exc.args[0]!r}") from None
+        shift = data.get("phase_shift", [0, 1])
+        if not isinstance(free, (list, tuple)):
+            raise MaslovError(f"chart JSON has a malformed field 'base_free': {free!r}")
+        if not isinstance(shift, (list, tuple)) or len(shift) != 2:
+            raise MaslovError(f"chart JSON has a malformed field 'phase_shift': {shift!r}")
+        num, den = map(_rational, shift)
+        if not den:
+            raise MaslovError("phase_shift has denominator 0")
         return SubdivisionChart(chart_id, base, n, tuple(free), TruncatedSeries.from_json(F),
-                                Fraction(shift[0], shift[1]))
+                                Fraction(num, den))
 
 
 def submanifold_cocycle(beta: SubdivisionChart, gamma: SubdivisionChart,

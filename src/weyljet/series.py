@@ -29,9 +29,11 @@ goes negative), that each exponent fits its packed field, and the
 coefficient of every term, which they read by the number rule.
 Exponents are integral: the constructors read each one as a sequence
 index, as a context reads its cap, and store it as an int, so a float
-exponent is an error.  ``map_vars`` keeps every degree, sign and
-coefficient of its admitted operand, so it checks only the cap and the
-fields of variables it merges.  Operations closed over admitted terms
+exponent is an error.  ``map_vars`` validates a change of variables: it
+adds the exponents of the renamed terms into their target slots and
+reads them through ``TruncatedSeries(ctx, terms)``.  Only its path in
+the same variables, a lift or a lower of the cap, trusts its operand
+and cuts at the cap alone.  Operations closed over admitted terms
 (``*``, ``+``, ``-``, ``diff``, ``filter_degree``, ``coefficients``,
 ``exp_second_order``, ``contract_product``, ``compose``,
 ``linear_combination`` and ``quadratic_series``) trust their operands,
@@ -364,13 +366,10 @@ class TruncatedSeries:
         return any(((k >> s) & _MASK) != o for k in self._packed)
 
     def _degree_in(self, variables: Iterable[str]):
-        """The weighted degree of a key in ``variables``: its top field when
-        they are all the context's variables."""
+        """The weighted degree of a key in ``variables``: the weighted sum of
+        their fields less that of their offsets."""
         ctx = self.ctx
         idx = [ctx.index(v) for v in variables]
-        if sorted(idx) == list(range(len(ctx.variables))):
-            top = ctx._deg_shift
-            return lambda k: k >> top
         fields = [(ctx._shifts[i], ctx.weights[i]) for i in idx]
         base = sum(ctx.weights[i] * ctx._offsets[i] for i in idx)
         return lambda k: sum(w * ((k >> s) & _MASK) for s, w in fields) - base
@@ -453,6 +452,10 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise SeriesError(f"power {k!r} is not an integer") from None
         if k < 0:
             raise SeriesError("negative powers: use unit_inverse")
         result = self.ctx.one()
@@ -548,9 +551,13 @@ class TruncatedSeries:
         return total
 
     def map_vars(self, mapping: Mapping[str, str], new_ctx: SeriesContext) -> "TruncatedSeries":
-        """Rename variables into another context (shared names keep their
-        name); ``h`` maps to ``h`` and nothing else does.  Source variables
-        absent from the target are allowed while unused."""
+        """This series in ``new_ctx``, each variable ``v`` renamed to
+        ``mapping.get(v, v)``; ``h`` maps to ``h`` and nothing else does,
+        and a source variable absent from the target is allowed while
+        unused.  In the same variables this lifts or lowers the cap on the
+        keys; any other change (a renaming, a merge, an embedding) sums each
+        term's exponents into their target slots and validates the result
+        through ``TruncatedSeries(new_ctx, ...)``."""
         src = self.ctx
         if new_ctx.variables == src.variables and all(
                 mapping.get(v, v) == v for v in src.variables):
@@ -558,48 +565,24 @@ class TruncatedSeries:
             top = new_ctx._top
             return _admitted(new_ctx, self._packed if new_ctx.cap >= src.cap else
                              {k: c for k, c in self._packed.items() if k < top})
-        used = [any(((k >> s) & _MASK) != o for k in self._packed)
-                for s, o in zip(src._shifts, src._offsets)]
-        targets: list[int | None] = []
+        slots = []  # (source index, target index)
         for i, v in enumerate(src.variables):
             tv = mapping.get(v, v)
             if tv not in new_ctx._index:
-                if used[i]:
+                if self.depends_on(v):
                     raise SeriesError(f"unknown variable {tv!r}")
-                targets.append(None)
                 continue
             if (v == HBAR) != (tv == HBAR):
                 raise SeriesError(f"h maps to h only: cannot map {v!r} to {tv!r}")
-            targets.append(new_ctx.index(tv))
-        # a renaming keeps every weighted degree, sign and coefficient: each
-        # used field moves to its target's place (h's with its offset, else
-        # the target's zero key supplies it), and only the cap and the
-        # exponents of variables merged into one are checked
-        moves = [(s, new_ctx._shifts[j]) for s, j, u in zip(src._shifts, targets, used) if u]
-        merged = len({t for _, t in moves}) < len(moves)
-        h_moves = HBAR in src._index and used[src._index[HBAR]]
-        base = 0 if h_moves else new_ctx._zero
-        n = len(new_ctx.variables)
-        cap, old_shift, new_shift = new_ctx.cap, src._deg_shift, new_ctx._deg_shift
-        out: dict[int, complex] = {}
-        get = out.get
-        for k, c in self._packed.items():
-            d = k >> old_shift
-            if d > cap:
-                continue
-            if merged:
-                e2 = [0] * n
-                for p, j in zip(src._unpack(k), targets):
-                    if j is not None:
-                        e2[j] += p
-                key = new_ctx._pack(e2)
-                if key is None:
-                    raise SeriesError(f"map_vars: exponent {tuple(e2)} is beyond its packed field: "
-                                      f"{_FIELD_RANGE}")
-            else:
-                key = (d << new_shift) + base + sum([((k >> s) & _MASK) << t for s, t in moves])
-            out[key] = get(key, 0) + c
-        return _admitted(new_ctx, out)
+            slots.append((i, new_ctx._index[tv]))
+        out: dict[tuple[int, ...], complex] = {}
+        for e, c in self._decoded():
+            e2 = [0] * len(new_ctx.variables)
+            for i, j in slots:
+                e2[j] += e[i]
+            e2 = tuple(e2)
+            out[e2] = out.get(e2, 0) + c
+        return TruncatedSeries(new_ctx, out)
 
     # --- serialization ----------------------------------------------------
 

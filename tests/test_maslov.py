@@ -859,6 +859,17 @@ def test_a_point_is_two_sequences_of_n_coordinates():
     for key in ("chart_id", "base_chart", "n", "base_free", "F"):
         with pytest.raises(MaslovError, match=f"chart JSON lacks the field '{key}'"):
             SubdivisionChart.from_json({k: v for k, v in data.items() if k != key})
+    # a malformed field is named too
+    for bad, message in [({**data, "phase_shift": [1]}, r"malformed field 'phase_shift': \[1\]"),
+                         ({**data, "phase_shift": 5}, "malformed field 'phase_shift': 5"),
+                         ({**data, "n": "x"}, "chart dimension n 'x' is not an integer"),
+                         ({**data, "base_free": 3}, "malformed field 'base_free': 3"),
+                         ([data], "chart JSON .* is not an object"),
+                         (None, "chart JSON None is not an object")]:
+        with pytest.raises(MaslovError, match=message):
+            SubdivisionChart.from_json(bad)
+    with pytest.raises(MaslovError, match="chart dimension n 'x' is not an integer"):
+        SubdivisionChart("c", "base", "x", (0,), graph.F)
 
 
 def test_maslov_input_errors_are_typed():

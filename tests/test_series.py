@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -819,6 +820,9 @@ def test_series_input_errors_are_typed():
             (lambda: SeriesContext(["y1", "y1"], 2), "duplicate variable names"),
             (lambda: SeriesContext(["y1"], -1), "cap must be nonnegative"),
             (lambda: (1 + y1) ** -1, "negative powers"),
+            # a power is read as an index, as a cap is
+            (lambda: y1 ** 1.5, "power 1.5 is not an integer"),
+            (lambda: y1 ** "2", "power '2' is not an integer"),
             (lambda: y1.unit_inverse(), "inverse of a non-unit series"),
             (lambda: (y1 - 1).unit_sqrt(), "positive real lead"),
             (lambda: y1.map_vars({"y1": "z"}, ctx), "unknown variable 'z'"),
@@ -1044,6 +1048,100 @@ def test_packed_fields_raise_instead_of_carrying():
             (lambda: SeriesContext(["y"], 382), "cap 382 is beyond 381")]:
         with pytest.raises(SeriesError, match=message):
             call()
+
+
+def tuple_map_vars(s, mapping, new_ctx):
+    """``map_vars`` as a loop over exponent tuples: the same checks in the
+    same order, then each term's exponents added into their target slots,
+    the terms summed and those beyond the cap dropped."""
+    slots = []
+    for i, v in enumerate(s.ctx.variables):
+        tv = mapping.get(v, v)
+        if tv not in new_ctx.variables:
+            if any(e[i] for e in s.terms):
+                raise SeriesError(f"unknown variable {tv!r}")
+            continue
+        if (v == "h") != (tv == "h"):
+            raise SeriesError("h maps to h only")
+        slots.append((i, new_ctx.variables.index(tv)))
+    out = {}
+    for e, c in s.terms.items():
+        e2 = [0] * len(new_ctx.variables)
+        for i, j in slots:
+            e2[j] += e[i]
+        if new_ctx.weighted_degree(e2) <= new_ctx.cap:
+            if max(e2, default=0) > 127:
+                raise SeriesError("beyond its packed field")
+            out[tuple(e2)] = out.get(tuple(e2), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+MAP_KINDS = ("rename", "merge", "embed", "lift", "lower", "unknown", "h", "field")
+
+
+@st.composite
+def map_vars_case(draw):
+    """``(kind, series, mapping, target context)``: a source over two or
+    three of y1..y3, h at any place and x9, which no term uses; exact terms
+    with h^-3 .. h^2.  Each kind forces its feature: two terms that merge
+    into one, a term beyond a lowered cap, exponents near the 127 of a
+    packed field for ``field``."""
+    kind = draw(st.sampled_from(MAP_KINDS))
+    jets = draw(st.permutations(["y1", "y2", "y3"]))[:draw(st.integers(2, 3))]
+    names = jets[:]
+    names.insert(draw(st.integers(0, len(jets))), "h")
+    cap = 381 if kind == "field" else draw(st.integers(2, 8))
+    variables = ["h"] if kind == "embed" else names + ["x9"]
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = tuple(draw(st.integers(-3, 2)) if v == "h" else 0 if v == "x9" else
+                  draw(st.integers(0, 3)) for v in variables)
+        terms[e] = draw(PACKED_FRACTIONS)
+    src = SeriesContext(variables, cap)
+    s = TruncatedSeries(src, terms)
+    a, b = jets[:2]
+    mapping = {}
+    target = names
+    if kind == "rename":
+        renamed = draw(st.permutations(["z1", "z2", "z3", jets[-1]]))
+        mapping = dict(zip(jets, renamed))
+        target = draw(st.permutations(renamed + ["h"]))
+    elif kind in ("merge", "field"):
+        p, q = (draw(st.integers(60, 70)) for _ in "pq") if kind == "field" else (1, 0)
+        s = s + src.monomial({a: p, b: q}) + src.monomial({a: q, b: p}, 2)
+        mapping = {a: b}
+        target = draw(st.sampled_from([names, [v for v in names if v != a]]))
+    elif kind in ("lift", "lower"):
+        target = variables
+        mapping = draw(st.sampled_from([{}, {v: v for v in variables}]))
+        cap2 = cap + draw(st.integers(0, 3)) if kind == "lift" else draw(st.integers(0, cap - 1))
+        s = s if kind == "lift" else s + src.monomial({a: cap2 + 1})
+        return kind, s, mapping, SeriesContext(target, cap2)
+    elif kind == "unknown":
+        s = s + src.variable(a)
+        mapping = {a: "w9"}
+    elif kind == "h":
+        mapping = draw(st.sampled_from([{"h": a}, {a: "h"}, {"h": "h", b: "h"}]))
+    return kind, s, mapping, SeriesContext(target, draw(st.integers(0, cap)))
+
+
+@PACKED
+@given(map_vars_case())
+def test_map_vars_equals_the_tuple_renaming(case):
+    kind, s, mapping, new_ctx = case
+    try:
+        expected = tuple_map_vars(s, mapping, new_ctx)
+    except SeriesError as exc:
+        assert kind in ("unknown", "h", "field")
+        with pytest.raises(SeriesError, match=re.escape(str(exc))):
+            s.map_vars(mapping, new_ctx)
+        return
+    assert kind not in ("unknown", "h")
+    out = s.map_vars(mapping, new_ctx)
+    assert out.ctx == new_ctx and out.terms == expected
+    assert_exact(out)
+    if kind == "lower":
+        assert len(out.terms) < len(s.terms)
 
 
 def test_coefficients_are_read_by_the_number_rule():
