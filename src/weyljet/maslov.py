@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .series import SeriesContext, TruncatedSeries, quadratic_series
+from .series import SeriesContext, SeriesError, TruncatedSeries, quadratic_series
 
 
 class MaslovError(ValueError):
@@ -330,8 +330,11 @@ class SubdivisionChart:
         num, den = map(_rational, shift)
         if not den:
             raise MaslovError("phase_shift has denominator 0")
-        return SubdivisionChart(chart_id, base, n, tuple(free), TruncatedSeries.from_json(F),
-                                Fraction(num, den))
+        try:
+            F = TruncatedSeries.from_json(F)
+        except SeriesError as exc:
+            raise MaslovError(f"chart JSON has a malformed field 'F': {exc}") from None
+        return SubdivisionChart(chart_id, base, n, tuple(free), F, Fraction(num, den))
 
 
 def submanifold_cocycle(beta: SubdivisionChart, gamma: SubdivisionChart,

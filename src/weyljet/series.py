@@ -23,10 +23,10 @@ checks that it is numeric, square, finite, and real and symmetric when
 asked, and names the caller in every message.
 
 Admission contract: the public constructors (``TruncatedSeries(ctx,
-terms)``, ``from_terms``, ``monomial``, ``from_json`` and
-``shift_exponent``) check arity, the cap, the exponent signs (only h
-goes negative), that each exponent fits its packed field, and the
-coefficient of every term, which they read by the number rule.
+terms)``, ``from_terms``, ``monomial`` and ``from_json``) check arity,
+the cap, the exponent signs (only h goes negative), that each exponent
+fits its packed field, and the coefficient of every term, which they
+read by the number rule.
 Exponents are integral: the constructors read each one as a sequence
 index, as a context reads its cap, and store it as an int, so a float
 exponent is an error.  ``map_vars`` validates a change of variables: it
@@ -48,7 +48,9 @@ else is an error.
 
 One product kernel: ``*`` on two series is :func:`contract_product` with
 no pairs, so one walk over the monomial pairs, in order of weighted
-degree, makes the plain and the contracted products.  One rung rule:
+degree, makes the plain and the contracted products.  Multiplying by
+``h^k`` is the product by the monomial ``h^k``: exact for ``k <= 0``, and
+zero when ``2k > cap``, where that monomial is itself cut.  One rung rule:
 ``contract_product`` and :func:`exp_second_order` climb the same
 closed-form ladders, whose rung k differentiates k times by each
 variable of a pair and gives ``h^k``.
@@ -483,18 +485,6 @@ class TruncatedSeries:
             out[k] = get(k, 0) + c * p
         return _made(ctx, out)
 
-    def shift_exponent(self, var: str, k: int) -> "TruncatedSeries":
-        """Multiply by var**k at the exponent level (k may be negative
-        for ``h``); a public constructor, so the shifted terms are read as
-        the constructor reads any."""
-        i = self.ctx.index(var)
-        out = {}
-        for e, c in self._decoded():
-            e2 = list(e)
-            e2[i] += k
-            out[tuple(e2)] = c
-        return TruncatedSeries(self.ctx, out)
-
     # --- composition-grade helpers ---------------------------------------
 
     def exp(self) -> "TruncatedSeries":
@@ -638,14 +628,19 @@ def power_sum(x: TruncatedSeries, step, limit: int) -> TruncatedSeries | None:
     return None
 
 
-def _pair_indices(ctx: SeriesContext, pairs, op: str) -> tuple[list, int | None]:
-    """The pairs ``(a, b, c)`` with ``c`` nonzero as ``(index of a, index
-    of b, c)``, ``c`` kept exact when exact, and the index of ``h``, which
-    their rungs raise (``None`` without pairs); ``a`` and ``b`` weigh 1."""
+def _pair_plan(ctx: SeriesContext, pairs, op: str) -> list:
+    """The pairs ``(a, b, c)`` with ``c`` nonzero as ``(index of a, index of
+    b, c, step)``, ``c`` kept exact when exact and ``step`` the rung step of
+    :func:`_climb`, the key of ``h / (a b)`` less the bias; ``a`` and ``b``
+    weigh 1."""
     idx = [(ctx.index(a), ctx.index(b), _number(c)) for a, b, c in pairs if c]
+    if not idx:
+        return []
     if any(ctx.weights[t] != 1 for i, j, _ in idx for t in (i, j)):
         raise SeriesError(f"{op} contracts weight-1 variables only")
-    return idx, ctx.index(HBAR) if idx else None
+    u = ctx._units
+    uh = u[ctx.index(HBAR)]
+    return [(i, j, c, uh - u[i] - u[j]) for i, j, c in idx]
 
 
 @functools.cache
@@ -675,12 +670,6 @@ def _climb(terms: list, step: int, c, ladder: tuple[int, ...]):
             terms.append((key, ce * (ck * ladder[k])))
 
 
-def _steps(ctx: SeriesContext, idx: list, ih: int) -> list:
-    """The rung ``step`` of :func:`_climb` for each pair of ``idx``."""
-    u = ctx._units
-    return [u[ih] - u[i] - u[j] for i, j, _ in idx]
-
-
 def exp_second_order(s: TruncatedSeries,
                      pairs: Iterable[tuple[str, str, complex]]) -> TruncatedSeries:
     """``exp(h sum c d_a d_b) s`` over ``(a, b, c)`` in ``pairs``.
@@ -693,10 +682,9 @@ def exp_second_order(s: TruncatedSeries,
     inverse powers of ``h`` included, and exact pairs keep exact terms exact.
     """
     ctx = s.ctx
-    idx, ih = _pair_indices(ctx, pairs, "exp_second_order")
     terms = dict(s._packed)
     shifts = ctx._shifts
-    for (i, j, c), step in zip(idx, _steps(ctx, idx, ih)):
+    for i, j, c, step in _pair_plan(ctx, pairs, "exp_second_order"):
         si, sj = shifts[i], shifts[j]
         ladders: dict[tuple[int, int], list] = {}
         for key, ce in terms.items():
@@ -728,15 +716,14 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     """
     f._check(g)
     ctx = f.ctx
-    idx, ih = _pair_indices(ctx, pairs, "contract_product") if pairs else ((), None)
-    if idx:
-        if len({i for i, _, _ in idx}) < len(idx) or len({j for _, j, _ in idx}) < len(idx):
-            raise SeriesError("contract_product names a variable twice on one side")
+    plan = _pair_plan(ctx, pairs, "contract_product") if pairs else []
+    if plan and len(plan) > min(len({p[0] for p in plan}), len({p[1] for p in plan})):
+        raise SeriesError("contract_product names a variable twice on one side")
     bias = ctx._zero
     top = ctx._top + bias  # ka + kb is within the cap while below this
     out: dict[int, complex] = {}
     get = out.get
-    if not idx:
+    if not plan:
         b = sorted(g._packed.items())
         for ka, ca in sorted(f._packed.items()):
             room = top - ka
@@ -749,8 +736,7 @@ def contract_product(f: TruncatedSeries, g: TruncatedSeries,
     # each key of f with its active pairs, those whose variable it holds:
     # (rung step, c, shift of the pair's variable in g, its exponent in f)
     shifts = ctx._shifts
-    rungs = [(step, c, shifts[i], shifts[j])
-             for (i, j, c), step in zip(idx, _steps(ctx, idx, ih))]
+    rungs = [(step, c, shifts[i], shifts[j]) for i, j, c, step in plan]
     a = [(k, c, [(step, cp, sb, p) for step, cp, sa, sb in rungs if (p := (k >> sa) & _MASK)])
          for k, c in sorted(f._packed.items())]
     b = sorted(g._packed.items())

@@ -160,7 +160,7 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     # z-quadratic part of weighted degree 0; the interaction is the rest of
     # z-degree >= 2.  Dividing before composing keeps terms up to cap + 2
     shift = {v: zstar[v] + wide.variable(v) for v in z_vars}
-    delta = (compose(phase.shift_exponent(HBAR, -1).map_vars({}, wide), shift)
+    delta = (compose(phase.map_vars({}, wide) * wide.variable(HBAR, -1), shift)
              .filter_degree(z_vars, lambda d: d >= 2)
              .filter_degree(wide.variables, lambda d: d >= 1))
     integrand = compose(amplitude.map_vars({}, wide), shift) * (delta * 1j).exp()

@@ -124,10 +124,6 @@ class NormalOperator:
         # exp(direction * (ih/2) sum_j d_u d_v) applied to the symbol
         return exp_second_order(s, [(u, v, direction * 0.5j) for u, v in zip(A.x, A.xi)])
 
-    @classmethod
-    def from_weyl(cls, A: WeylAlgebra, w: TruncatedSeries) -> "NormalOperator":
-        return cls(A, cls._mixing(A, w, +1.0))
-
     def to_weyl(self) -> TruncatedSeries:
         return self._mixing(self.algebra, self.symbol, -1.0)
 
@@ -149,7 +145,7 @@ class NormalOperator:
 
 def weyl_quantize(A: WeylAlgebra, w: TruncatedSeries) -> NormalOperator:
     """Symmetrized-product quantization u^a v^b -> sym(u^a, (ih d_u)^b)."""
-    return NormalOperator.from_weyl(A, w)
+    return NormalOperator(A, NormalOperator._mixing(A, w, +1.0))
 
 
 def operator_from_action(A: WeylAlgebra, action: Callable[[TruncatedSeries], TruncatedSeries],
@@ -169,7 +165,7 @@ def operator_from_action(A: WeylAlgebra, action: Callable[[TruncatedSeries], Tru
             if residual.is_zero():
                 continue
             scale = (1.0 / ((1j ** order) * math.prod(map(math.factorial, gamma))))
-            block = (residual * scale).shift_exponent(HBAR, -order)
+            block = residual * scale * A.hbar(-order)
             vmono = ctx.monomial({v: g for v, g in zip(A.xi, gamma)}, 1.0)
             N = NormalOperator(A, N.symbol + block * vmono)
     return N
@@ -200,7 +196,7 @@ class LieElement:
 
     def ad(self, w: TruncatedSeries) -> TruncatedSeries:
         # dividing the payload by h first keeps the product exact up to the cap
-        return commutator(self.algebra, self.payload.shift_exponent(HBAR, -1), w) * -1j
+        return commutator(self.algebra, self.payload * self.algebra.hbar(-1), w) * -1j
 
     def graded_profile(self) -> list[int]:
         return sorted(d - 2 for d in self.payload.degrees(self.algebra.ctx.variables))
@@ -220,23 +216,15 @@ def lie_classify(h: LieElement) -> dict:
     """Monomial-pattern membership in Lie(P), Lie(N) and k>=1, plus the
     graded profile of the payload."""
     A = h.algebra
-    ctx = A.ctx
-    xi_idx = [ctx.index(v) for v in A.xi]
-    x_idx = [ctx.index(v) for v in A.x]
-    h_idx = ctx.index(HBAR)
     in_p = in_n = in_k1 = True
-    for e, c in h.payload.terms.items():
-        beta = sum(e[i] for i in xi_idx)
-        xdeg = sum(e[i] for i in x_idx)
-        hp = e[h_idx]
-        d = ctx.weighted_degree(e)
-        ok_p = (beta >= 1 and d >= 2) or (hp >= 1 and d >= 3)
-        ok_n = (beta >= 2) or (hp >= 1 and beta >= 1) or (hp >= 2)
-        ok_k1 = (beta == 1 and hp == 0 and xdeg >= 2) or \
-                (beta == 0 and hp == 1 and xdeg >= 1)
-        in_p &= ok_p
-        in_n &= ok_n
-        in_k1 &= ok_k1
+    for (*b, hp), c in h.payload.coefficients(A.xi + (HBAR,)).items():
+        beta = sum(b)
+        for xdeg in c.degrees(A.x):
+            d = xdeg + beta + 2 * hp
+            in_p &= (beta >= 1 and d >= 2) or (hp >= 1 and d >= 3)
+            in_n &= (beta >= 2) or (hp >= 1 and beta >= 1) or (hp >= 2)
+            in_k1 &= ((beta == 1 and hp == 0 and xdeg >= 2)
+                      or (beta == 0 and hp == 1 and xdeg >= 1))
     return {
         "in_lie_p": in_p,
         "in_lie_n": in_n,
@@ -417,9 +405,7 @@ def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
 def lie_operator(h: LieElement) -> NormalOperator:
     """Normal operator of (1/ih) payload."""
     A = h.algebra
-    N = NormalOperator.from_weyl(A, h.payload)
-    sym = (N.symbol * -1j).shift_exponent(HBAR, -1)
-    return NormalOperator(A, sym)
+    return NormalOperator(A, weyl_quantize(A, h.payload).symbol * -1j * A.hbar(-1))
 
 
 def exp_lie_apply(h: LieElement, f: TruncatedSeries) -> TruncatedSeries:

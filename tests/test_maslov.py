@@ -864,6 +864,8 @@ def test_a_point_is_two_sequences_of_n_coordinates():
                          ({**data, "phase_shift": 5}, "malformed field 'phase_shift': 5"),
                          ({**data, "n": "x"}, "chart dimension n 'x' is not an integer"),
                          ({**data, "base_free": 3}, "malformed field 'base_free': 3"),
+                         ({**data, "F": 3}, "malformed field 'F': series JSON lacks the "
+                                            "field 'terms'"),
                          ([data], "chart JSON .* is not an object"),
                          (None, "chart JSON None is not an object")]:
         with pytest.raises(MaslovError, match=message):

@@ -123,9 +123,8 @@ def untyped_raises():
 
 
 # (module, function) allowed to read exponent tuples outside series.py:
-# lie_classify classifies monomial by monomial, and jets_equal_mod_center
-# divides the leading coefficients of two jets
-EXPONENT_READERS = {("weyl.py", "lie_classify"), ("weil.py", "jets_equal_mod_center")}
+# jets_equal_mod_center divides the leading coefficients of two jets
+EXPONENT_READERS = {("weil.py", "jets_equal_mod_center")}
 EXPONENT_ACCESS = {"terms", "from_terms", "weighted_degree", "_packed"}
 
 

@@ -12,6 +12,8 @@ from weyljet.weil import (Central, Fourier, GaussianJet, Linear, Shear,
                           act_gl, act_shear, act_word, factor_sp, jet_context,
                           jets_equal_mod_center, word_matrix)
 
+from test_series import tuple_shift
+
 
 def basic_jet(n=1, cap=6, T=None, mode="weil0", amp=None):
     ctx = jet_context(n, cap)
@@ -113,7 +115,7 @@ def test_fourier_conjugation_rule():
     Tb = bare.T[0, 0]
     # (-ih d) acting on e^{iTb u^2/2h} g: effective op -ih d + (Tb u)
     def xi_op(g):
-        return (g.diff("u1") * -1j).shift_exponent("h", 1) + ctx.variable("u1") * Tb * g
+        return tuple_shift(g.diff("u1") * -1j, "h", 1) + ctx.variable("u1") * Tb * g
     g0 = bare.amplitude
     oracle_amp = f.coefficient({}) * g0 \
         + 2 * xi_op(g0) + 0.5 * xi_op(xi_op(g0))

@@ -280,6 +280,44 @@ def test_lie_classify_componentwise():
     assert r["graded_profile"] == [1]
 
 
+def lie_classify_by_tuples(h):
+    """lie_classify as a loop over the payload's exponent tuples, term by term."""
+    A = h.algebra
+    ctx = A.ctx
+    xi_idx = [ctx.index(v) for v in A.xi]
+    x_idx = [ctx.index(v) for v in A.x]
+    h_idx = ctx.index("h")
+    in_p = in_n = in_k1 = True
+    for e in h.payload.terms:
+        beta = sum(e[i] for i in xi_idx)
+        xdeg = sum(e[i] for i in x_idx)
+        hp = e[h_idx]
+        d = ctx.weighted_degree(e)
+        in_p &= (beta >= 1 and d >= 2) or (hp >= 1 and d >= 3)
+        in_n &= (beta >= 2) or (hp >= 1 and beta >= 1) or (hp >= 2)
+        in_k1 &= (beta == 1 and hp == 0 and xdeg >= 2) or (beta == 0 and hp == 1 and xdeg >= 1)
+    return {"in_lie_p": in_p, "in_lie_n": in_n, "in_k_geq1": in_k1,
+            "graded_profile": h.graded_profile()}
+
+
+@st.composite
+def classify_cases(draw):
+    """A Lie element of n <= 2 at caps 3-6 whose payload has 0-5 terms with
+    u and v exponents 0-3 and h^-1 .. h^2."""
+    A = WeylAlgebra(draw(st.integers(1, 2)), draw(st.integers(3, 6)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(st.integers(0, 3)) for _ in A.x + A.xi) + (draw(st.integers(-1, 2)),)
+        terms[e] = draw(st.sampled_from([1.0, -2.5j, Fraction(1, 3)]))
+    return LieElement(A, TruncatedSeries(A.ctx, terms), draw(st.sampled_from(["g", "gtilde"])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(classify_cases())
+def test_lie_classify_equals_the_tuple_reading(h):
+    assert lie_classify(h) == lie_classify_by_tuples(h)
+
+
 def test_lie_g_tag_drops_central():
     A = algebra()
     h = LieElement(A, A.ctx.monomial({"h": 1}) + A.var("u1"), tag="g")
