@@ -189,9 +189,6 @@ class SeriesContext:
         except KeyError:
             raise SeriesError(f"unknown variable {var!r}") from None
 
-    def weighted_degree(self, exp: tuple[int, ...]) -> int:
-        return sum(map(mul, exp, self.weights))
-
     # --- constructors -------------------------------------------------
 
     def zero(self) -> "TruncatedSeries":

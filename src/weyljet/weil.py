@@ -10,10 +10,11 @@ Laurent series in ``h``.
 Trust rule: every matrix handed in (a jet's ``T``, a generator's block, the
 Sp matrix of :func:`factor_sp`) is read by ``_matrix`` of
 :mod:`weyljet.series`, and ``GaussianJet(...)`` checks ``T`` against the
-mode; generators keep that condition by construction and build their jets
-unchecked, by ``_with_parts``.  Every float check is scale-free: symmetry,
-realness and degeneracy against the largest entry of the matrix judged, and
-symplecticity against its square (:func:`negligible`, :func:`is_singular`).
+mode; the letters keep that condition by construction, and a word builds
+its jet once, unchecked, through ``_with_parts``.  Every float check is
+scale-free: symmetry, realness and degeneracy against the largest entry of
+the matrix judged, and symplecticity against its square
+(:func:`negligible`, :func:`is_singular`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
                      _json_field, _matrix, compose, exp_second_order, is_singular,
                      linear_combination, negligible)
-from .stationary import DegenerateHessianError, _wick_pairs, gaussian_prefactor
+from .stationary import DegenerateHessianError, gaussian_prefactor
 
 
 class UndefinedWeilActionError(SeriesError):
@@ -148,37 +149,20 @@ def word_matrix(word: Sequence, n: int) -> np.ndarray:
     return M
 
 
-def act_shear(A, jet: GaussianJet) -> GaussianJet:
-    return jet._with_parts(T=jet.T + _matrix(A, "act_shear: A", jet.n, real=True, symmetric=True))
-
-
-def _substituted(amplitude: TruncatedSeries, rows, M) -> TruncatedSeries:
-    """``amplitude`` with ``rows[k]`` replaced by ``sum_j M[k, j] u_j`` over the u's."""
-    ctx = amplitude.ctx
-    u = [ctx.variable(v) for v in ctx.variables if v != HBAR]
-    return compose(amplitude, {v: linear_combination(ctx, zip(u, row)) for v, row in zip(rows, M)})
-
-
-def act_gl(B, jet: GaussianJet) -> GaussianJet:
-    Bm, Binv = _substitution(B, jet.n, "act_gl")
-    T2 = Binv.T @ jet.T @ Binv
-    amp = _substituted(jet.amplitude, jet.vars(), Binv)
-    return jet._with_parts(T=(T2 + T2.T) / 2, amplitude=amp,
-                           scalar=jet.scalar * abs(np.linalg.det(Bm)) ** -0.5)
-
-
-def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
-    """Fourier transform on the block ``b`` named by ``variables`` (all u's
-    for ``None``), in closed form (Folland, *Harmonic Analysis in Phase Space*,
-    1989, ch. 4).  With ``b`` first and the rest ``r`` after, ``T = [[A, B],
-    [B^t, D]]``; the integral is stationary at ``u_b = -A^{-1}(xi_b + B u_r)``
-    and, renamed back to ``u``, has ``T' = [[-A^{-1}, -A^{-1}B], [-B^t A^{-1},
-    D - B^t A^{-1} B]]``, the amplitude ``exp((ih/2) d_b.A^{-1} d_b) a`` there
-    and the scalar times ``gaussian_prefactor(A)``.  A degenerate ``A`` raises
-    :class:`UndefinedWeilActionError` in mode ``weil0`` and the prefactor's
-    :class:`DegenerateHessianError` in mode ``weil``."""
-    uvars = jet.vars()
-    block = list(uvars if variables is None else variables)
+def _letter(g, jet: GaussianJet, T, scalar, step: int):
+    """Letter ``step`` of a word on ``(T, scalar)``: ``(T', scalar', C, M)``."""
+    n, uvars = jet.n, jet.vars()
+    C, M = np.zeros((n, n), complex), np.eye(n, dtype=complex)
+    if isinstance(g, Shear):
+        return T + _matrix(g.A, "act_shear: A", n, real=True, symmetric=True), scalar, C, M
+    if isinstance(g, Linear):
+        B, Binv = _substitution(g.B, n, "act_gl")
+        return Binv.T @ T @ Binv, scalar * abs(np.linalg.det(B)) ** -0.5, C, Binv
+    if isinstance(g, Central):
+        return T, scalar.mul_i_power(g.power), C, M
+    if not isinstance(g, Fourier):
+        raise SeriesError(f"unknown generator {g!r}")
+    block = list(uvars if g.variables is None else g.variables)
     for v in block:
         if v not in uvars:
             what = "h, not a position variable" if v == HBAR else f"unknown variable {v!r}"
@@ -186,49 +170,65 @@ def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
     if len(set(block)) < len(block):
         raise SeriesError(f"act_fourier: the block {block} names a variable twice")
     b = [uvars.index(v) for v in block]
-    rows = jet.T[b]  # [A, B], the block's rows of T
+    rows = T[b]  # [A, B], the block's rows of T
     try:
         pref = gaussian_prefactor(rows[:, b])
     except DegenerateHessianError:
         if jet.mode == "weil":
             raise
-        raise UndefinedWeilActionError("act_fourier: degenerate block, action undefined") from None
+        raise UndefinedWeilActionError("act_fourier: degenerate block, action undefined",
+                                       step) from None
     Ainv = np.linalg.inv(rows[:, b])
-    # the critical map u_b -> -A^{-1}(u_b + B u_r), one row over all u per block variable
     crit = -Ainv @ rows
     crit[:, b] = -Ainv
-    T2 = jet.T + rows.T @ crit  # D - B^t A^{-1} B in the rest
+    T2 = T + rows.T @ crit  # D - B^t A^{-1} B in the rest
     T2[b], T2[:, b] = crit, crit.T
-    amp = _substituted(exp_second_order(jet.amplitude, _wick_pairs(block, Ainv)), block, crit)
-    return jet._with_parts(T=(T2 + T2.T) / 2, amplitude=amp, scalar=jet.scalar * pref)
-
-
-def act_central(power: int, jet: GaussianJet) -> GaussianJet:
-    return jet._with_parts(scalar=jet.scalar.mul_i_power(power))
-
-
-def act_generator(g, jet: GaussianJet) -> GaussianJet:
-    if isinstance(g, Shear):
-        return act_shear(g.A, jet)
-    if isinstance(g, Linear):
-        return act_gl(g.B, jet)
-    if isinstance(g, Fourier):
-        return act_fourier(g.variables, jet)
-    if isinstance(g, Central):
-        return act_central(g.power, jet)
-    raise SeriesError(f"unknown generator {g!r}")
+    C[np.ix_(b, b)], M[b] = 0.5j * Ainv, crit
+    return T2, scalar * pref, C, M
 
 
 def act_word(word: Sequence, jet: GaussianJet) -> GaussianJet:
-    """Apply the word generator by generator, first entry first; an
-    undefined step re-raises with its index."""
-    out = jet
+    """Apply the letters of the word in list order; an undefined step raises
+    with its index.  A letter maps ``T`` and the scalar by matrices and the
+    amplitude ``a`` to ``[exp(h d.C d) a](M u)`` (Folland, *Harmonic Analysis
+    in Phase Space*, 1989, ch. 4; Littlejohn, *Phys. Rep.* 138, 1986): ``C =
+    0`` and ``M = I``, but ``M = B^{-1}`` for ``Linear(B)``, and a Fourier
+    transform on a block ``b``, with ``T = [[A, B], [B^t, D]]`` in the order
+    (b, rest), has ``T' = [[-A^{-1}, -A^{-1}B], [-B^t A^{-1}, D - B^t A^{-1}
+    B]]``, the scalar times ``gaussian_prefactor(A)``, ``C = (i/2) A^{-1}`` on
+    ``b`` and ``M = I`` with ``b``'s rows replaced by the critical map ``u_b ->
+    -A^{-1}(u_b + B u_r)``.  As ``exp(h d.C d)[f(L u)] = [exp(h d.LCL^t d) f](L
+    u)``, the word keeps ``[exp(h d.K d) a](L u)``, each letter setting ``K <-
+    K + L C L^t``, then ``L <- L M``; one ``exp_second_order`` and one
+    ``compose`` make it, exact under the cap: both keep weighted degrees."""
+    T, scalar, K, L = jet.T, jet.scalar, np.zeros((jet.n, jet.n)), np.eye(jet.n)
     for k, g in enumerate(word):
-        try:
-            out = act_generator(g, out)
-        except UndefinedWeilActionError as exc:
-            raise UndefinedWeilActionError(str(exc), step=k) from None
-    return out
+        T, scalar, C, M = _letter(g, jet, T, scalar, k)
+        T, K, L = (T + T.T) / 2, K + L @ C @ L.T, L @ M
+    ctx, uvars, amp = jet.ctx, jet.vars(), jet.amplitude
+    if K.any():
+        amp = exp_second_order(amp, [(a, uvars[j], K[i, j] + K[j, i] if j > i else K[i, i])
+                                     for i, a in enumerate(uvars) for j in range(i, jet.n)])
+    if not np.array_equal(L, np.eye(jet.n)):
+        u = [ctx.variable(v) for v in uvars]
+        amp = compose(amp, {v: linear_combination(ctx, zip(u, row)) for v, row in zip(uvars, L)})
+    return jet._with_parts(T=T, amplitude=amp, scalar=scalar)
+
+
+def act_shear(A, jet: GaussianJet) -> GaussianJet:
+    return act_word([Shear(A)], jet)
+
+
+def act_gl(B, jet: GaussianJet) -> GaussianJet:
+    return act_word([Linear(B)], jet)
+
+
+def act_fourier(variables, jet: GaussianJet) -> GaussianJet:
+    return act_word([Fourier(variables)], jet)
+
+
+def act_central(power: int, jet: GaussianJet) -> GaussianJet:
+    return act_word([Central(power)], jet)
 
 
 # --- canonical refactorization -------------------------------------------------

@@ -23,6 +23,9 @@
   power of ``i`` times a Laurent series in ``h``, and the class constant
   ``OscillatoryScalar.exponent`` (always 0) is left for the benchmark's
   checker alone.
+- Private names: a module imports an underscore name from another module
+  of the package only out of ``series.py``, the kernel whose private
+  readers (``_matrix``, ``_json_field``) the others share.
 - Admission contract: every operation the ``series`` docstring names in
   it exists.
 - No dead code: every public function, method and class of the package is
@@ -233,6 +236,28 @@ def test_no_module_reads_a_phase_exponent():
         "a = s.exponent", "if s.exact: pass", "exponent = 0", "s.i_power")] == [
         [1], [1], [], []]
     assert not sorted((name, line) for name, tree in modules() for line in phase_reads(tree))
+
+
+def private_imports(tree):
+    """Line of every import of an underscore name from a module of the
+    package other than ``series``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "weyljet"):
+            source = (node.module or "").rpartition(".")[2]
+            if source != "series" and any(a.name.startswith("_") for a in node.names):
+                yield node.lineno
+
+
+def test_private_names_cross_modules_only_out_of_series():
+    assert [list(private_imports(ast.parse(code))) for code in (
+        "from .stationary import DegenerateHessianError, _wick_pairs",
+        "from weyljet.weil import _letter", "from . import _private",
+        "from .series import _matrix", "from weyljet.series import _json_field",
+        "from .weil import act_word", "from numpy.linalg import _umath_linalg",
+        "from __future__ import annotations")] == [[1], [1], [1], [], [], [], [], []]
+    assert not sorted((name, line) for name, tree in modules()
+                      for line in private_imports(tree))
 
 
 def contract_names() -> list[str]:

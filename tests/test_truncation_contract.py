@@ -1,16 +1,20 @@
-"""Property tests of the truncation contract on Weyl symbols that carry
-inverse powers of h: every term of weighted degree <= cap is computed,
-whatever the powers of h in the inputs."""
+"""Property tests of the truncation contract on Weyl symbols and Gaussian
+jets that carry inverse powers of h: every term of weighted degree <= cap
+is computed, whatever the powers of h in the inputs."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyljet.series import compose
+from weyljet.weil import GaussianJet, jet_context
 from weyljet.weyl import (KGroupElement, LieElement, NormalOperator, WeylAlgebra, commutator,
                           k_conjugate, moyal_star, weyl_quantize)
 
 from test_series import tuple_shift
+from test_weil import letters, rand_jet, word_outcome
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -207,3 +211,23 @@ def test_k_conjugate_cap_invariance(data):
     n = data.draw(st.sampled_from([1, 2]))
     A = WeylAlgebra(n, 6 if n == 1 else 4)
     assert_conjugation_cap_invariant(A, data.draw(symbols(A, max_terms=3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_weil_word_cap_invariance(data):
+    # the word's one contraction and one substitution keep every weighted
+    # degree: at cap c it is the same word at cap c + 2 lowered to c, h^-1
+    # terms of the amplitude included
+    n, mode = data.draw(st.sampled_from([1, 2, 3])), data.draw(st.sampled_from(["weil", "weil0"]))
+    cap = data.draw(st.integers(2, 6))
+    jet = rand_jet(n, mode, random.Random(data.draw(st.integers(0, 10 ** 6))), cap=cap)
+    word = data.draw(st.lists(letters(n), min_size=1, max_size=5))
+    ctx = jet_context(n, cap + 2)
+    lifted = GaussianJet(mode, jet.T, jet.amplitude.map_vars({}, ctx), jet.scalar)
+    (narrow, failed), (wide, wide_failed) = word_outcome(word, jet), word_outcome(word, lifted)
+    assert failed == wide_failed
+    if not failed:
+        assert (narrow.T == wide.T).all()
+        assert narrow.scalar.laurent == wide.scalar.laurent
+        assert_close(narrow.amplitude, wide.amplitude.map_vars({}, jet.ctx))

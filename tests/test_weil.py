@@ -4,11 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weyljet import weil
 from weyljet.series import HBAR, OscillatoryScalar, SeriesError, quadratic_series
 from weyljet.stationary import DegenerateHessianError, hessian_matrix, stationary_phase
 from weyljet.weil import (Central, Fourier, GaussianJet, Linear, Shear,
-                          UndefinedWeilActionError, act_central, act_fourier, act_generator,
+                          UndefinedWeilActionError, act_central, act_fourier,
                           act_gl, act_shear, act_word, factor_sp, jet_context,
                           jets_equal_mod_center, word_matrix)
 
@@ -549,7 +552,7 @@ def test_generator_jets_pass_the_public_checks():
                 else:
                     g = Central(rng.randint(1, 3))
                 try:
-                    out = act_generator(g, jet)
+                    out = act_word([g], jet)
                 except UndefinedWeilActionError:
                     assert mode == "weil0"
                     continue
@@ -581,3 +584,116 @@ def test_fourier_of_a_degenerate_partial_block():
         act_fourier(["u2", "u1"], basic_jet(n=3, T=thin, mode="weil"))
     # the rest of either T alone is a regular block
     assert act_fourier(["u3"], basic_jet(n=3, T=thin, mode="weil")).T[2, 2] == 1j
+
+
+# --- the fused word against its letters one at a time -----------------------------
+
+WORDS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def letters(draw, n):
+    """A shear, a linear map I + E with |E| < 1, a full or partial Fourier
+    transform, or a central letter, on n position variables."""
+    def entries():
+        return np.array([[draw(st.integers(-8, 8)) / 8 for _ in range(n)] for _ in range(n)])
+    kind = draw(st.sampled_from(["shear", "linear", "fourier", "partial", "central"]))
+    if kind == "shear":
+        A = entries()
+        return Shear(tuple(map(tuple, A + A.T)))
+    if kind == "linear":  # |0.3 E| <= 0.9 at n <= 3: B is invertible
+        return Linear(tuple(map(tuple, np.eye(n) + 0.3 * entries())))
+    if kind == "fourier":
+        return Fourier(None)
+    if kind == "partial":
+        names = draw(st.permutations([f"u{i + 1}" for i in range(n)]))
+        return Fourier(tuple(names[:draw(st.integers(1, n))]))
+    return Central(draw(st.integers(1, 3)))
+
+
+@st.composite
+def words_on_jets(draw):
+    """(word of 1-6 letters, jet by ``rand_jet``); in mode weil0 the jet's T
+    may start singular, so that a Fourier letter can be undefined."""
+    n, mode = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from(["weil", "weil0"]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    jet = rand_jet(n, mode, rng)
+    if mode == "weil0" and draw(st.booleans()):
+        jet = degenerate_block(jet, jet.vars(), rng)
+    return draw(st.lists(letters(n), min_size=1, max_size=6)), jet
+
+
+def by_letters(word, jet):
+    """The word one letter at a time, Fourier letters by the fiber engine and
+    the others as one-letter words: (jet, None, kappas) or (None, (error
+    type, step), kappas), with kappas the condition |A^-1| |T| of each
+    Fourier step on its block A of T, which bounds how it magnifies rounding."""
+    kappas = []
+    for k, g in enumerate(word):
+        try:
+            if not isinstance(g, Fourier):
+                jet = act_word([g], jet)
+                continue
+            block = jet.vars() if g.variables is None else g.variables
+            b, T = [jet.vars().index(v) for v in block], jet.T
+            jet = fourier_by_engine(g.variables, jet)
+            smallest = np.linalg.svd(T[np.ix_(b, b)], compute_uv=False).min()
+            kappas.append(np.linalg.norm(T, 2) / smallest)
+        except SeriesError as exc:
+            return None, (type(exc), k), kappas
+    return jet, None, kappas
+
+
+def word_outcome(word, jet, offset=0):
+    try:
+        return act_word(word, jet), None
+    except SeriesError as exc:
+        step = exc.step + offset if isinstance(exc, UndefinedWeilActionError) else None
+        return None, (type(exc), step)
+
+
+def jet_error(got, want):
+    (T1, a1), (T2, a2) = got.flattened(), want.flattened()
+    return max(np.abs(T1 - T2).max(), a1.distance(a2))
+
+
+def test_a_word_does_its_series_work_once(monkeypatch):
+    calls = []
+    for name in ("compose", "exp_second_order"):
+        real = getattr(weil, name)
+        monkeypatch.setattr(weil, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    jet = rand_jet(3, "weil", random.Random(31))
+    shear = Shear(((1.0, 0.5, 0.0), (0.5, -1.0, 0.25), (0.0, 0.25, 2.0)))
+    B = ((1.0, 0.2, 0.0), (0.0, 1.0, -0.3), (0.1, 0.0, 1.0))
+    act_word([Fourier(None), Linear(B), shear, Fourier(("u2",)), Central(1),
+              Fourier(("u3", "u1")), Linear(B)], jet)
+    assert sorted(calls) == ["compose", "exp_second_order"]
+    calls.clear()
+    act_word([shear, Central(2), shear], jet)  # no series work at all
+    assert calls == []
+
+
+@WORDS
+@given(words_on_jets())
+def test_act_word_equals_its_letters_one_at_a_time(case):
+    # the fused word against the letters one at a time, and against itself
+    # split at every point; the tolerance is fixed from the oracle's output
+    # and the conditions of its Fourier steps before comparing
+    word, jet = case
+    want, failed, kappas = by_letters(word, jet)
+    if failed and failed[0] is not UndefinedWeilActionError:
+        failed = (failed[0], None)  # a DegenerateHessianError names no step
+    got, got_failed = word_outcome(word, jet)
+    assert got_failed == failed
+    if not failed:
+        T, amp = want.flattened()
+        tol = 1e-12 * math.prod(kappas) * max(1.0, np.abs(T).max(), amp.max_abs())
+        assert jet_error(got, want) <= tol
+    for k in range(len(word) + 1):
+        split, split_failed = word_outcome(word[:k], jet)
+        if not split_failed:
+            split, split_failed = word_outcome(word[k:], split, offset=k)
+        assert split_failed == failed
+        if not failed:
+            assert jet_error(split, got) <= tol

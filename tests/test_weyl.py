@@ -14,7 +14,7 @@ from weyljet.weyl import (KGroupElement, LieElement, NonTerminatingAdError,
                           moyal_star, operator_from_action, poisson_bracket,
                           weyl_quantize)
 
-from test_series import exp_second_order_by_powers
+from test_series import exp_second_order_by_powers, weighted_degree
 
 
 def algebra(n=1, cap=6):
@@ -292,7 +292,7 @@ def lie_classify_by_tuples(h):
         beta = sum(e[i] for i in xi_idx)
         xdeg = sum(e[i] for i in x_idx)
         hp = e[h_idx]
-        d = ctx.weighted_degree(e)
+        d = weighted_degree(ctx, e)
         in_p &= (beta >= 1 and d >= 2) or (hp >= 1 and d >= 3)
         in_n &= (beta >= 2) or (hp >= 1 and beta >= 1) or (hp >= 2)
         in_k1 &= (beta == 1 and hp == 0 and xdeg >= 2) or (beta == 0 and hp == 1 and xdeg >= 1)
