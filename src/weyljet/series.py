@@ -47,10 +47,13 @@ exact, any other ``numbers.Number`` becomes ``complex``, and anything
 else is an error.
 
 One product kernel: ``*`` on two series is :func:`contract_product` with
-no pairs, so one walk over the monomial pairs, in order of weighted
-degree, makes the plain and the contracted products.  Multiplying by
-``h^k`` is the product by the monomial ``h^k``: exact for ``k <= 0``, and
-zero when ``2k > cap``, where that monomial is itself cut.  One rung rule:
+no pairs, which keeps a walk of its own without per-term pair lists: one
+walk for both, 11 lines shorter, was slower (``k_conjugate`` 1,114-1,135
+checks/s against 1,172-1,191, ``weil_words`` 489-494 against 501-509, in
+three alternating 8 s benchmark pairs at seed 1 on a shared 2-vCPU KVM
+guest).  Multiplying by ``h^k`` is the product by the monomial ``h^k``:
+exact for ``k <= 0``, and zero when ``2k > cap``, where that monomial is
+itself cut.  One rung rule:
 ``contract_product`` and :func:`exp_second_order` climb the same
 closed-form ladders, whose rung k differentiates k times by each
 variable of a pair and gives ``h^k``.
@@ -665,6 +668,14 @@ def _climb(terms: list, step: int, c, ladder: tuple[int, ...]):
             key += step
             ck *= c
             terms.append((key, ce * (ck * ladder[k])))
+
+
+def _form_pairs(names: Sequence[str], K) -> list:
+    """The pairs of ``exp(h d.K d)`` over ``names``, a matrix ``K`` of one
+    row and column per name: ``K_ii`` on the diagonal, and ``K_ij + K_ji``
+    above it for :func:`exp_second_order`."""
+    return [(a, names[j], K[i, j] + K[j, i] if j > i else K[i, i])
+            for i, a in enumerate(names) for j in range(i, len(names))]
 
 
 def exp_second_order(s: TruncatedSeries,

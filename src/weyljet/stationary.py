@@ -1,8 +1,8 @@
 """Formal stationary phase: Legendre transforms, Gaussian moments and the
 fiber-integration engine.  :func:`stationary_phase` is the entry point for
 a Fourier integral of a series phase (the Weil Fourier generator takes its
-quadratic one in closed form).  The engine's first stage takes phases of
-weighted degree at most 2 and is exact there, not asymptotic.
+quadratic one in closed form).  The engine runs one path for every phase,
+and on a phase of weighted degree at most 2 that path is exact.
 
 Conventions, fixed once for the whole package:
 
@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .series import (DEFAULT_EPS, HBAR, SeriesContext, SeriesError, TruncatedSeries,
-                     _matrix, compose, exp_second_order, fixed_point, is_singular,
-                     linear_combination, negligible)
+                     _form_pairs, _matrix, compose, exp_second_order, fixed_point,
+                     is_singular, linear_combination, negligible)
 
 
 class DegenerateHessianError(SeriesError):
@@ -33,14 +33,6 @@ class DegenerateHessianError(SeriesError):
 
 
 # --- Gaussian moments --------------------------------------------------------
-
-
-def _wick_pairs(z_vars: Sequence[str], Qinv: np.ndarray) -> list:
-    """Pairs of ``exp((ih/2) d_z . Q^{-1} d_z)``, whose value at ``z = 0``
-    is the Gaussian expectation (Isserlis: propagator ``ih Q^{-1}``)."""
-    m = len(z_vars)
-    return [(z_vars[i], z_vars[j], (0.5j if i == j else 1j) * Qinv[i, j])
-            for i in range(m) for j in range(i, m)]
 
 
 def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
@@ -61,7 +53,7 @@ def gaussian_moment(Q, alpha: Sequence[int]) -> tuple[complex, int]:
     order = sum(int(a) for a in alpha)
     ctx = SeriesContext(z + [HBAR], order)
     zalpha = ctx.monomial(dict(zip(z, alpha)))
-    moment = exp_second_order(zalpha, _wick_pairs(z, np.linalg.inv(Qm)))
+    moment = exp_second_order(zalpha, _form_pairs(z, 0.5j * np.linalg.inv(Qm)))
     return complex(moment.coefficient({HBAR: order // 2})), order // 2
 
 
@@ -104,22 +96,24 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     """Integrate ``exp(i phase / h) * amplitude`` over the ``z_vars`` block.
 
     ``phase`` must vanish to second order in ``z`` at the origin of the
-    remaining (parameter) variables, with nondegenerate ``z``-Hessian; the
-    ``z_vars`` are jet variables, not ``h``.  Returns
+    remaining (parameter) variables, with nondegenerate ``z``-Hessian
+    ``Q``; the ``z_vars`` are jet variables, not ``h``.  Returns
     ``(reduced_phase, prefactor, out_amplitude, critical_map)`` where the
     integral equals ``exp(i reduced_phase/h) * prefactor * out_amplitude``
     under the pinned kernel normalization; the reduced phase is ``phase``
-    at ``z*``.  The gradient is ``g0 + Qz + rest(z)``, with ``g0`` its
+    at ``z*``.  One path serves every phase.  An ``h^-k`` in the amplitude
+    reads ``z*`` and the interaction ``2k`` degrees above its own, so the
+    path lifts both inputs once to a cap ``2k`` wider and lowers what it
+    returns once.  The gradient is ``g0 + Qz + rest(z)``, with ``g0`` its
     z-free part and ``rest`` raising the degree of an error in ``z`` by
     one, so each pass of ``z <- -Q^{-1}(g0 + rest(z))`` from ``-Q^{-1} g0``
     fixes one degree more, and ``cap - 1`` passes reach the cap; no
-    tolerance decides.  A phase of weighted degree at most 2 has no
-    ``rest`` and takes the first stage, which is exact, not asymptotic:
-    ``z*`` is the first step, and ``out_amplitude`` is ``exp((ih/2)
-    d.Q^{-1}d) amplitude`` at ``z*``, since that operator commutes with the
-    shift.  Otherwise an ``h^-k`` in the amplitude reads ``z*`` and the
-    interaction ``2k`` degrees above its own, so the engine runs at a cap
-    ``2k`` wider and lowers what it returns.
+    tolerance decides.  Recentred at ``z*``, the phase is ``z.Qz/2`` plus
+    an interaction ``delta``, and ``out_amplitude`` is the z-free part of
+    ``exp((ih/2) d.Q^{-1}d)`` applied to ``exp(i delta/h)`` times the
+    shifted amplitude.  On a phase of weighted degree at most 2, ``rest``
+    and ``delta`` vanish, so ``z*`` is the first step and the result is
+    exact, not asymptotic.
     """
     ctx = phase.ctx
     if amplitude.ctx != ctx:
@@ -142,33 +136,30 @@ def fiber_stationary_phase(phase: TruncatedSeries, amplitude: TruncatedSeries,
     Q = hessian_matrix(phase, z_vars)
     pref = gaussian_prefactor(Q)
     Qinv = np.linalg.inv(Q)
-    pairs = _wick_pairs(z_vars, Qinv)
-    grad = [phase.diff(v) for v in z_vars]
-    g0 = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
-    zstar = {v: linear_combination(ctx, zip(g0, -Qinv[i])) for i, v in enumerate(z_vars)}
-    if phase.max_degree() <= 2:  # the quadratic stage: z* is this first step
-        return (compose(phase, zstar), pref,
-                compose(exp_second_order(amplitude, pairs), zstar), zstar)
-
     wide = SeriesContext(ctx.variables, ctx.cap - min(amplitude.degrees([HBAR]) | {0}))
-    rest = [g.filter_degree(z_vars, lambda d: d >= 1).map_vars({}, wide)
+    wphase = phase.map_vars({}, wide)
+    grad = [wphase.diff(v) for v in z_vars]
+    g0 = [g.filter_degree(z_vars, lambda d: d == 0) for g in grad]
+    zstar = {v: linear_combination(wide, zip(g0, -Qinv[i])) for i, v in enumerate(z_vars)}
+    rest = [g.filter_degree(z_vars, lambda d: d >= 1)
             .filter_degree(wide.variables, lambda d: d >= 2) for g in grad]
-    zstar = fixed_point({v: z.map_vars({}, wide) for v, z in zstar.items()}, Qinv,
-                        lambda z: [compose(r, z) for r in rest])
+    zstar = fixed_point(zstar, Qinv, lambda z: [compose(r, z) for r in rest])
 
     # recenter: (phase/h)(z* + z) has no z-linear part, and z.Qz/2h is its
     # z-quadratic part of weighted degree 0; the interaction is the rest of
     # z-degree >= 2.  Dividing before composing keeps terms up to cap + 2
     shift = {v: zstar[v] + wide.variable(v) for v in z_vars}
-    delta = (compose(phase.map_vars({}, wide) * wide.variable(HBAR, -1), shift)
+    delta = (compose(wphase * wide.variable(HBAR, -1), shift)
              .filter_degree(z_vars, lambda d: d >= 2)
              .filter_degree(wide.variables, lambda d: d >= 1))
     integrand = compose(amplitude.map_vars({}, wide), shift) * (delta * 1j).exp()
 
-    # Wick contraction of the z-block, keeping the z-free part: each power
-    # lowers the z-degree by two, so terms of odd z-degree never reach it
+    # Wick contraction of the z-block (Isserlis: propagator ih Q^{-1}),
+    # keeping the z-free part: each power lowers the z-degree by two, so
+    # terms of odd z-degree never reach it
     integrand = integrand.filter_degree(z_vars, lambda d: d % 2 == 0)
-    out = exp_second_order(integrand, pairs).filter_degree(z_vars, lambda d: d == 0)
+    out = (exp_second_order(integrand, _form_pairs(z_vars, 0.5j * Qinv))
+           .filter_degree(z_vars, lambda d: d == 0))
     zstar = {v: z.map_vars({}, ctx) for v, z in zstar.items()}
     return compose(phase, zstar), pref, out.map_vars({}, ctx), zstar
 

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .series import (HBAR, OscillatoryScalar, SeriesContext, SeriesError, TruncatedSeries,
-                     _json_field, _matrix, compose, exp_second_order, is_singular,
-                     linear_combination, negligible)
+                     _form_pairs, _json_field, _matrix, compose, exp_second_order,
+                     is_singular, linear_combination, negligible)
 from .stationary import DegenerateHessianError, gaussian_prefactor
 
 
@@ -69,13 +69,11 @@ class GaussianJet:
     def vars(self) -> list[str]:
         return [v for v in self.ctx.variables if v != HBAR]
 
-    def _with_parts(self, T=None, amplitude=None, scalar=None) -> "GaussianJet":
-        """This jet with the parts given replaced, unchecked: the generators' path."""
+    def _with_parts(self, T, amplitude, scalar) -> "GaussianJet":
+        """This jet's mode with new parts, unchecked: the generators' path."""
         jet = object.__new__(GaussianJet)
         jet.mode, jet.n, jet.ctx = self.mode, self.n, self.ctx
-        jet.T = self.T if T is None else T
-        jet.amplitude = self.amplitude if amplitude is None else amplitude
-        jet.scalar = self.scalar if scalar is None else scalar
+        jet.T, jet.amplitude, jet.scalar = T, amplitude, scalar
         return jet
 
     def flattened(self) -> tuple[np.ndarray, TruncatedSeries]:
@@ -207,8 +205,7 @@ def act_word(word: Sequence, jet: GaussianJet) -> GaussianJet:
         T, K, L = (T + T.T) / 2, K + L @ C @ L.T, L @ M
     ctx, uvars, amp = jet.ctx, jet.vars(), jet.amplitude
     if K.any():
-        amp = exp_second_order(amp, [(a, uvars[j], K[i, j] + K[j, i] if j > i else K[i, i])
-                                     for i, a in enumerate(uvars) for j in range(i, jet.n)])
+        amp = exp_second_order(amp, _form_pairs(uvars, K))
     if not np.array_equal(L, np.eye(jet.n)):
         u = [ctx.variable(v) for v in uvars]
         amp = compose(amp, {v: linear_combination(ctx, zip(u, row)) for v, row in zip(uvars, L)})
@@ -264,14 +261,13 @@ def factor_sp(M) -> list:
 
 
 def jets_equal_mod_center(a: GaussianJet, b: GaussianJet, tol: float = 1e-8):
-    """Compare jets up to a central scalar in {1, i, -1, -i}: (ok, lambda, residual)."""
+    """Compare jets up to a central scalar in {1, i, -1, -i}: (ok, lambda, residual),
+    with lambda the one of the four that leaves the smallest residual."""
     (T1, a1), (T2, b1) = a.flattened(), b.flattened()
     if np.max(np.abs(T1 - T2)) > tol:
         return False, None, float("inf")
     if b1.is_zero() or a1.is_zero():  # equal only when both are zero
         return (True, 1.0, 0.0) if b1.is_zero() == a1.is_zero() else (False, None, float("inf"))
-    lead = max(b1.terms, key=lambda k: abs(b1.terms[k]))
-    lam = a1.terms.get(lead, 0.0) / b1.terms[lead]
-    best = min([1, 1j, -1, -1j], key=lambda c: abs(lam - c))
-    resid = (a1 - b1 * best).max_abs()
+    resid, best = min((((a1 - b1 * c).max_abs(), c) for c in (1, 1j, -1, -1j)),
+                      key=lambda rc: rc[0])
     return resid <= tol * max(1.0, a1.max_abs()), best, resid

@@ -10,8 +10,7 @@
   ``MaslovError`` or a subclass of either defined in the package.
 - Exponent format: only ``series.py`` reads exponent tuples and the packed
   keys (``_packed``); every other module selects and measures terms
-  through ``filter_degree`` and ``degrees``, except the readers named in
-  ``EXPONENT_READERS``.
+  through ``filter_degree`` and ``degrees``.
 - One filtration: only ``series.py`` reads a context's ``weights``; every
   other module tells ``h`` from the jet variables by its name.
 - One matrix reader: only ``series.py`` calls ``np.asarray``; every other
@@ -29,7 +28,8 @@
 - Admission contract: every operation the ``series`` docstring names in
   it exists.
 - No dead code: every public function, method and class of the package is
-  referenced outside its own definition.
+  referenced outside its own definition, and every private one (one
+  leading underscore, not a dunder) is referenced so in ``src`` itself.
 """
 
 import ast
@@ -125,26 +125,17 @@ def untyped_raises():
                     yield name, node.lineno
 
 
-# (module, function) allowed to read exponent tuples outside series.py:
-# jets_equal_mod_center divides the leading coefficients of two jets
-EXPONENT_READERS = {("weil.py", "jets_equal_mod_center")}
 EXPONENT_ACCESS = {"terms", "from_terms", "weighted_degree", "_packed"}
 
 
 def exponent_reads():
     """``(file, line)`` of every ``.terms`` or ``._packed`` read and every
-    ``from_terms`` or ``weighted_degree`` call outside ``series.py`` and
-    ``EXPONENT_READERS``."""
+    ``from_terms`` or ``weighted_degree`` call outside ``series.py``."""
     for name, tree in modules():
-        if name == "series.py":
-            continue
-        allowed = {id(node) for f in ast.walk(tree)
-                   if isinstance(f, ast.FunctionDef) and (name, f.name) in EXPONENT_READERS
-                   for node in ast.walk(f)}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr in EXPONENT_ACCESS
-                    and id(node) not in allowed):
-                yield name, node.lineno
+        if name != "series.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in EXPONENT_ACCESS:
+                    yield name, node.lineno
 
 
 def test_no_comparison_against_a_small_literal():
@@ -290,9 +281,15 @@ def references(tree) -> Counter:
     return found
 
 
-def public_definitions():
-    """``(file, qualified name, node)`` of every public module-level function
-    and class of the package and every public method of its classes."""
+def is_private(name: str) -> bool:
+    """One leading underscore, not two: no dunder and no mangled name."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def definitions(keep):
+    """``(file, qualified name, node)`` of every module-level function and
+    class of the package and every method of its classes whose name
+    ``keep`` accepts."""
     for name, tree in modules():
         for node in tree.body:
             defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
@@ -301,21 +298,25 @@ def public_definitions():
                                               for f in node.body
                                               if isinstance(f, ast.FunctionDef)]
             for qualified, d in defs:
-                if not d.name.startswith("_"):
+                if keep(d.name):
                     yield name, qualified, d
 
 
-def unreferenced_definitions():
-    """``(file, qualified name)`` of every public definition whose name is
-    read nowhere in ``src``, ``tests`` or ``perfbench`` but inside itself.
+def public_definitions():
+    return definitions(lambda name: not name.startswith("_"))
+
+
+def unreferenced_definitions(defs, tops=("src", "tests", "perfbench")):
+    """``(file, qualified name)`` of every definition of ``defs`` whose name
+    is read nowhere in ``tops`` but inside itself.
 
     Names are matched, not resolved: a name that several classes or
     modules share counts as used when any of them is used."""
     everywhere = Counter()
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             everywhere += references(ast.parse(path.read_text(), str(path)))
-    for name, qualified, node in public_definitions():
+    for name, qualified, node in defs:
         if everywhere[node.name] <= references(node)[node.name]:
             yield name, qualified
 
@@ -323,4 +324,15 @@ def unreferenced_definitions():
 def test_every_public_definition_is_used():
     assert ("weyl.py", "KGroupElement.multiplier") in {
         (f, q) for f, q, _ in public_definitions()}
-    assert not sorted(unreferenced_definitions())
+    assert not sorted(unreferenced_definitions(public_definitions()))
+
+
+def test_every_private_definition_is_used_in_src():
+    # a private helper is the package's own: a test reading it keeps no
+    # helper alive that the package has stopped calling
+    private = list(definitions(is_private))
+    assert {("series.py", "_form_pairs"), ("series.py", "SeriesContext._pack"),
+            ("weil.py", "GaussianJet._with_parts")} <= {(f, q) for f, q, _ in private}
+    assert [is_private(n) for n in ("_letter", "__init__", "__mangled", "act_word")] == [
+        True, False, False, False]
+    assert not sorted(unreferenced_definitions(private, ("src",)))

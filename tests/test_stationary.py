@@ -323,11 +323,11 @@ def test_critical_point_early_exit_matches_full_loop():
         _, _, _, zstar = fiber_stationary_phase(phase, c.one(), ["z1", "z2"])
         full = critical_point_full_loop(phase, ["z1", "z2"])
         assert all(zstar[v].distance(full[v]) < 1e-14 for v in ("z1", "z2"))
-        if phase is quadratic:  # the quadratic stage: z* is one linear step
+        if phase is quadratic:  # a quadratic phase: z* is the first linear step
             assert all(compose(phase.diff(v), zstar).max_abs() < 1e-14 for v in ("z1", "z2"))
 
 
-# --- the quadratic stage --------------------------------------------------------
+# --- quadratic phases -------------------------------------------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -428,7 +428,7 @@ def assert_close(a, b):
 
 @PROPERTY
 @given(quadratic_problems(), st.data())
-def test_quadratic_stage_matches_the_recentering_path(problem, data):
+def test_quadratic_phase_matches_the_recentering_path_and_the_formula(problem, data):
     phase, amplitude, z_vars = problem
     reduced, _, out, zstar = fiber_stationary_phase(phase, amplitude, z_vars)
     ref_reduced, ref_out, ref_zstar = recentering_path(phase, amplitude, z_vars)
@@ -436,8 +436,11 @@ def test_quadratic_stage_matches_the_recentering_path(problem, data):
     assert_close(out, ref_out)
     for v in z_vars:
         assert_close(zstar[v], ref_zstar[v])
+    q_reduced, q_out = quadratic_formula(phase, amplitude, z_vars)
+    assert_close(reduced, q_reduced)
+    assert_close(out, q_out)
     # a planted cubic term: the engine still matches the recentering path,
-    # and no longer the quadratic formula, so the stage was not taken
+    # and no longer the quadratic formula, so the cubic term matters
     cubic = phase + phase.ctx.monomial({z_vars[0]: 3}, gaussian_integer(data.draw, True))
     reduced, _, out, _ = fiber_stationary_phase(cubic, amplitude, z_vars)
     ref_reduced, ref_out, _ = recentering_path(cubic, amplitude, z_vars)
@@ -462,7 +465,7 @@ def assert_cap_invariant(phase, amplitude, z_vars):
 
 @PROPERTY
 @given(quadratic_problems())
-def test_quadratic_stage_keeps_every_term_under_the_cap(problem):
+def test_quadratic_phase_keeps_every_term_under_the_cap(problem):
     # the amplitude has a term with h^-1: the result at cap c is the one
     # at cap c + 2, lowered
     assert_cap_invariant(*problem)

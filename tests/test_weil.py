@@ -498,7 +498,8 @@ def fourier_outcome(route, block, jet):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_act_fourier_equals_the_engine_route(n):
     # T, the flattened amplitude and the error type agree; the tolerance is
-    # fixed from cond(A) and the largest coefficient before either route runs
+    # fixed from cond(A) and the size of the engine route's output before
+    # the routes are compared
     rng = random.Random(260 + n)
     cases = 0
     for mode in ("weil", "weil0"):
@@ -512,9 +513,6 @@ def test_act_fourier_equals_the_engine_route(n):
                 b = [jet.vars().index(v) for v in names]
                 A = jet.T[np.ix_(b, b)]
                 cond = np.linalg.cond(A) if b else 1.0
-                scale = max(1.0, jet.flattened()[1].max_abs(), np.abs(jet.T).max())
-                # A^-1 enters the amplitude's size and its own rounding: cond^2
-                tol = 1e-14 * cond ** 2 * scale ** 2
                 got, want = (fourier_outcome(route, block, jet)
                              for route in (act_fourier, fourier_by_engine))
                 cases += 1
@@ -523,6 +521,9 @@ def test_act_fourier_equals_the_engine_route(n):
                     continue
                 assert not isinstance(got, type), (mode, block, got)
                 (T1, a1), (T2, a2) = got.flattened(), want.flattened()
+                # the output holds powers of A^-1, whose rounding grows with
+                # cond^2 times the output's size
+                tol = 1e-14 * cond ** 2 * max(1.0, np.abs(T2).max(initial=0), a2.max_abs())
                 assert np.abs(T1 - T2).max(initial=0) <= tol, (mode, block)
                 assert a1.distance(a2) <= tol, (mode, block, a1.distance(a2), tol)
     assert cases == {1: 26, 2: 56, 3: 165}[n]
