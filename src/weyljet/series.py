@@ -67,9 +67,9 @@ One truncation rule: only the cap cuts a series.  The Laurent part of an
 :class:`OscillatoryScalar` is a series in ``h`` alone and truncates as
 every series does, and the power sums (``exp``, ``unit_inverse``,
 ``unit_sqrt`` and the exponentials of :mod:`weyljet.weyl`) run through
-:func:`power_sum`, which stops only when a term vanishes.  No caller
-pre-screens the argument of a power sum: each raises when ``power_sum``
-reports a sum that truncation does not end.
+:func:`power_sum`, which stops only when a term vanishes and otherwise
+raises :class:`NonTerminatingAdError` with its caller's message.  No
+caller pre-screens the argument of a power sum or tests its result.
 
 One jet iteration: :func:`fixed_point` runs ``x <- x0 - A^{-1} rest(x)``,
 where ``rest`` raises the degree of an error in ``x`` by one, so from
@@ -132,6 +132,10 @@ _FIELD_RANGE = (f"a jet exponent runs from 0 to {_HALF - 1}, "
 
 class SeriesError(ValueError):
     pass
+
+
+class NonTerminatingAdError(SeriesError):
+    """A power sum that truncation does not end."""
 
 
 class SeriesContext:
@@ -489,11 +493,8 @@ class TruncatedSeries:
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series whose terms all have positive weighted degree."""
-        result = power_sum(self.ctx.one(), lambda t, k: t * self * (1.0 / k),
-                           self.ctx.cap + 1)
-        if result is None:
-            raise SeriesError("exp: the argument has terms of degree <= 0")
-        return result
+        return power_sum(self.ctx.one(), lambda t, k: t * self * (1.0 / k),
+                         self.ctx.cap + 1, "exp: the argument has terms of degree <= 0")
 
     def _unit_part(self, what: str):
         """``(c0, u)`` with ``self = c0 (1 + u)``; ``u`` is ``self / c0``
@@ -507,11 +508,9 @@ class TruncatedSeries:
     def unit_inverse(self) -> "TruncatedSeries":
         c0, u = self._unit_part("inverse")
         minus_u = -u
-        result = power_sum(self.ctx.one(), lambda t, k: t * minus_u, self.ctx.cap + 1)
-        if result is None:
-            raise SeriesError("unit_inverse: the argument has terms of degree <= 0 "
-                              "besides its constant")
-        return result * (1.0 / c0)
+        return power_sum(self.ctx.one(), lambda t, k: t * minus_u, self.ctx.cap + 1,
+                         "unit_inverse: the argument has terms of degree <= 0 "
+                         "besides its constant") * (1.0 / c0)
 
     def unit_sqrt(self) -> "TruncatedSeries":
         """Square root of a series with positive real leading constant."""
@@ -519,12 +518,9 @@ class TruncatedSeries:
         if not negligible(c0.imag, self.max_abs()) or c0.real <= 0:
             raise SeriesError("unit_sqrt expects a positive real lead")
         # the binomial coefficient C(1/2, k) is C(1/2, k - 1) (3/2 - k) / k
-        result = power_sum(self.ctx.one(), lambda t, k: t * u * ((1.5 - k) / k),
-                           self.ctx.cap + 1)
-        if result is None:
-            raise SeriesError("unit_sqrt: the argument has terms of degree <= 0 "
-                              "besides its constant")
-        return result * math.sqrt(c0.real)
+        return power_sum(self.ctx.one(), lambda t, k: t * u * ((1.5 - k) / k),
+                         self.ctx.cap + 1, "unit_sqrt: the argument has terms of degree "
+                         "<= 0 besides its constant") * math.sqrt(c0.real)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
         """Value at ``point`` (absent variables are 0); exact when the
@@ -615,17 +611,18 @@ class TruncatedSeries:
         return "<series " + " + ".join(bits) + more + ">"
 
 
-def power_sum(x: TruncatedSeries, step, limit: int) -> TruncatedSeries | None:
+def power_sum(x: TruncatedSeries, step, limit: int, what: str) -> TruncatedSeries:
     """``x + step(x, 1) + step(step(x, 1), 2) + ...``, summed until a term
-    vanishes; ``None`` when none has vanished after ``limit`` steps, so a
-    sum that truncation does not end is never returned cut short."""
+    vanishes; raises :class:`NonTerminatingAdError` with the caller's
+    message ``what`` when none has vanished after ``limit`` steps, so a sum
+    that truncation does not end is never returned cut short."""
     total = term = x
     for k in range(1, limit + 1):
         term = step(term, k)
         if term.is_zero():
             return total
         total = total + term
-    return None
+    raise NonTerminatingAdError(what)
 
 
 def _pair_plan(ctx: SeriesContext, pairs, op: str) -> list:

@@ -12,9 +12,12 @@ Sp matrix of :func:`factor_sp`) is read by ``_matrix`` of
 :mod:`weyljet.series`, and ``GaussianJet(...)`` checks ``T`` against the
 mode; the letters keep that condition by construction, and a word builds
 its jet once, unchecked, through ``_with_parts``.  Every float check is
-scale-free: symmetry, realness and degeneracy against the largest entry of
-the matrix judged, and symplecticity against its square
-(:func:`negligible`, :func:`is_singular`).
+scale-free: symmetry and realness against the largest entry of the matrix
+judged and symplecticity against its square (:func:`negligible`), and
+degeneracy by :func:`is_singular`, which compares the smallest singular
+value of the matrix judged with its largest.  A Fourier block is judged
+against itself, not against ``T``, so a block that is zero up to rounding
+passes as regular (a known defect, a ``FOUND`` line of ``CHANGES.md``).
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def factor_sp(M) -> list:
         raise SeriesError(f"factor_sp: M is not symplectic: |M^t J M - J| = {residual:.3g}")
     P, R, S = M[:m, :m], M[m:, :m], M[m:, m:]
     if is_singular(R):
-        raise SeriesError("lower-left block not invertible: word not factorable here")
+        raise SeriesError("factor_sp: lower-left block not invertible: word not factorable here")
     Rinv = np.linalg.inv(R)
     B = -Rinv.T
     what = "factor_sp: M is not symplectic: its shear"

@@ -16,13 +16,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .series import (HBAR, SeriesContext, SeriesError, TruncatedSeries,
-                     compose, contract_product, exp_second_order, invert_map,
-                     is_singular, linear_combination, negligible, power_sum)
-
-
-class NonTerminatingAdError(SeriesError):
-    pass
+from .series import (HBAR, NonTerminatingAdError, SeriesContext, SeriesError,
+                     TruncatedSeries, compose, contract_product, exp_second_order,
+                     invert_map, is_singular, linear_combination, negligible, power_sum)
 
 
 class WeylAlgebra:
@@ -206,10 +202,8 @@ def exp_ad(h: LieElement, w: TruncatedSeries) -> TruncatedSeries:
     """sum_k ad(h)^k w / k!, summed until a term vanishes; raises
     :class:`NonTerminatingAdError` when truncation does not end the sum."""
     A = h.algebra
-    result = power_sum(w, lambda t, k: h.ad(t) * (1.0 / k), (A.cap + 2) * (A.cap + 2))
-    if result is None:
-        raise NonTerminatingAdError("adjoint series did not terminate")
-    return result
+    return power_sum(w, lambda t, k: h.ad(t) * (1.0 / k), (A.cap + 2) * (A.cap + 2),
+                     "adjoint series did not terminate")
 
 
 def lie_classify(h: LieElement) -> dict:
@@ -297,14 +291,10 @@ class KGroupElement:
         """The rows ``d g_i / d u_j`` of the Jacobian matrix of g."""
         return [[self.images[x].diff(u) for u in self.algebra.x] for x in self.algebra.x]
 
-    def jacobian_det(self) -> TruncatedSeries:
-        return _det(self.algebra, self._jacobian())
-
     def half_density_factor(self) -> TruncatedSeries:
-        det = self.jacobian_det()
+        det = _det(self.algebra, self._jacobian())
         c0 = det.constant_term()
-        unit = det * (1.0 / c0)
-        return unit.unit_sqrt() * math.sqrt(abs(c0))
+        return (det * (abs(c0) / c0)).unit_sqrt()
 
     def multiplier(self) -> TruncatedSeries:
         """``exp(q) |det g'|^{1/2}``, the factor the action multiplies by.
@@ -416,7 +406,5 @@ def exp_lie_apply(h: LieElement, f: TruncatedSeries) -> TruncatedSeries:
     payload sits outside Lie(P).
     """
     op = lie_operator(h)
-    out = power_sum(f, lambda t, k: op.apply(t) * (1.0 / k), 4 * h.algebra.cap + 8)
-    if out is None:
-        raise NonTerminatingAdError("operator exponential did not terminate")
-    return out
+    return power_sum(f, lambda t, k: op.apply(t) * (1.0 / k), 4 * h.algebra.cap + 8,
+                     "operator exponential did not terminate")

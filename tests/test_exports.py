@@ -30,6 +30,12 @@ def test_advertised_and_imported_names_resolve():
     assert not missing
 
 
+def test_weyl_reexports_the_power_sum_error():
+    # the error is defined in series.py; tests and callers still import it from weyl
+    series, weyl = (importlib.import_module(f"weyljet.{m}") for m in ("series", "weyl"))
+    assert weyl.NonTerminatingAdError is series.NonTerminatingAdError
+
+
 def test_import_needs_no_scipy():
     # scipy is a test dependency only: importing the package must not load it
     src = str(Path(weyljet.__file__).resolve().parent.parent)

@@ -534,6 +534,13 @@ def test_subdivision_chart_rejects_base_indices_outside_the_dimension():
     assert chart.point_free_values(point) == {"x1": Fraction(2)}
 
 
+def test_fiber_free_is_the_complement_of_base_free():
+    F = SeriesContext(["x1", "x3", "e2"], 2).monomial({"x1": 1, "e2": 1}, Fraction(1, 3))
+    assert SubdivisionChart("c", "base", 3, (2, 0), F).fiber_free == (1,)
+    assert SubdivisionChart("c", "base", 3, (), F).fiber_free == (0, 1, 2)
+    assert SubdivisionChart("c", "base", 3, (0, 1, 2), F).fiber_free == ()
+
+
 def exact_det(M):
     """Determinant by the Leibniz formula, exact on Fractions."""
     total = Fraction(0)

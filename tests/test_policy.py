@@ -327,6 +327,11 @@ def test_every_public_definition_is_used():
     assert not sorted(unreferenced_definitions(public_definitions()))
 
 
+def test_every_public_definition_is_read_by_a_test_or_the_benchmark():
+    # a public definition that src alone reads has no direct check
+    assert not sorted(unreferenced_definitions(public_definitions(), ("tests", "perfbench")))
+
+
 def test_every_private_definition_is_used_in_src():
     # a private helper is the package's own: a test reading it keeps no
     # helper alive that the package has stopped calling

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyljet.series import (OscillatoryScalar, SeriesContext, SeriesError,
-                            TruncatedSeries, compose, contract_product, exp_second_order,
-                            invert_map, is_singular, linear_combination)
+from weyljet.series import (NonTerminatingAdError, OscillatoryScalar, SeriesContext,
+                            SeriesError, TruncatedSeries, compose, contract_product,
+                            exp_second_order, fixed_point, invert_map, is_singular,
+                            linear_combination, power_sum)
 
 
 def ctx1(cap=6):
@@ -153,6 +154,39 @@ def test_compose_rejects_negative_exponents_on_listed_variables():
     assert compose(f, {}) == f
 
 
+def test_power_sum_ends_only_where_a_term_vanishes():
+    c = SeriesContext(["u1", "h"], 4)
+    u = c.variable("u1")
+    # the exponential of u1 with exact coefficients; u1^5 is cut at cap 4
+    e = power_sum(c.one(), lambda t, k: t * u * Fraction(1, k), 5, "demo")
+    assert e == c.from_terms({(k, 0): Fraction(1, math.factorial(k)) for k in range(5)})
+    # the zero term comes at step 5, so four steps do not end the sum
+    with pytest.raises(NonTerminatingAdError, match="^demo: did not end$"):
+        power_sum(c.one(), lambda t, k: t * u, 4, "demo: did not end")
+    with pytest.raises(NonTerminatingAdError, match="^constant$"):
+        power_sum(c.one(), lambda t, k: t, 50, "constant")
+
+
+def test_depends_on_reads_every_exponent_field():
+    c = SeriesContext(["u1", "u2", "h"], 4)
+    s = c.monomial({"u1": 1, "h": -1}) + c.monomial({"u1": 2})
+    assert [s.depends_on(v) for v in c.variables] == [True, False, True]
+    assert [c.one().depends_on(v) for v in c.variables] == [False, False, False]
+    assert not c.zero().depends_on("u1")
+
+
+def test_fixed_point_reproduces_invert_map():
+    # u1 -> 2 u1 + u2^2, u2 -> u2 + u1 u2: the linear part is diag(2, 1)
+    c = SeriesContext(["u1", "u2", "h"], 5)
+    u1, u2 = c.variable("u1"), c.variable("u2")
+    higher = {"u1": u2 * u2, "u2": u1 * u2}
+    x = fixed_point({"u1": 0.5 * u1, "u2": u2}, np.diag([0.5, 1.0]),
+                    lambda x: [compose(higher[v], x) for v in ("u1", "u2")])
+    inv = invert_map({"u1": 2 * u1 + higher["u1"], "u2": u2 + higher["u2"]})
+    assert x.keys() == inv.keys()
+    assert all(x[v].distance(inv[v]) <= 1e-15 for v in x)
+
+
 def test_invert_map_linear():
     c = ctx1()
     h = invert_map({"u1": 2 * c.variable("u1")})
@@ -250,10 +284,10 @@ def test_the_filtration_is_fixed_by_the_names():
 
 def test_exp_requires_positive_degree():
     c = ctx1()
-    with pytest.raises(SeriesError, match="degree <= 0"):
+    with pytest.raises(NonTerminatingAdError, match="^exp: the argument has terms of degree <= 0$"):
         (c.one() + c.variable("u1")).exp()
     # u1^2 h^-1 weighs 0, so its powers never vanish under truncation
-    with pytest.raises(SeriesError, match="degree <= 0"):
+    with pytest.raises(NonTerminatingAdError, match="^exp: the argument has terms of degree <= 0$"):
         c.monomial({"u1": 2, "h": -1}).exp()
     e = c.variable("u1").exp()
     assert abs(e.coefficient({"u1": 2}) - 0.5) < 1e-12

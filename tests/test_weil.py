@@ -407,7 +407,9 @@ def test_weil_input_errors_are_typed():
             (lambda: act_gl([[1.0, 2.0], [2.0, 4.0]], jet),
              "act_gl: singular linear substitution"),
             (lambda: act_word([Central(1), "shear"], jet), "unknown generator 'shear'"),
-            (lambda: factor_sp(not_symplectic), "factor_sp: M is not symplectic")]:
+            (lambda: factor_sp(not_symplectic), "factor_sp: M is not symplectic"),
+            # the identity is symplectic with lower-left block R = 0
+            (lambda: factor_sp(np.eye(4)), "^factor_sp: lower-left block not invertible")]:
         with pytest.raises(SeriesError, match=message):
             call()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from weyljet.series import SeriesContext, SeriesError, TruncatedSeries, compose, invert_map
 from weyljet.weyl import (KGroupElement, LieElement, NonTerminatingAdError,
                           NormalOperator, WeylAlgebra, _multi_indices, commutator,
-                          exp_ad, exp_lie_apply, k_conjugate, lie_classify,
+                          exp_ad, exp_lie_apply, k_conjugate, lie_classify, lie_operator,
                           moyal_star, operator_from_action, poisson_bracket,
                           weyl_quantize)
 
@@ -415,6 +415,15 @@ def test_k_group_element_rejects_images_of_other_variables():
         KGroupElement(A, {"u1": 1.2 * u1, "v1": u1, "u7": u1})
 
 
+def test_lie_operator_is_the_quantized_payload_over_ih():
+    # (1/ih)(0.5 u1 + 0.25 v1) is 0.25 d/du1 less (0.5 i / h) u1, as v1 is ih d/du1
+    A = algebra(cap=6)
+    u = A.var("u1")
+    op = lie_operator(LieElement(A, 0.5 * u + 0.25 * A.var("v1")))
+    for f in (A.one(), u, u * u + 0.3 * u ** 3):
+        assert op.apply(f).distance(0.25 * f.diff("u1") - 0.5j * A.hbar(-1) * u * f) <= 1e-15
+
+
 def test_exp_lie_apply_matches_exp_ad_conjugation():
     # exp(h-hat) (w-hat) exp(-h-hat) f agrees with quantize(exp_ad(h,w)) f
     rng = random.Random(9)
@@ -433,8 +442,9 @@ def test_unit_sums_reject_arguments_that_truncation_does_not_end():
     # u1^2 h^-1 weighs 0, so no power of it reaches past the cap
     A = algebra(cap=6)
     x = 1 + A.var("u1", 2) * A.hbar(-1)
-    for root in (x.unit_inverse, x.unit_sqrt):
-        with pytest.raises(SeriesError, match="degree <= 0"):
+    for root, name in ((x.unit_inverse, "unit_inverse"), (x.unit_sqrt, "unit_sqrt")):
+        with pytest.raises(NonTerminatingAdError, match=f"^{name}: the argument has terms "
+                           "of degree <= 0 besides its constant$"):
             root()
 
 
