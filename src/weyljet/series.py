@@ -214,10 +214,8 @@ class SeriesContext:
         return TruncatedSeries(self, {self._exponent(exp): coeff})
 
     def _pack(self, exp: Sequence[int]) -> int | None:
-        """The key of an exponent tuple of ints; ``None`` when its arity is
-        not this context's or an exponent is beyond its field."""
-        if len(exp) != len(self._units):
-            return None
+        """The key of an exponent tuple of ints of this context's arity;
+        ``None`` when an exponent is beyond its field."""
         if exp and (max(exp) >= _HALF or min(exp) < -_H_OFFSET):
             return None
         key = self._zero + sum(map(mul, exp, self._units))
@@ -236,9 +234,12 @@ class SeriesContext:
                 for v, p in exp.items():
                     e[self.index(v)] = operator.index(p)
                 return tuple(e)
-            return tuple(map(operator.index, exp))
+            e = tuple(map(operator.index, exp))
         except TypeError:
             raise SeriesError(f"exponent {exp!r} is not integral") from None
+        if len(e) != len(self.variables):
+            raise SeriesError("exponent arity mismatch")
+        return e
 
     def from_terms(self, terms: Mapping[tuple[int, ...], complex]) -> "TruncatedSeries":
         return TruncatedSeries(self, dict(terms))
@@ -506,7 +507,7 @@ class TruncatedSeries:
         return c0, t - t.constant_term()
 
     def unit_inverse(self) -> "TruncatedSeries":
-        c0, u = self._unit_part("inverse")
+        c0, u = self._unit_part("unit_inverse: inverse")
         minus_u = -u
         return power_sum(self.ctx.one(), lambda t, k: t * minus_u, self.ctx.cap + 1,
                          "unit_inverse: the argument has terms of degree <= 0 "
@@ -514,9 +515,9 @@ class TruncatedSeries:
 
     def unit_sqrt(self) -> "TruncatedSeries":
         """Square root of a series with positive real leading constant."""
-        c0, u = self._unit_part("sqrt")
+        c0, u = self._unit_part("unit_sqrt: sqrt")
         if not negligible(c0.imag, self.max_abs()) or c0.real <= 0:
-            raise SeriesError("unit_sqrt expects a positive real lead")
+            raise SeriesError("unit_sqrt: expects a positive real lead")
         # the binomial coefficient C(1/2, k) is C(1/2, k - 1) (3/2 - k) / k
         return power_sum(self.ctx.one(), lambda t, k: t * u * ((1.5 - k) / k),
                          self.ctx.cap + 1, "unit_sqrt: the argument has terms of degree "

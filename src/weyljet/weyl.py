@@ -29,18 +29,15 @@ class WeylAlgebra:
         self.x = tuple(f"u{i+1}" for i in range(n))
         self.xi = tuple(f"v{i+1}" for i in range(n))
         self.ctx = SeriesContext(self.x + self.xi + (HBAR,), cap)
-        self._ext: dict[int, "WeylAlgebra"] = {}
 
     @property
     def cap(self):
         return self.ctx.cap
 
     def extended(self, extra: int) -> "WeylAlgebra":
-        """This algebra at ``cap + extra``, made once per headroom and itself
-        for none, for intermediates whose later steps lower the weighted degree."""
-        if extra and extra not in self._ext:
-            self._ext[extra] = WeylAlgebra(self.n, self.cap + extra)
-        return self._ext.get(extra, self)
+        """This algebra at ``cap + extra``, itself for none, for intermediates
+        whose later steps lower the weighted degree."""
+        return WeylAlgebra(self.n, self.cap + extra) if extra else self
 
     def lift(self, s: TruncatedSeries, extra: int) -> TruncatedSeries:
         return s.map_vars({}, self.extended(extra).ctx)
@@ -248,9 +245,8 @@ class KGroupElement:
         f(u) -> exp(q(u)) f(g(u)) |det g'(u)|^{1/2}
 
     with g a formal diffeomorphism (invertible linear part) and q(0)=0.
-    An element makes its multiplier, its inverse and its conjugated momenta
-    (:meth:`momenta`, which :func:`k_conjugate` uses) once, on first use,
-    and its lift into each extended algebra once (:meth:`extended`).
+    An element makes its multiplier and its conjugated momenta
+    (:meth:`momenta`, which :func:`k_conjugate` uses) once, on first use.
     """
 
     def __init__(self, algebra: WeylAlgebra, images: Mapping[str, TruncatedSeries],
@@ -280,8 +276,7 @@ class KGroupElement:
         if is_singular(a):
             raise SeriesError("non-invertible linear part")
         self._multiplier = None  # made on first use, or given by the group law
-        self._inverse = self._momenta = None  # made on first use
-        self._ext: dict[int, KGroupElement] = {}  # lifts, by headroom
+        self._momenta = None  # made on first use
 
     @staticmethod
     def identity(algebra: WeylAlgebra) -> "KGroupElement":
@@ -331,23 +326,20 @@ class KGroupElement:
         return compose(f, self.images) * self.multiplier()
 
     def inverse(self) -> "KGroupElement":
-        """The inverse, made on first use; its multiplier is the group law's."""
-        if self._inverse is None:
-            inv_images = invert_map(self.images)
-            out = KGroupElement(self.algebra, inv_images, -compose(self.q, inv_images))
-            out._multiplier = compose(self.multiplier().unit_inverse(), inv_images)
-            self._inverse = out
-        return self._inverse
+        """The inverse, made afresh on each call; its multiplier is the group law's."""
+        inv_images = invert_map(self.images)
+        out = KGroupElement(self.algebra, inv_images, -compose(self.q, inv_images))
+        out._multiplier = compose(self.multiplier().unit_inverse(), inv_images)
+        return out
 
     def extended(self, extra: int) -> "KGroupElement":
-        """This element lifted into ``algebra.extended(extra)``, made once per
-        headroom and itself for none; the lift makes its own multiplier and inverse."""
-        if extra and extra not in self._ext:
-            A = self.algebra
-            self._ext[extra] = KGroupElement(
-                A.extended(extra), {v: A.lift(s, extra) for v, s in self.images.items()},
-                A.lift(self.q, extra))
-        return self._ext.get(extra, self)
+        """This element lifted into ``algebra.extended(extra)``, itself for
+        none; a lift is made afresh and makes its own multiplier and momenta."""
+        if not extra:
+            return self
+        X = self.algebra.extended(extra)
+        return KGroupElement(X, {v: s.map_vars({}, X.ctx) for v, s in self.images.items()},
+                             self.q.map_vars({}, X.ctx))
 
     def compose_with(self, other: "KGroupElement") -> "KGroupElement":
         """Element acting as self after other: (self*other).act = self.act o other.act."""
@@ -369,7 +361,7 @@ def k_conjugate(k: KGroupElement, w: TruncatedSeries) -> TruncatedSeries:
     has at least the degree of the (u, h) part of ``a_b``, which
     quantization only raises: so at a cap raised by the depth of ``w`` in
     u and h alone, no cut term reaches the cap.  The lift is
-    ``k.extended(extra)``, which keeps its momenta for every symbol.
+    ``k.extended(extra)``: ``k`` itself, with its momenta, at no headroom.
     """
     A = k.algebra
     extra = max(0, -min(w.degrees(A.x + (HBAR,)), default=0))

@@ -4,6 +4,7 @@ definition cannot leave a dangling export or import behind."""
 
 import ast
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +24,20 @@ def weyljet_imports():
                     yield path.name, node.module, alias.name
 
 
+def importable(module, name):
+    """``from module import name`` succeeds: ``name`` is an attribute of the
+    module, or a submodule of the package, imported or not."""
+    mod = importlib.import_module(module)
+    return hasattr(mod, name) or (hasattr(mod, "__path__")
+                                  and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
 def test_advertised_and_imported_names_resolve():
+    # a submodule is an attribute of its package only once imported, so the
+    # check must not depend on which test files were collected before it
     missing = [f"weyljet.{name}" for name in weyljet.__all__ if not hasattr(weyljet, name)]
     missing += [f"{path}: {module}.{name}" for path, module, name in weyljet_imports()
-                if not hasattr(importlib.import_module(module), name)]
+                if not importable(module, name)]
     assert not missing
 
 

@@ -860,8 +860,12 @@ def test_series_input_errors_are_typed():
             # a power is read as an index, as a cap is
             (lambda: y1 ** 1.5, "power 1.5 is not an integer"),
             (lambda: y1 ** "2", "power '2' is not an integer"),
-            (lambda: y1.unit_inverse(), "inverse of a non-unit series"),
-            (lambda: (y1 - 1).unit_sqrt(), "positive real lead"),
+            (lambda: y1.unit_inverse(), "^unit_inverse: inverse of a non-unit series"),
+            (lambda: y1.unit_sqrt(), "^unit_sqrt: sqrt of a non-unit series"),
+            (lambda: (y1 - 1).unit_sqrt(), "^unit_sqrt: expects a positive real lead"),
+            # an exponent of the wrong arity is an error, not a zero coefficient
+            (lambda: y1.coefficient((1, 0)), "exponent arity mismatch"),
+            (lambda: y1.coefficient((1, 0, 0, 0)), "exponent arity mismatch"),
             (lambda: y1.map_vars({"y1": "z"}, ctx), "unknown variable 'z'"),
             (lambda: invert_map({"y1": y1, "y2": other.variable("y2")}),
              "images live in different contexts"),
@@ -884,6 +888,14 @@ def test_series_input_errors_are_typed():
             call()
     assert OscillatoryScalar(h_only.variable("h")).laurent == {1: 1}
     assert OscillatoryScalar({0: 1}, np.int64(5)).i_power == 1
+
+
+def test_contexts_and_series_are_values():
+    # a context is its variables and its cap, however the names were passed
+    listed, tupled = SeriesContext(["y1", "h"], 4), SeriesContext(("y1", "h"), 4)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed != SeriesContext(["y1", "h"], 5)
+    assert not listed.zero() and listed.one()
 
 
 # --- packed keys ------------------------------------------------------------------

@@ -486,17 +486,15 @@ def test_k_inverse_undoes_the_action_at_every_degree(n):
         assert k.act(k.inverse().act(f)).distance(f) < 1e-8
 
 
-def test_k_element_makes_its_lift_and_inverse_once():
+def test_k_element_makes_its_momenta_once():
     A = algebra(cap=4)
     k = rand_k(A, random.Random(5))
     assert A.extended(0) is A
     assert k.extended(0) is k
-    assert k.extended(2) is k.extended(2)
-    assert k.extended(2).algebra is A.extended(2)
-    assert k.inverse() is k.inverse()
-    assert k.extended(1).inverse() is k.extended(1).inverse()
+    assert k.extended(2).algebra.ctx == A.extended(2).ctx
     assert k.momenta() is k.momenta()
-    assert k.extended(1).momenta() is k.extended(1).momenta()
+    kx = k.extended(1)
+    assert kx.momenta() is kx.momenta()
 
 
 def test_conjugations_by_one_k_equal_those_by_fresh_elements():
@@ -523,9 +521,10 @@ def k_conjugate_by_action(k, w):
     extra = order + max(0, -w.min_degree())
     kx = k.extended(extra)
     op = weyl_quantize(kx.algebra, A.lift(w, extra))
+    ki = kx.inverse()
 
     def action(f):
-        return kx.act(op.apply(kx.inverse().act(f)))
+        return kx.act(op.apply(ki.act(f)))
 
     return A.lower(operator_from_action(kx.algebra, action, order).to_weyl())
 
